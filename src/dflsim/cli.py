@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -26,35 +27,61 @@ class ConfigError(ValueError):
     """Config validation failure; the message names the offending field."""
 
 
+def _int(value) -> int:
+    """A whole number: an integer, an integral float or an integer string.
+    Booleans and fractional numbers are rejected rather than truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _float(value) -> float:
+    """A finite number or numeric string; booleans, NaN and infinities are
+    rejected."""
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value!r}")
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {value!r}")
+    return value
+
+
+def _parse_field(key: str, parse, value):
+    try:
+        return parse(value)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ConfigError(f"config field {key!r}: {e}") from e
+
+
 # field -> (default, parser). Defaults mirror the reference training setup.
 _CONFIG_FIELDS: dict = {
     "strategy": ("dfl", str),
     "model_kind": ("fadnet", str),
     "topology": ("gaia11", str),
-    "input_height": (32, int),
-    "input_width": (32, int),
-    "input_channels": (1, int),
+    "input_height": (32, _int),
+    "input_width": (32, _int),
+    "input_channels": (1, _int),
     "widths": ([8, 16, 32], list),
-    "feature_dim": (64, int),
-    "rounds": (3000, int),
-    "local_steps": (1, int),
-    "batch_size": (32, int),
-    "learning_rate": (1e-3, float),
+    "feature_dim": (64, _int),
+    "rounds": (3000, _int),
+    "local_steps": (1, _int),
+    "batch_size": (32, _int),
+    "learning_rate": (1e-3, _float),
     "optimizer": ("adam", str),
-    "eval_interval": (10, int),
+    "eval_interval": (10, _int),
     "eval_mask": (None, list),
-    "workers": (1, int),
-    "server_latency_s": (0.05, float),
-    "server_bandwidth_Bps": (2.5e7, float),
-    "server_compute_s": (0.05, float),
-    "cll_compute_s": (0.1, float),
+    "workers": (1, _int),
+    "server_latency_s": (0.05, _float),
+    "server_bandwidth_Bps": (2.5e7, _float),
+    "server_compute_s": (0.05, _float),
+    "cll_compute_s": (0.1, _float),
     "data_source": ("linesteer", str),
-    "sample_count": (2000, int),
-    "skew": (0.8, float),
-    "train_fraction": (0.8, float),
+    "sample_count": (2000, _int),
+    "skew": (0.8, _float),
+    "train_fraction": (0.8, _float),
     "external_path": (None, str),
     "out_dir": (None, str),
-    "seed": (0, int),
+    "seed": (0, _int),
 }
 
 # settings that must agree across configs for a comparison to be meaningful
@@ -83,10 +110,7 @@ def load_config(path) -> dict:
     for key, (default, parse) in _CONFIG_FIELDS.items():
         value = raw.get(key, default)
         if value is not None and key not in ("widths", "eval_mask"):
-            try:
-                value = parse(value)
-            except (TypeError, ValueError) as e:
-                raise ConfigError(f"config field {key!r}: {e}") from e
+            value = _parse_field(key, parse, value)
         cfg[key] = value
     return validate_config(cfg)
 
@@ -103,9 +127,11 @@ def validate_config(cfg: dict) -> dict:
                           f"{list(DATA_SOURCES)}, got {cfg['data_source']!r}")
     if not isinstance(cfg["widths"], (list, tuple)) or len(cfg["widths"]) != 3:
         raise ConfigError(f"config field 'widths': need 3 block widths, got {cfg['widths']!r}")
-    cfg["widths"] = [int(w) for w in cfg["widths"]]
+    cfg["widths"] = [_parse_field("widths", _int, w) for w in cfg["widths"]]
     if cfg["eval_mask"] is not None:
-        cfg["eval_mask"] = [int(v) for v in cfg["eval_mask"]]
+        if not isinstance(cfg["eval_mask"], (list, tuple)):
+            raise ConfigError(f"config field 'eval_mask': need a list, got {cfg['eval_mask']!r}")
+        cfg["eval_mask"] = [_parse_field("eval_mask", _int, v) for v in cfg["eval_mask"]]
         if any(v not in (0, 1) for v in cfg["eval_mask"]):
             raise ConfigError("config field 'eval_mask': entries must be 0 or 1")
     if not 0.0 <= cfg["skew"] <= 1.0:

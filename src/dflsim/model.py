@@ -301,7 +301,7 @@ def _coerce_params(kind: str, cfg: FADNetConfig, params) -> ModelParams:
     return ModelParams(kind, cfg, params)
 
 
-def _run(name: str, mp: ModelParams, x, caches: dict, specs):
+def _run(name: str, mp: ModelParams, x, caches: dict | None, specs):
     spec = specs[name]
     layer_params = []
     if spec.kind in ("conv2d", "fc"):
@@ -309,15 +309,18 @@ def _run(name: str, mp: ModelParams, x, caches: dict, specs):
         if spec.bias:
             layer_params.append(mp[f"{name}.b"])
     out, cache = T.forward(spec, layer_params, x)
-    caches[name] = cache
+    if caches is not None:
+        caches[name] = cache
     return out
 
 
 def _forward_full(kind: str, cfg: FADNetConfig, mp: ModelParams, x: np.ndarray,
-                  probe_margins: bool = False):
+                  probe_margins: bool = False, keep_caches: bool = True):
     """Run the whole network, returning predictions, caches, and features.
 
-    With probe_margins=True also returns the smallest distance of any
+    With keep_caches=False no layer cache is kept (caches comes back None),
+    so each layer's workspace is freed once the next layer has run.  With
+    probe_margins=True also returns the smallest distance of any
     relu/maxpool decision to its kink, used to pick finite-difference-safe
     seeds.
     """
@@ -326,10 +329,10 @@ def _forward_full(kind: str, cfg: FADNetConfig, mp: ModelParams, x: np.ndarray,
         raise T.ShapeError(
             f"batch shape {x.shape[1:]} != config input "
             f"({cfg.input_height}, {cfg.input_width}, {cfg.input_channels})")
-    caches: dict = {}
+    caches: dict | None = {} if keep_caches else None
     margin = np.inf
 
-    h0 = _run("norm", mp, x, caches, specs)
+    h0 = _run("norm", mp, x, None, specs)  # backward never reaches the input
     s1 = _run("stem.conv", mp, h0, caches, specs)
     if probe_margins:
         patches, _ = T._pool_patches(s1, 2, 2)
@@ -348,10 +351,7 @@ def _forward_full(kind: str, cfg: FADNetConfig, mp: ModelParams, x: np.ndarray,
         cur = _run(f"block{h}.add", mp, (t2, sc), caches, specs)
         block_outputs.append(cur)
 
-    b = x.shape[0]
-    flat = cur.reshape(b, -1)
-    caches["flatten_shape"] = cur.shape
-    tail = _run("tail.fc", mp, flat, caches, specs)
+    tail = _run("tail.fc", mp, cur.reshape(x.shape[0], -1), caches, specs)
 
     if kind == "backbone_only":
         preds = tail[:, 0]
@@ -364,13 +364,15 @@ def _forward_full(kind: str, cfg: FADNetConfig, mp: ModelParams, x: np.ndarray,
     w = mp["head.accum.w"]
     f_c = accumulation(branch_feats, w)
     preds = aggregation(tail, f_c)
-    caches["head"] = (tail, f_c, branch_feats, w)
+    if caches is not None:
+        caches["head"] = (tail, f_c, branch_feats, w)
     return preds, caches, {"margin": margin}
 
 
-def _back(name: str, mp: ModelParams, caches, grad_out, grads: dict, specs):
+def _back(name: str, mp: ModelParams, caches, grad_out, grads: dict, specs,
+          input_grad: bool = True):
     spec = specs[name]
-    gx, gparams = T.backward(spec, caches[name], grad_out)
+    gx, gparams = T.backward(spec, caches[name], grad_out, input_grad=input_grad)
     if gparams:
         grads[f"{name}.W"] = grads.get(f"{name}.W", 0.0) + gparams[0]
         if spec.bias:
@@ -402,7 +404,7 @@ def _backward_full(kind: str, cfg: FADNetConfig, mp: ModelParams, caches: dict,
         gblocks_from_branches = [0.0] * N_BLOCKS
 
     gflat = _back("tail.fc", mp, caches, gtail, grads, specs)
-    gcur = gflat.reshape(caches["flatten_shape"])
+    gcur = gflat.reshape(gpred.shape[0], *_plan(kind, cfg)["dims"][-1])
 
     for h in range(N_BLOCKS, 0, -1):
         gcur = gcur + gblocks_from_branches[h - 1]
@@ -414,28 +416,26 @@ def _backward_full(kind: str, cfg: FADNetConfig, mp: ModelParams, caches: dict,
         gcur = gin_main + gin_sc
 
     gs1 = _back("stem.pool", mp, caches, gcur, grads, specs)
-    gh0 = _back("stem.conv", mp, caches, gs1, grads, specs)
-    _back("norm", mp, caches, gh0, grads, specs)
+    # the input has no parameters upstream: neither the stem conv's input
+    # gradient nor the input_norm backward would be used
+    _back("stem.conv", mp, caches, gs1, grads, specs, input_grad=False)
     return grads
 
 
 def fadnet_forward(cfg: FADNetConfig, params, batch: Batch) -> np.ndarray:
     """Predictions of the full model, one scalar per batch item."""
-    mp = _coerce_params("fadnet", cfg, params)
-    preds, _, _ = _forward_full("fadnet", cfg, mp, batch.inputs)
-    return preds
+    return predict("fadnet", cfg, params, batch.inputs)
 
 
 def backbone_only_forward(cfg: FADNetConfig, params, batch: Batch) -> np.ndarray:
     """Predictions of the ablation model (no branch/blend/product head)."""
-    mp = _coerce_params("backbone_only", cfg, params)
-    preds, _, _ = _forward_full("backbone_only", cfg, mp, batch.inputs)
-    return preds
+    return predict("backbone_only", cfg, params, batch.inputs)
 
 
 def predict(kind: str, cfg: FADNetConfig, params, inputs: np.ndarray) -> np.ndarray:
+    """Predictions for a batch of inputs; keeps no backward caches."""
     mp = _coerce_params(kind, cfg, params)
-    preds, _, _ = _forward_full(kind, cfg, mp, inputs)
+    preds, _, _ = _forward_full(kind, cfg, mp, inputs, keep_caches=False)
     return preds
 
 
@@ -483,7 +483,7 @@ def find_smooth_seed(kind: str, cfg: FADNetConfig, batch_size: int = 2,
                                  cfg.input_channels))
         flat = init_params(kind, cfg, seed)
         mp = ModelParams(kind, cfg, flat)
-        _, _, info = _forward_full(kind, cfg, mp, x, probe_margins=True)
+        _, _, info = _forward_full(kind, cfg, mp, x, probe_margins=True, keep_caches=False)
         if info["margin"] > margin:
             return seed
     raise RuntimeError("no finite-difference-safe seed found in 200 tries")

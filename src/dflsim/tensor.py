@@ -5,6 +5,17 @@ vocabulary the steering model needs is implemented; each forward returns an
 opaque cache consumed by the matching backward, and every backward is the
 exact analytic adjoint (finite-difference checked in the test suite).
 
+Convolution is im2col followed by one matrix product.  Max pooling takes a
+running ``np.maximum`` over the k*k strided views of its input; on ties the
+first window position in row-major order wins, both for the output value
+(which matters only for -0.0 against 0.0) and for where backward routes the
+window's gradient.  Overlapping windows (kernel > stride) are supported.
+
+``backward(..., input_grad=False)`` tells conv2d that the caller will
+discard the input gradient: it skips computing it and returns None in its
+place.  The first conv of a network needs no input gradient, and for it this
+saves the transposed product and the col2im scatter.
+
 Set DEBUG_CHECK_FINITE to make every op assert its outputs are finite.
 """
 from __future__ import annotations
@@ -86,27 +97,28 @@ def _check_finite(name: str, *arrays) -> None:
                 raise FloatingPointError(f"{name}: non-finite values produced")
 
 
+def _windows(x: np.ndarray, k: int, s: int, oh: int, ow: int) -> list[np.ndarray]:
+    """The k*k strided views of NHWC x, one per offset inside a k x k window
+    in row-major order; view a*k+b holds element (a, b) of every one of the
+    oh x ow windows taken at stride s."""
+    return [x[:, a:a + oh * s:s, b:b + ow * s:s, :] for a in range(k) for b in range(k)]
+
+
 def _im2col(x: np.ndarray, kernel: int, stride: int, padding: int):
     b, h, w, c = x.shape
     oh, ow = conv_output_hw(h, w, kernel, stride, padding)
     xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0))) if padding else x
-    cols = np.empty((b, oh, ow, kernel, kernel, c), dtype=np.float64)
-    for a in range(kernel):
-        for bb in range(kernel):
-            cols[:, :, :, a, bb, :] = xp[:, a:a + oh * stride:stride, bb:bb + ow * stride:stride, :]
+    cols = np.stack(_windows(xp, kernel, stride, oh, ow), axis=3)
     return cols.reshape(b * oh * ow, kernel * kernel * c), (b, h, w, c, oh, ow)
 
 
 def _col2im(gcols: np.ndarray, geom: tuple, kernel: int, stride: int, padding: int) -> np.ndarray:
     b, h, w, c, oh, ow = geom
     gxp = np.zeros((b, h + 2 * padding, w + 2 * padding, c), dtype=np.float64)
-    g6 = gcols.reshape(b, oh, ow, kernel, kernel, c)
-    for a in range(kernel):
-        for bb in range(kernel):
-            gxp[:, a:a + oh * stride:stride, bb:bb + ow * stride:stride, :] += g6[:, :, :, a, bb, :]
-    if padding:
-        return gxp[:, padding:h + padding, padding:w + padding, :]
-    return gxp
+    g5 = gcols.reshape(b, oh, ow, kernel * kernel, c)
+    for i, view in enumerate(_windows(gxp, kernel, stride, oh, ow)):
+        view += g5[:, :, :, i, :]
+    return gxp[:, padding:h + padding, padding:w + padding, :]
 
 
 def forward(spec: LayerSpec, params: list[np.ndarray], x):
@@ -133,7 +145,7 @@ def forward(spec: LayerSpec, params: list[np.ndarray], x):
         wmat = wgt.reshape(-1, spec.out_channels)
         out = cols @ wmat
         if spec.bias:
-            out = out + params[1]
+            out += params[1]
         b, _, _, _, oh, ow = geom
         y = out.reshape(b, oh, ow, spec.out_channels)
         _check_finite(kind, y)
@@ -142,17 +154,15 @@ def forward(spec: LayerSpec, params: list[np.ndarray], x):
     if kind == "maxpool2d":
         if x.ndim != 4:
             raise ShapeError(f"maxpool2d expects NHWC, got shape {x.shape}")
-        b, h, w, c = x.shape
-        k, s = spec.kernel, spec.stride
-        oh, ow = conv_output_hw(h, w, k, s, 0)
-        patches = np.empty((b, oh, ow, k * k, c), dtype=np.float64)
-        for a in range(k):
-            for bb in range(k):
-                patches[:, :, :, a * k + bb, :] = x[:, a:a + oh * s:s, bb:bb + ow * s:s, :]
-        arg = np.argmax(patches, axis=3)  # first index wins ties
-        y = np.take_along_axis(patches, arg[:, :, :, None, :], axis=3)[:, :, :, 0, :]
+        oh, ow = conv_output_hw(x.shape[1], x.shape[2], spec.kernel, spec.stride, 0)
+        views = _windows(x, spec.kernel, spec.stride, oh, ow)
+        y = views[0].copy()
+        for view in views[1:]:
+            # np.maximum returns its second operand when the two compare
+            # equal, so the earlier window position keeps the signed zero
+            np.maximum(view, y, out=y)
         _check_finite(kind, y)
-        return y, (spec, x.shape, arg)
+        return y, (spec, x, y)
 
     if kind == "relu":
         return np.maximum(x, 0.0), (spec, x > 0)
@@ -163,7 +173,7 @@ def forward(spec: LayerSpec, params: list[np.ndarray], x):
             raise ShapeError(f"fc expects (batch, {spec.in_features}), got {x.shape}")
         y = x @ wgt
         if spec.bias:
-            y = y + params[1]
+            y += params[1]
         _check_finite(kind, y)
         return y, (spec, x, wgt)
 
@@ -181,11 +191,13 @@ def forward(spec: LayerSpec, params: list[np.ndarray], x):
     raise ShapeError(f"unknown layer kind {kind!r}")
 
 
-def backward(spec: LayerSpec, cache, grad_out):
+def backward(spec: LayerSpec, cache, grad_out, input_grad: bool = True):
     """Exact gradients of the forward pass: returns (grad_input, grad_params).
 
     For residual_add the grad_input is the (grad_a, grad_b) pair; max pooling
-    routes each window's gradient to the first-encountered argmax.
+    routes each window's gradient to the first-encountered argmax.  With
+    input_grad=False, conv2d returns None as grad_input without computing
+    it; the other kinds ignore the flag.
     """
     if not isinstance(cache, tuple) or not cache or cache[0] != spec:
         raise ShapeError("stale or mismatched cache for backward")
@@ -213,25 +225,34 @@ def backward(spec: LayerSpec, cache, grad_out):
             raise ShapeError(f"grad shape {grad_out.shape} != ({b},{oh},{ow},{spec.out_channels})")
         gmat = grad_out.reshape(-1, spec.out_channels)
         gw = (cols.T @ gmat).reshape(spec.kernel, spec.kernel, spec.in_channels, spec.out_channels)
-        gx = _col2im(gmat @ wmat.T, geom, spec.kernel, spec.stride, spec.padding)
         grads = [gw]
         if spec.bias:
             grads.append(gmat.sum(axis=0))
+        if not input_grad:
+            _check_finite(kind, *grads)
+            return None, grads
+        gx = _col2im(gmat @ wmat.T, geom, spec.kernel, spec.stride, spec.padding)
         _check_finite(kind, gx, *grads)
         return gx, grads
 
     if kind == "maxpool2d":
-        _, x_shape, arg = cache
-        b, h, w, c = x_shape
-        k, s = spec.kernel, spec.stride
-        oh, ow = arg.shape[1], arg.shape[2]
-        if grad_out.shape != (b, oh, ow, c):
-            raise ShapeError(f"grad shape {grad_out.shape} != ({b},{oh},{ow},{c})")
-        gx = np.zeros(x_shape, dtype=np.float64)
-        for idx in range(k * k):
-            contrib = grad_out * (arg == idx)
-            a, bb = divmod(idx, k)
-            gx[:, a:a + oh * s:s, bb:bb + ow * s:s, :] += contrib
+        _, x, y = cache
+        if grad_out.shape != y.shape:
+            raise ShapeError(f"grad shape {grad_out.shape} != forward shape {y.shape}")
+        _, oh, ow, _ = y.shape
+        gx = np.zeros(x.shape, dtype=np.float64)
+        unrouted = np.ones(y.shape, dtype=bool)
+        hit = np.empty(y.shape, dtype=bool)
+        contrib = np.empty(y.shape, dtype=np.float64)
+        views = _windows(x, spec.kernel, spec.stride, oh, ow)
+        gviews = _windows(gx, spec.kernel, spec.stride, oh, ow)
+        for view, gview in zip(views, gviews):
+            # the first position (row-major) holding the max takes the gradient
+            np.equal(view, y, out=hit)
+            hit &= unrouted
+            unrouted ^= hit
+            np.multiply(grad_out, hit, out=contrib)
+            gview += contrib
         return gx, []
 
     if kind == "relu":
@@ -308,11 +329,7 @@ def _nudge_kinks(spec: LayerSpec, x, rng: np.random.Generator, margin: float = 1
 def _pool_patches(x, k, s):
     b, h, w, c = x.shape
     oh, ow = conv_output_hw(h, w, k, s, 0)
-    patches = np.empty((b, oh, ow, k * k, c), dtype=np.float64)
-    for a in range(k):
-        for bb in range(k):
-            patches[:, :, :, a * k + bb, :] = x[:, a:a + oh * s:s, bb:bb + ow * s:s, :]
-    return patches, (oh, ow)
+    return np.stack(_windows(x, k, s, oh, ow), axis=3), (oh, ow)
 
 
 def relative_error(analytic: np.ndarray, numeric: np.ndarray, floor: float = 1e-3) -> float:

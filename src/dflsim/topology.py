@@ -416,10 +416,14 @@ def _eulerian_circuit(n: int, multi_edges: list[tuple[int, int]]) -> list[int]:
 def build_overlay_christofides(g: ConnectivityGraph, p: DelayParams) -> Overlay:
     """Hamiltonian-cycle overlay via Christofides' algorithm.
 
-    Runs on the symmetrized shortest-path delay metric, so the 1.5x
-    approximation bound applies; the cycle spans every silo and both directed
-    orientations of each tour edge enter the overlay.  For 2 silos the single
-    bidirectional link is returned as a degenerate cycle.
+    Runs on the symmetrized shortest-path delay metric; the cycle spans every
+    silo and both directed orientations of each tour edge enter the overlay.
+    For 2 silos the single bidirectional link is returned as a degenerate
+    cycle.  The 1.5x approximation bound, which needs that metric, holds only
+    while the spanning tree has at most EXACT_MATCHING_LIMIT odd-degree
+    vertices, which are then matched exactly; above that limit they are
+    matched greedily and the tour carries no bound.  The bundled nws22
+    topology sits exactly at the limit.
     """
     n = g.n
     w, paths = symmetrized_weights(g, p)

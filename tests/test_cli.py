@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from dflsim import cli, data as D, model as M, topology as tp
 
@@ -112,6 +113,50 @@ class TestRun:
             "external_path": str(tmp_path / "ext"), **FAST})
         assert cli.main(["run", str(cfg_path), "--quiet"]) == 1
         assert "external_path" in capsys.readouterr().err
+
+
+INT_FIELDS = [key for key, (_, parse) in cli._CONFIG_FIELDS.items() if parse is cli._int]
+
+
+class TestFieldTypes:
+    @pytest.mark.parametrize("field", ["learning_rate", "skew", "server_latency_s"])
+    @pytest.mark.parametrize("value", ["nan", "inf", float("nan"), float("-inf"), 10 ** 400])
+    def test_non_finite_float_names_field(self, tmp_path, capsys, field, value):
+        cfg_path = write_config(tmp_path, {"strategy": "cll", field: value, **FAST})
+        assert cli.main(["run", str(cfg_path), "--out", str(tmp_path / "out"),
+                         "--quiet"]) == 1
+        assert f"config field '{field}':" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_boolean_float_rejected(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, {"strategy": "cll", "learning_rate": True, **FAST})
+        assert cli.main(["run", str(cfg_path), "--quiet"]) == 1
+        assert "config field 'learning_rate':" in capsys.readouterr().err
+
+    def test_fractional_rounds_rejected(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, {"strategy": "cll", **dict(FAST, rounds=2.7)})
+        assert cli.main(["run", str(cfg_path), "--out", str(tmp_path / "out"),
+                         "--quiet"]) == 1
+        assert "config field 'rounds':" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("field", INT_FIELDS)
+    def test_boolean_int_rejected(self, tmp_path, capsys, field):
+        cfg_path = write_config(tmp_path, {"strategy": "cll", **dict(FAST, **{field: True})})
+        assert cli.main(["run", str(cfg_path), "--out", str(tmp_path / "out"),
+                         "--quiet"]) == 1
+        assert f"config field '{field}':" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,value", [("widths", [2, True, 4]), ("widths", [2, 3.5, 4]),
+                                             ("eval_mask", [1, True])])
+    def test_list_entries_checked(self, tmp_path, capsys, field, value):
+        cfg_path = write_config(tmp_path, {"strategy": "cll", **dict(FAST, **{field: value})})
+        assert cli.main(["run", str(cfg_path), "--quiet"]) == 1
+        assert f"config field '{field}':" in capsys.readouterr().err
+
+    def test_whole_numbers_accepted(self):
+        assert cli._int(3.0) == 3 and cli._int("4") == 4
+        assert cli._float(2) == 2.0 and cli._float("1e-3") == 1e-3
 
 
 class TestCompare:

@@ -130,6 +130,17 @@ class TestForward:
         b = M.fadnet_forward(M.TOY_CONFIG, theta, batch)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("kind", M.MODEL_KINDS)
+    def test_cache_free_forward_matches_training_forward(self, kind):
+        batch = toy_batch(n=4, seed=6)
+        mp = M.ModelParams(kind, M.TOY_CONFIG, M.init_params(kind, M.TOY_CONFIG, 2))
+        train_preds, caches, _ = M._forward_full(kind, M.TOY_CONFIG, mp, batch.inputs)
+        eval_preds, no_caches, _ = M._forward_full(kind, M.TOY_CONFIG, mp, batch.inputs,
+                                                   keep_caches=False)
+        assert caches and no_caches is None
+        assert np.array_equal(train_preds, eval_preds)
+        assert np.array_equal(M.predict(kind, M.TOY_CONFIG, mp, batch.inputs), eval_preds)
+
     def test_shape_mismatch_rejected(self):
         theta = M.init_params("fadnet", M.TOY_CONFIG, 0)
         bad = M.Batch(inputs=np.zeros((1, 16, 16, 1)), targets=np.zeros(1))

@@ -176,3 +176,90 @@ class TestProperties:
         x = np.array([[1.0, np.inf]])
         with pytest.raises(FloatingPointError):
             T.forward(spec, [np.ones((2, 2)), np.zeros(2)], x)
+
+
+def reference_maxpool(x, k, s):
+    """The patches/argmax max pooling the strided-view kernel replaced:
+    returns (y, arg) with arg the first window position holding the max."""
+    b, h, w, c = x.shape
+    oh, ow = (h - k) // s + 1, (w - k) // s + 1
+    patches = np.empty((b, oh, ow, k * k, c))
+    for a in range(k):
+        for bb in range(k):
+            patches[:, :, :, a * k + bb, :] = x[:, a:a + oh * s:s, bb:bb + ow * s:s, :]
+    arg = np.argmax(patches, axis=3)
+    y = np.take_along_axis(patches, arg[:, :, :, None, :], axis=3)[:, :, :, 0, :]
+    return y, arg
+
+
+def reference_maxpool_backward(x_shape, arg, k, s, grad_out):
+    oh, ow = arg.shape[1], arg.shape[2]
+    gx = np.zeros(x_shape)
+    for idx in range(k * k):
+        a, bb = divmod(idx, k)
+        gx[:, a:a + oh * s:s, bb:bb + ow * s:s, :] += grad_out * (arg == idx)
+    return gx
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestKernelEquivalence:
+    """The strided-view max pooling and the input_grad=False conv backward
+    give exactly the bits of the kernels they replaced."""
+
+    @pytest.mark.parametrize("k,s", [(2, 2), (3, 2)])
+    @pytest.mark.parametrize("inputs", ["random", "ties", "signed_zeros"])
+    def test_maxpool_matches_reference(self, k, s, inputs):
+        rng = np.random.default_rng(5)
+        shape = (3, 9, 11, 4)
+        if inputs == "random":
+            x = rng.standard_normal(shape)
+        elif inputs == "ties":
+            x = rng.integers(-1, 2, shape).astype(np.float64)
+        else:
+            x = rng.choice([-0.0, 0.0, -1.0], shape)
+        spec = T.LayerSpec("maxpool2d", kernel=k, stride=s)
+        y, cache = T.forward(spec, [], x)
+        y_ref, arg = reference_maxpool(x, k, s)
+        assert_same_bits(y, y_ref)
+        grad = rng.standard_normal(y.shape) * rng.choice([1.0, 0.0, -0.0], y.shape)
+        gx, gparams = T.backward(spec, cache, grad)
+        assert gparams == []
+        assert_same_bits(gx, reference_maxpool_backward(x.shape, arg, k, s, grad))
+
+    def test_signed_zero_tie_keeps_first(self):
+        spec = T.LayerSpec("maxpool2d", kernel=2, stride=2)
+        for first, second in ((-0.0, 0.0), (0.0, -0.0)):
+            x = np.array([first, second, -1.0, -1.0]).reshape(1, 2, 2, 1)
+            y, cache = T.forward(spec, [], x)
+            assert np.signbit(y[0, 0, 0, 0]) == np.signbit(first)
+            gx, _ = T.backward(spec, cache, np.full((1, 1, 1, 1), 3.0))
+            assert gx.ravel().tolist() == [3.0, 0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("spec", [
+        make_conv(kernel=3, stride=1, padding=1, cin=1, cout=3),
+        make_conv(kernel=3, stride=2, padding=1, cin=2, cout=3, bias=False),
+    ])
+    def test_skipped_input_grad(self, spec):
+        rng = np.random.default_rng(9)
+        x, params = T._default_instance(spec, rng)
+        out, cache = T.forward(spec, params, x)
+        grad = rng.standard_normal(out.shape)
+        gx_full, gp_full = T.backward(spec, cache, grad)
+        gx, gp = T.backward(spec, cache, grad, input_grad=False)
+        assert gx_full is not None and gx is None
+        assert len(gp) == len(gp_full)
+        for a, b in zip(gp, gp_full):
+            assert_same_bits(a, b)
+
+    def test_skipped_input_grad_still_checks_params(self, monkeypatch):
+        monkeypatch.setattr(T, "DEBUG_CHECK_FINITE", True)
+        spec = make_conv(kernel=1, padding=0, cin=1, cout=2)
+        params = [np.ones(s) for s in T.param_shapes(spec)]
+        _, cache = T.forward(spec, params, np.ones((1, 4, 4, 1)))
+        with pytest.raises(FloatingPointError):
+            T.backward(spec, cache, np.full((1, 4, 4, 2), np.inf), input_grad=False)
