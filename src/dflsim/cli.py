@@ -199,7 +199,29 @@ def _build_data(cfg: dict, model_cfg: M.FADNetConfig):
         if ds.inputs.shape[1:] != expected:
             raise ConfigError(f"config field 'external_path': dataset shape "
                               f"{ds.inputs.shape[1:]} does not match model input {expected}")
-    return D.train_test_split(ds, cfg["train_fraction"], cfg["seed"])
+    try:
+        return D.train_test_split(ds, cfg["train_fraction"], cfg["seed"])
+    except ValueError as e:
+        raise ConfigError(f"config field {_samples_field(cfg)!r}: {e}") from e
+
+
+def _samples_field(cfg: dict) -> str:
+    """The field that sets how many samples the run has."""
+    return "sample_count" if cfg["data_source"] == "linesteer" else "external_path"
+
+
+def _check_against_topology(cfg: dict, n_silos: int, n_train: int) -> None:
+    """The checks that need the topology's silo count: one eval_mask entry
+    per silo, and at least one training sample per silo."""
+    topo = cfg["topology"]
+    mask = cfg["eval_mask"]
+    if mask is not None and len(mask) != n_silos:
+        raise ConfigError(f"config field 'eval_mask': topology {topo!r} has {n_silos} "
+                          f"silos, so the mask needs {n_silos} entries, got {len(mask)}")
+    if n_train < n_silos:
+        raise ConfigError(f"config field {_samples_field(cfg)!r}: topology {topo!r} has "
+                          f"{n_silos} silos and needs at least {n_silos} training samples, "
+                          f"but train_fraction {cfg['train_fraction']} leaves {n_train}")
 
 
 def execute(cfg: dict) -> P.MetricsLog:
@@ -212,6 +234,7 @@ def execute(cfg: dict) -> P.MetricsLog:
         return P.run_cll(cfg["model_kind"], model_cfg, train, test, train_cfg)
 
     graph = tp.load_topology(_resolve_topology_path(cfg["topology"]))
+    _check_against_topology(cfg, graph.n, train.count)
     plan = D.partition_noniid(train, graph.n, cfg["skew"], cfg["seed"])
     shards = plan.shards(train)
     if cfg["strategy"] == "sfl":

@@ -10,11 +10,13 @@ feature.  The "backbone_only" ablation keeps the stem and blocks but maps the
 flattened backbone output straight to the scalar prediction.
 
 Parameters live in one flat float64 vector; the layout (names, shapes,
-offsets) is a pure function of the model kind and config.
+offsets) is a pure function of the model kind and config.  A checkpoint
+stores that layout in its manifest and is loaded only if it matches.
 """
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -179,13 +181,14 @@ def _plan(kind: str, cfg: FADNetConfig) -> dict:
         names.append("head.accum.w")
         shapes.append((N_BLOCKS,))
 
-    offsets = []
+    layout: dict[str, tuple[int, int, tuple[int, ...]]] = {}
     total = 0
-    for s in shapes:
-        offsets.append(total)
-        total += int(np.prod(s))
+    for name, shape in zip(names, shapes):
+        size = math.prod(shape)
+        layout[name] = (total, size, shape)
+        total += size
     return {"specs": specs, "names": tuple(names), "shapes": tuple(shapes),
-            "offsets": tuple(offsets), "total": total, "dims": dims, "flat_dim": flat_dim}
+            "layout": layout, "total": total, "dims": dims, "flat_dim": flat_dim}
 
 
 def param_count(kind: str, cfg: FADNetConfig) -> int:
@@ -210,10 +213,8 @@ class ModelParams:
         return self._plan["names"]
 
     def __getitem__(self, name: str) -> np.ndarray:
-        plan = self._plan
-        i = plan["names"].index(name)
-        off, shape = plan["offsets"][i], plan["shapes"][i]
-        return self.flat[off:off + int(np.prod(shape))].reshape(shape)
+        off, size, shape = self._plan["layout"][name]
+        return self.flat[off:off + size].reshape(shape)
 
     def to_flat(self) -> np.ndarray:
         """The underlying flat vector (no copy); round-trips bit-exactly."""
@@ -450,12 +451,11 @@ def loss_and_grad(kind: str, cfg: FADNetConfig, params, batch: Batch):
     grads = _backward_full(kind, cfg, mp, caches, gpred)
 
     plan = _plan(kind, cfg)
+    layout = plan["layout"]
     flat_grad = np.zeros(plan["total"])
-    for name, shape, off in zip(plan["names"], plan["shapes"], plan["offsets"]):
-        g = grads.get(name)
-        size = int(np.prod(shape))
-        if g is not None:
-            flat_grad[off:off + size] = np.asarray(g).ravel()
+    for name, g in grads.items():
+        off, size, _ = layout[name]
+        flat_grad[off:off + size] = g.ravel()
     return loss, flat_grad
 
 
@@ -510,8 +510,7 @@ def model_grad_check(kind: str, cfg: FADNetConfig, seed: int, batch_size: int = 
 
     plan = _plan(kind, cfg)
     worst = 0.0
-    for shape, off in zip(plan["shapes"], plan["offsets"]):
-        size = int(np.prod(shape))
+    for off, size, _ in plan["layout"].values():
         if max_coords_per_tensor is None or size <= max_coords_per_tensor:
             idx = range(off, off + size)
         else:
@@ -565,8 +564,20 @@ def load_checkpoint(path):
                          f"{manifest.get('format_version')}")
     kind = manifest["model_kind"]
     cfg = FADNetConfig.from_dict(manifest["config"])
+    plan = _plan(kind, cfg)
+    listed = manifest.get("params")
+    if not isinstance(listed, list):
+        raise ValueError(f"checkpoint {path}: manifest has no parameter list")
+    for i, (name, shape) in enumerate(zip(plan["names"], plan["shapes"])):
+        entry = listed[i] if i < len(listed) else None
+        if entry != {"name": name, "shape": list(shape)}:
+            raise ValueError(f"checkpoint {path}: parameter {name!r} with shape "
+                             f"{list(shape)} expected at manifest entry {i}, found {entry!r}")
+    if len(listed) > len(plan["names"]):
+        raise ValueError(f"checkpoint {path}: unexpected parameter "
+                         f"{listed[len(plan['names'])]!r} after the {kind} layout")
     flat = np.frombuffer(raw[4 + hlen:], dtype="<f8").astype(np.float64)
-    expected = param_count(kind, cfg)
+    expected = plan["total"]
     if flat.shape != (expected,):
         raise ValueError(f"checkpoint {path}: expected {expected} parameters, "
                          f"got {flat.size}")

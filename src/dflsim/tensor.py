@@ -5,11 +5,22 @@ vocabulary the steering model needs is implemented; each forward returns an
 opaque cache consumed by the matching backward, and every backward is the
 exact analytic adjoint (finite-difference checked in the test suite).
 
-Convolution is im2col followed by one matrix product.  Max pooling takes a
-running ``np.maximum`` over the k*k strided views of its input; on ties the
-first window position in row-major order wins, both for the output value
-(which matters only for -0.0 against 0.0) and for where backward routes the
-window's gradient.  Overlapping windows (kernel > stride) are supported.
+Convolution is im2col followed by one matrix product.  im2col writes the
+input into a zero-bordered buffer and makes one copy of a (b, oh, ow, k, k, c)
+window view of it, so every copied run is a window row of k*c elements.  With
+one input channel that run is only k long, and the copy goes in
+(k, k, c, b, oh, ow) order instead, along output rows; the product then
+takes the transposed buffer (see _transposed_patches for when).  col2im adds
+each window position's slice of the patch gradient onto the input in turn.
+
+Max pooling takes a running ``np.maximum`` over the k*k strided views of its
+input; on ties the first window position in row-major order wins, both for
+the output value (which matters only for -0.0 against 0.0) and for where
+backward routes the window's gradient.  Backward records that position per
+window and scatters all windows' gradients with one ``np.bincount``; where
+windows overlap (kernel > stride) the entries go in window-position order.
+Either way every input element sums its terms from +0.0 in the order a loop
+over window positions would, so the bits match that loop.
 
 ``backward(..., input_grad=False)`` tells conv2d that the caller will
 discard the input gradient: it skips computing it and returns None in its
@@ -21,8 +32,10 @@ Set DEBUG_CHECK_FINITE to make every op assert its outputs are finite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 DEBUG_CHECK_FINITE = False
 
@@ -104,21 +117,72 @@ def _windows(x: np.ndarray, k: int, s: int, oh: int, ow: int) -> list[np.ndarray
     return [x[:, a:a + oh * s:s, b:b + ow * s:s, :] for a in range(k) for b in range(k)]
 
 
-def _im2col(x: np.ndarray, kernel: int, stride: int, padding: int):
+def _window_view(x: np.ndarray, k: int, s: int, oh: int, ow: int) -> np.ndarray:
+    """Read-only (b, oh, ow, k, k, c) view of NHWC x: element [n, i, j, a, bb, ch]
+    is x[n, i*s + a, j*s + bb, ch]."""
+    sb, sh, sw, sc = x.strides
+    return as_strided(x, (x.shape[0], oh, ow, k, k, x.shape[3]),
+                      (sb, s * sh, s * sw, sh, sw, sc), writeable=False)
+
+
+def _transposed_patches(spec: LayerSpec) -> bool:
+    """Whether conv2d builds its patch matrix as the transposed (K, N) copy.
+
+    With one input channel a window row is only k elements long, so the copy
+    runs along output rows instead.  BLAS then gets the transposed operand,
+    which gives the same product bits only where its kernels for the output
+    columns do not depend on operand layout.  Measured with OpenBLAS, that
+    holds when out_channels is a multiple of 8 (the FADNet stem has 8) and
+    fails for some other widths, 1 to 4 among them.  The bitwise kernel
+    tests pin both layouts to the bits of the plain (N, K) copy.
+    """
+    return spec.in_channels == 1 and spec.out_channels % 8 == 0
+
+
+def _im2col(x: np.ndarray, kernel: int, stride: int, padding: int, transposed: bool):
+    """The (b*oh*ow, k*k*c) patch matrix, columns in (a, bb, channel) order,
+    built with one copy of a window view of the zero-bordered input; with
+    ``transposed`` it is the transpose of a C-ordered (K, N) buffer."""
     b, h, w, c = x.shape
     oh, ow = conv_output_hw(h, w, kernel, stride, padding)
-    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0))) if padding else x
-    cols = np.stack(_windows(xp, kernel, stride, oh, ow), axis=3)
-    return cols.reshape(b * oh * ow, kernel * kernel * c), (b, h, w, c, oh, ow)
+    if padding:
+        xp = np.zeros((b, h + 2 * padding, w + 2 * padding, c))
+        xp[:, padding:padding + h, padding:padding + w, :] = x
+    else:
+        xp = x
+    win = _window_view(xp, kernel, stride, oh, ow)
+    n, kk = b * oh * ow, kernel * kernel * c
+    geom = (b, h, w, c, oh, ow)
+    if transposed:
+        return np.ascontiguousarray(win.transpose(3, 4, 5, 0, 1, 2)).reshape(kk, n).T, geom
+    return win.reshape(n, kk), geom
 
 
 def _col2im(gcols: np.ndarray, geom: tuple, kernel: int, stride: int, padding: int) -> np.ndarray:
+    """Adjoint of _im2col: each window position's slice of the patch gradient
+    is added onto the input in turn, so every input element sums its terms
+    from +0.0 in window-position order."""
     b, h, w, c, oh, ow = geom
     gxp = np.zeros((b, h + 2 * padding, w + 2 * padding, c), dtype=np.float64)
     g5 = gcols.reshape(b, oh, ow, kernel * kernel, c)
     for i, view in enumerate(_windows(gxp, kernel, stride, oh, ow)):
         view += g5[:, :, :, i, :]
     return gxp[:, padding:h + padding, padding:w + padding, :]
+
+
+@lru_cache(maxsize=16)
+def _pool_index(shape: tuple, k: int, s: int, oh: int, ow: int):
+    """Flat indices into an NHWC array of this shape for its oh x ow windows
+    of k x k at stride s: ``origins`` (b, oh, ow) holds each window's first
+    element (channel 0) and ``offsets`` (k*k,) the distance from there to
+    window position (a, bb), in row-major order.  Both are read-only."""
+    b, h, w, c = shape
+    origins = ((np.arange(b)[:, None, None] * h + s * np.arange(oh)[:, None]) * w
+               + s * np.arange(ow)) * c
+    offsets = ((np.arange(k)[:, None] * w + np.arange(k)) * c).ravel()
+    origins.flags.writeable = False
+    offsets.flags.writeable = False
+    return origins, offsets
 
 
 def forward(spec: LayerSpec, params: list[np.ndarray], x):
@@ -141,7 +205,8 @@ def forward(spec: LayerSpec, params: list[np.ndarray], x):
         wgt = params[0]
         if x.ndim != 4 or x.shape[3] != spec.in_channels:
             raise ShapeError(f"conv2d expects NHWC with C={spec.in_channels}, got {x.shape}")
-        cols, geom = _im2col(x, spec.kernel, spec.stride, spec.padding)
+        cols, geom = _im2col(x, spec.kernel, spec.stride, spec.padding,
+                             _transposed_patches(spec))
         wmat = wgt.reshape(-1, spec.out_channels)
         out = cols @ wmat
         if spec.bias:
@@ -240,19 +305,29 @@ def backward(spec: LayerSpec, cache, grad_out, input_grad: bool = True):
         if grad_out.shape != y.shape:
             raise ShapeError(f"grad shape {grad_out.shape} != forward shape {y.shape}")
         _, oh, ow, _ = y.shape
-        gx = np.zeros(x.shape, dtype=np.float64)
+        k, s = spec.kernel, spec.stride
+        # arg: the first window position (row-major) holding the max
+        arg = np.zeros(y.shape, dtype=np.min_scalar_type(k * k - 1))
         unrouted = np.ones(y.shape, dtype=bool)
         hit = np.empty(y.shape, dtype=bool)
-        contrib = np.empty(y.shape, dtype=np.float64)
-        views = _windows(x, spec.kernel, spec.stride, oh, ow)
-        gviews = _windows(gx, spec.kernel, spec.stride, oh, ow)
-        for view, gview in zip(views, gviews):
-            # the first position (row-major) holding the max takes the gradient
+        for i, view in enumerate(_windows(x, k, s, oh, ow)):
             np.equal(view, y, out=hit)
             hit &= unrouted
             unrouted ^= hit
-            np.multiply(grad_out, hit, out=contrib)
-            gview += contrib
+            if i:
+                arg += hit.view(np.uint8) * arg.dtype.type(i)
+        # scatter every window's gradient onto its routed element at once
+        origins, offsets = _pool_index(x.shape, k, s, oh, ow)
+        idx = offsets.take(arg)
+        idx += origins[..., None]
+        idx += np.arange(y.shape[3])
+        idx, weights = idx.ravel(), grad_out.ravel()
+        if k > s:
+            # overlapping windows: an element must take its terms in
+            # window-position order
+            order = np.argsort(arg, axis=None, kind="stable")
+            idx, weights = idx[order], weights[order]
+        gx = np.bincount(idx, weights=weights, minlength=x.size).reshape(x.shape)
         return gx, []
 
     if kind == "relu":

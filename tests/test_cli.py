@@ -159,6 +159,42 @@ class TestFieldTypes:
         assert cli._float(2) == 2.0 and cli._float("1e-3") == 1e-3
 
 
+class TestSampleAndSiloChecks:
+    """Fields checked once the data split and the topology are known."""
+
+    @pytest.mark.parametrize("strategy", ["dfl", "sfl"])
+    def test_eval_mask_length_names_field(self, tmp_path, capsys, strategy):
+        cfg_path = write_config(tmp_path, {"strategy": strategy, "topology": "gaia11",
+                                           **dict(FAST, eval_mask=[1, 0, 1])})
+        assert cli.main(["run", str(cfg_path), "--out", str(tmp_path / "out"),
+                         "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert "config field 'eval_mask':" in err
+        assert "11 entries, got 3" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_full_length_eval_mask_accepted(self, tmp_path):
+        cfg_path = write_config(tmp_path, {"strategy": "dfl", "topology": "gaia11",
+                                           **dict(FAST, rounds=1, eval_mask=[1] * 11)})
+        assert cli.main(["run", str(cfg_path), "--out", str(tmp_path / "out"),
+                         "--quiet"]) == 0
+
+    def test_too_few_samples_for_silos_names_field(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, {"strategy": "dfl", "topology": "nws22",
+                                           **dict(FAST, sample_count=10)})
+        assert cli.main(["run", str(cfg_path), "--out", str(tmp_path / "out"),
+                         "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert "config field 'sample_count':" in err
+        assert "needs at least 22 training samples" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_empty_split_names_field(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, {"strategy": "cll", **dict(FAST, sample_count=1)})
+        assert cli.main(["run", str(cfg_path), "--quiet"]) == 1
+        assert "config field 'sample_count': split 0.8 of 1 samples" in capsys.readouterr().err
+
+
 class TestCompare:
     def make_trio(self, tmp_path, seed=0):
         paths = []

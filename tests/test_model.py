@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -222,6 +225,24 @@ class TestParamsAndCheckpoint:
         raw = path.read_bytes()
         path.write_bytes(raw[:-16])
         with pytest.raises(ValueError, match="parameters"):
+            M.load_checkpoint(path)
+
+    @pytest.mark.parametrize("tamper,named", [
+        (lambda ps: ps[1].update(shape=[5]), "'stem.conv.b'"),
+        (lambda ps: ps[0].update(name="stem.conv.V"), "'stem.conv.W'"),
+        (lambda ps: ps.pop(), "'head.accum.w'"),
+        (lambda ps: ps.append({"name": "extra.W", "shape": [0]}), "'extra.W'"),
+    ])
+    def test_checkpoint_manifest_checked_against_plan(self, tmp_path, tamper, named):
+        path = tmp_path / "model.ckpt"
+        M.save_checkpoint(path, "fadnet", SMALL_CFG, M.init_params("fadnet", SMALL_CFG, 9))
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack("<I", raw[:4])
+        manifest = json.loads(raw[4:4 + hlen])
+        tamper(manifest["params"])
+        blob = json.dumps(manifest).encode()
+        path.write_bytes(struct.pack("<I", len(blob)) + blob + raw[4 + hlen:])
+        with pytest.raises(ValueError, match=named):
             M.load_checkpoint(path)
 
     def test_checkpoint_bad_header(self, tmp_path):

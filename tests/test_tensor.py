@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dflsim import model as M
 from dflsim import tensor as T
 
 
@@ -201,6 +202,74 @@ def reference_maxpool_backward(x_shape, arg, k, s, grad_out):
     return gx
 
 
+def strided_views(x, k, s, oh, ow):
+    return [x[:, a:a + oh * s:s, bb:bb + ow * s:s, :] for a in range(k) for bb in range(k)]
+
+
+def reference_routed_maxpool_backward(x, y, k, s, grad_out):
+    """The hit-routing backward the bincount scatter replaced: each view
+    routes to the first not-yet-routed position equal to y, with a strided
+    += per view."""
+    _, oh, ow, _ = y.shape
+    gx = np.zeros(x.shape)
+    unrouted = np.ones(y.shape, dtype=bool)
+    for view, gview in zip(strided_views(x, k, s, oh, ow), strided_views(gx, k, s, oh, ow)):
+        hit = (view == y) & unrouted
+        unrouted ^= hit
+        gview += grad_out * hit
+    return gx
+
+
+def reference_conv(spec, params, x, grad_out):
+    """The np.pad + np.stack im2col, matrix-product conv with a view-loop
+    col2im and a gmat.sum(axis=0) bias gradient: (y, gx, [gw, gb])."""
+    k, s, p = spec.kernel, spec.stride, spec.padding
+    b, h, w, c = x.shape
+    oh, ow = T.conv_output_hw(h, w, k, s, p)
+    xp = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0))) if p else x
+    cols = np.stack(strided_views(xp, k, s, oh, ow), axis=3).reshape(b * oh * ow, k * k * c)
+    wmat = params[0].reshape(-1, spec.out_channels)
+    out = cols @ wmat
+    if spec.bias:
+        out += params[1]
+    gmat = grad_out.reshape(-1, spec.out_channels)
+    grads = [(cols.T @ gmat).reshape(params[0].shape)]
+    if spec.bias:
+        grads.append(gmat.sum(axis=0))
+    gxp = np.zeros(xp.shape)
+    g5 = (gmat @ wmat.T).reshape(b, oh, ow, k * k, c)
+    for i, view in enumerate(strided_views(gxp, k, s, oh, ow)):
+        view += g5[:, :, :, i, :]
+    gx = gxp[:, p:h + p, p:w + p, :]
+    return out.reshape(b, oh, ow, spec.out_channels), gx, grads
+
+
+def toy_conv_geometries():
+    """(spec, height, width) of every conv2d in the TOY_CONFIG fadnet."""
+    cfg = M.TOY_CONFIG
+    specs = M._plan("fadnet", cfg)["specs"]
+    dims = M._stage_dims(cfg)
+    geoms = [(specs["stem.conv"], cfg.input_height, cfg.input_width)]
+    for h in range(1, M.N_BLOCKS + 1):
+        (hi, wi, _), (ho, wo, _) = dims[h - 1], dims[h]
+        geoms += [(specs[f"block{h}.conv1"], hi, wi), (specs[f"block{h}.shortcut"], hi, wi),
+                  (specs[f"block{h}.conv2"], ho, wo)]
+    return geoms
+
+
+EXTRA_CONV_GEOMETRIES = [
+    (make_conv(kernel=3, stride=2, padding=1, cin=3, cout=2), 7, 9),
+    (make_conv(kernel=3, stride=1, padding=0, cin=4, cout=5), 9, 6),
+    (make_conv(kernel=3, stride=2, padding=1, cin=1, cout=4), 11, 8),
+    (make_conv(kernel=3, stride=2, padding=1, cin=1, cout=16), 11, 8),
+    (make_conv(kernel=2, stride=1, padding=0, cin=1, cout=3, bias=False), 5, 7),
+    (make_conv(kernel=2, stride=1, padding=0, cin=1, cout=8, bias=False), 5, 7),
+    (make_conv(kernel=3, stride=1, padding=1, cin=6, cout=1), 8, 5),
+    (make_conv(kernel=3, stride=1, padding=2, cin=1, cout=1), 6, 6),
+    (make_conv(kernel=1, stride=3, padding=0, cin=2, cout=1), 10, 7),
+]
+
+
 def assert_same_bits(a, b):
     assert a.shape == b.shape
     assert np.array_equal(a, b)
@@ -208,10 +277,11 @@ def assert_same_bits(a, b):
 
 
 class TestKernelEquivalence:
-    """The strided-view max pooling and the input_grad=False conv backward
-    give exactly the bits of the kernels they replaced."""
+    """The window-view im2col (both patch layouts), the bincount max-pool
+    scatter and the input_grad=False conv backward give exactly the bits of
+    the kernels they replaced."""
 
-    @pytest.mark.parametrize("k,s", [(2, 2), (3, 2)])
+    @pytest.mark.parametrize("k,s", [(2, 2), (3, 2), (2, 3)])
     @pytest.mark.parametrize("inputs", ["random", "ties", "signed_zeros"])
     def test_maxpool_matches_reference(self, k, s, inputs):
         rng = np.random.default_rng(5)
@@ -230,6 +300,35 @@ class TestKernelEquivalence:
         gx, gparams = T.backward(spec, cache, grad)
         assert gparams == []
         assert_same_bits(gx, reference_maxpool_backward(x.shape, arg, k, s, grad))
+        assert_same_bits(gx, reference_routed_maxpool_backward(x, y_ref, k, s, grad))
+
+    @pytest.mark.parametrize("batch", [1, 4, 32])
+    @pytest.mark.parametrize("geom", toy_conv_geometries() + EXTRA_CONV_GEOMETRIES,
+                             ids=lambda g: f"k{g[0].kernel}s{g[0].stride}p{g[0].padding}"
+                                           f"c{g[0].in_channels}o{g[0].out_channels}"
+                                           f"b{int(g[0].bias)}_{g[1]}x{g[2]}")
+    def test_conv_matches_reference(self, geom, batch):
+        spec, h, w = geom
+        rng = np.random.default_rng(batch * 1000 + h * 10 + w)
+        x = rng.standard_normal((batch, h, w, spec.in_channels))
+        params = [rng.standard_normal(shape) for shape in T.param_shapes(spec)]
+        y, cache = T.forward(spec, params, x)
+        grad = rng.standard_normal(y.shape) * rng.choice([1.0, 1.0, 0.0, -0.0], y.shape)
+        y_ref, gx_ref, grads_ref = reference_conv(spec, params, x, grad)
+        assert_same_bits(y, y_ref)
+        gx, grads = T.backward(spec, cache, grad)
+        assert_same_bits(gx, gx_ref)
+        assert len(grads) == len(grads_ref)
+        for g, g_ref in zip(grads, grads_ref):
+            assert_same_bits(g, g_ref)
+
+    def test_transposed_patches_cover_the_stem(self):
+        # the bitwise conv test above runs both patch layouts
+        geoms = toy_conv_geometries() + EXTRA_CONV_GEOMETRIES
+        assert T._transposed_patches(geoms[0][0])
+        assert sum(T._transposed_patches(spec) for spec, _, _ in geoms) == 3
+        assert any(spec.in_channels == 1 and not T._transposed_patches(spec)
+                   for spec, _, _ in geoms)
 
     def test_signed_zero_tie_keeps_first(self):
         spec = T.LayerSpec("maxpool2d", kernel=2, stride=2)
