@@ -245,8 +245,7 @@ def execute(cfg: dict) -> P.MetricsLog:
         local_steps=cfg["local_steps"])
     overlay = tp.build_overlay_christofides(graph, delay)
     a = tp.consensus_matrix(overlay)
-    return P.run_dfl(graph, overlay, a, cfg["model_kind"], model_cfg, shards,
-                     test, train_cfg)
+    return P.run_dfl(overlay, a, cfg["model_kind"], model_cfg, shards, test, train_cfg)
 
 
 def _write_outputs(cfg: dict, log: P.MetricsLog) -> Path:

@@ -35,8 +35,8 @@ N_BLOCKS = 3
 
 @dataclass(frozen=True)
 class FADNetConfig:
-    """Model geometry: input shape, per-block channel widths, shared feature
-    width d, and the branch count (always one branch per residual block)."""
+    """Model geometry: input shape, per-block channel widths and the shared
+    feature width d (the model has one branch per residual block)."""
 
     input_height: int = 32
     input_width: int = 32
@@ -51,10 +51,6 @@ class FADNetConfig:
             raise ValueError(f"widths and feature_dim must be positive: {self}")
         if self.input_height < 8 or self.input_width < 8 or self.input_channels < 1:
             raise ValueError(f"input shape too small: {self}")
-
-    @property
-    def n_branches(self) -> int:
-        return N_BLOCKS
 
     def to_dict(self) -> dict:
         return {
@@ -215,14 +211,6 @@ class ModelParams:
     def __getitem__(self, name: str) -> np.ndarray:
         off, size, shape = self._plan["layout"][name]
         return self.flat[off:off + size].reshape(shape)
-
-    def to_flat(self) -> np.ndarray:
-        """The underlying flat vector (no copy); round-trips bit-exactly."""
-        return self.flat
-
-    @classmethod
-    def from_flat(cls, kind: str, cfg: FADNetConfig, flat: np.ndarray) -> "ModelParams":
-        return cls(kind, cfg, flat)
 
 
 def init_params(kind: str, cfg: FADNetConfig, seed: int) -> np.ndarray:
@@ -421,16 +409,6 @@ def _backward_full(kind: str, cfg: FADNetConfig, mp: ModelParams, caches: dict,
     # gradient nor the input_norm backward would be used
     _back("stem.conv", mp, caches, gs1, grads, specs, input_grad=False)
     return grads
-
-
-def fadnet_forward(cfg: FADNetConfig, params, batch: Batch) -> np.ndarray:
-    """Predictions of the full model, one scalar per batch item."""
-    return predict("fadnet", cfg, params, batch.inputs)
-
-
-def backbone_only_forward(cfg: FADNetConfig, params, batch: Batch) -> np.ndarray:
-    """Predictions of the ablation model (no branch/blend/product head)."""
-    return predict("backbone_only", cfg, params, batch.inputs)
 
 
 def predict(kind: str, cfg: FADNetConfig, params, inputs: np.ndarray) -> np.ndarray:

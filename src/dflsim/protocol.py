@@ -1,14 +1,19 @@
 """Learning strategies over simulated silos.
 
-Three strategies share one model/optimizer core:
+dfl, sfl and cll are one algorithm, the DPASGD iteration of Marfoq et al.,
+"Throughput-Optimal Topology Design for Cross-Silo Federated Learning"
+(NeurIPS 2020), run over the stacked silo parameters: an (n, P) array whose
+row i is silo i.  Iteration k mixes the rows with a matrix when
+k % (s+1) == 0 and otherwise takes one local mini-batch step on every row;
+a round is s+1 iterations and advances the simulated clock once.  The
+strategies differ in three values only:
 
-- dfl: peer-to-peer rounds alternating one consensus exchange over the
-  overlay (neighbor parameters mixed through the consensus matrix) with s
-  local mini-batch gradient steps; the schedule follows the iteration
-  counter k (consensus when k % (s+1) == 0).
-- sfl: server-based rounds; every silo takes s local steps, a virtual server
-  averages all parameter vectors equally and broadcasts the result.
-- cll: single-node mini-batch training on the merged dataset.
+    strategy  first k  mix                                evaluated / final model
+    dfl       0        Metropolis-Hastings ring matrix    masked mean of the rows
+    cll       0        A = [[1]] (one silo, merged data)  mean of the one row
+    sfl       1        broadcast of the mean of the rows  row 0
+
+Starting sfl at k=1 puts its s local steps before the server average.
 
 Everything is deterministic given the config seed: silo batch samplers use
 per-silo seeded generators, all silos start from one broadcast seeded init,
@@ -21,7 +26,7 @@ import csv
 import io
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,7 +43,8 @@ METRICS_HEADER = ("round", "sim_time_s", "train_loss", "test_rmse", "strategy")
 
 
 class NanGradientError(RuntimeError):
-    """Raised when a gradient step produces non-finite values."""
+    """Raised when training produces a non-finite loss, silo parameters or
+    test RMSE."""
 
 
 @dataclass(frozen=True)
@@ -86,18 +92,32 @@ class TrainConfig:
 
 
 @dataclass
-class SiloState:
-    """Mutable per-silo training state."""
+class Silos:
+    """n silos stepping in lockstep.  Row i of ``theta`` and of the Adam
+    moments is silo i, which samples ``shards[i]`` with ``rngs[i]``; ``k`` is
+    the iteration counter and ``t`` the Adam step, shared by all silos."""
 
-    silo_id: int
-    params: np.ndarray
-    shard: Dataset
-    rng: np.random.Generator
-    k: int = 0
+    theta: np.ndarray
+    shards: list[Dataset]
+    rngs: list[np.random.Generator]
     adam_m: np.ndarray | None = None
     adam_v: np.ndarray | None = None
-    adam_t: int = 0
-    last_loss: float | None = None
+    k: int = 0
+    t: int = 0
+
+    @classmethod
+    def start(cls, theta0: np.ndarray, shards: list[Dataset], cfg: TrainConfig,
+              k: int = 0) -> "Silos":
+        """Every silo at the broadcast initial parameters, each with its own
+        seeded sampler."""
+        theta = np.tile(theta0, (len(shards), 1))
+        rngs = [np.random.default_rng(np.random.SeedSequence([cfg.seed, _SAMPLER_TAG, i]))
+                for i in range(len(shards))]
+        silos = cls(theta, list(shards), rngs, k=k)
+        if cfg.optimizer == "adam":
+            silos.adam_m = np.zeros_like(theta)
+            silos.adam_v = np.zeros_like(theta)
+        return silos
 
 
 @dataclass(frozen=True)
@@ -159,20 +179,42 @@ def is_consensus_step(k: int, local_steps: int) -> bool:
     return k % (local_steps + 1) == 0
 
 
-def federated_average(params_list, mask=None) -> np.ndarray:
-    """Equal-weight mean of the participating silos' parameter vectors."""
-    if mask is None:
-        mask = [1] * len(params_list)
-    if len(mask) != len(params_list):
-        raise ValueError(f"mask length {len(mask)} != {len(params_list)} silos")
-    selected = [np.asarray(p) for p, m in zip(params_list, mask) if m]
-    if not selected:
+def federated_average(theta, mask=None) -> np.ndarray:
+    """Equal-weight mean of the participating rows of the (n, P) silo
+    parameters (a sequence of equal-length vectors is stacked first)."""
+    theta = np.asarray(theta)
+    if theta.ndim != 2:
+        raise ValueError(f"need (n, P) silo parameters, got shape {theta.shape}")
+    if mask is not None:
+        if len(mask) != len(theta):
+            raise ValueError(f"mask length {len(mask)} != {len(theta)} silos")
+        theta = theta[np.flatnonzero(mask)]
+    if len(theta) == 0:
         raise ValueError("participation mask selects no silos")
-    length = selected[0].shape
-    for p in selected[1:]:
-        if p.shape != length:
-            raise ValueError("parameter vectors must have equal lengths")
-    return np.mean(np.stack(selected, axis=0), axis=0)
+    return theta.mean(axis=0)
+
+
+def matrix_mix(a: ConsensusMatrix):
+    """The mix theta <- A theta, summed row by row in a fixed order: silo i's
+    own term first, then its in-neighbours in ascending id.  (``A @ theta``
+    would leave the order of the sums to BLAS.)"""
+    neighbors = [[j for j in range(a.order) if j != i and a.a[i, j] > 0.0]
+                 for i in range(a.order)]
+
+    def mix(theta: np.ndarray) -> np.ndarray:
+        out = np.empty_like(theta)
+        for i, row in enumerate(out):
+            np.multiply(a.a[i, i], theta[i], out=row)
+            for j in neighbors[i]:
+                row += a.a[i, j] * theta[j]
+        return out
+    return mix
+
+
+def broadcast_mean(theta: np.ndarray) -> np.ndarray:
+    """The server step of sfl: every silo gets the mean of all rows."""
+    theta[:] = federated_average(theta)
+    return theta
 
 
 def evaluate(model_kind: str, model_cfg: M.FADNetConfig, theta: np.ndarray,
@@ -186,64 +228,52 @@ def evaluate(model_kind: str, model_cfg: M.FADNetConfig, theta: np.ndarray,
     return M.rmse(preds, test.targets)
 
 
-def make_silo(silo_id: int, theta0: np.ndarray, shard: Dataset,
-              cfg: TrainConfig) -> SiloState:
-    """Silo with the broadcast initial parameters and its own seeded sampler."""
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _SAMPLER_TAG, silo_id]))
-    state = SiloState(silo_id=silo_id, params=theta0.copy(), shard=shard, rng=rng)
-    if cfg.optimizer == "adam":
-        state.adam_m = np.zeros_like(theta0)
-        state.adam_v = np.zeros_like(theta0)
-    return state
-
-
-def _gradient_step(state: SiloState, cfg: TrainConfig, loss_grad_fn) -> float:
-    idx = state.rng.integers(0, state.shard.count, size=cfg.batch_size)
-    batch = M.Batch(inputs=state.shard.inputs[idx], targets=state.shard.targets[idx])
-    loss, grad = loss_grad_fn(state.params, batch)
-    if not math.isfinite(loss) or not np.all(np.isfinite(grad)):
-        raise NanGradientError(
-            f"non-finite gradient at silo {state.silo_id}, iteration k={state.k} "
-            f"(loss={loss!r}); aborting run")
+def _gradient_step(silos: Silos, i: int, cfg: TrainConfig, loss_grad_fn) -> float:
+    """One mini-batch step of silo i on its own row of the state."""
+    shard, theta = silos.shards[i], silos.theta[i]
+    idx = silos.rngs[i].integers(0, shard.count, size=cfg.batch_size)
+    batch = M.Batch(inputs=shard.inputs[idx], targets=shard.targets[idx])
+    loss, grad = loss_grad_fn(theta, batch)
     if cfg.optimizer == "sgd":
-        state.params -= cfg.learning_rate * grad
+        theta -= cfg.learning_rate * grad
     else:
-        state.adam_t += 1
-        state.adam_m = cfg.adam_beta1 * state.adam_m + (1 - cfg.adam_beta1) * grad
-        state.adam_v = cfg.adam_beta2 * state.adam_v + (1 - cfg.adam_beta2) * grad ** 2
-        m_hat = state.adam_m / (1 - cfg.adam_beta1 ** state.adam_t)
-        v_hat = state.adam_v / (1 - cfg.adam_beta2 ** state.adam_t)
-        state.params -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
-    state.last_loss = loss
+        m, v = silos.adam_m[i], silos.adam_v[i]
+        m[:] = cfg.adam_beta1 * m + (1 - cfg.adam_beta1) * grad
+        v[:] = cfg.adam_beta2 * v + (1 - cfg.adam_beta2) * grad ** 2
+        m_hat = m / (1 - cfg.adam_beta1 ** silos.t)
+        v_hat = v / (1 - cfg.adam_beta2 ** silos.t)
+        theta -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+    if not math.isfinite(loss) or not np.all(np.isfinite(theta)):
+        raise NanGradientError(
+            f"non-finite loss or parameters at silo {i}, iteration k={silos.k} "
+            f"(loss={loss!r}); aborting run")
     return loss
 
 
-def dpasgd_update(state: SiloState, inbox: dict, a: ConsensusMatrix,
-                  cfg: TrainConfig, loss_grad_fn) -> SiloState:
-    """One iteration of the decentralized update schedule.
+def _fan_out(n: int, pool, fn) -> list:
+    """fn(i) for every silo i; rows are disjoint, so fanning out over a
+    thread pool is safe, and results come back in silo-id order either way."""
+    if pool is not None and n > 1:
+        return list(pool.map(fn, range(n)))
+    return [fn(i) for i in range(n)]
 
-    Consensus iterations replace the silo's parameters with the
-    matrix-weighted mix of its own and its in-neighbors' parameters (taken
-    from ``inbox`` at their current iteration); gradient iterations take one
-    mini-batch step.  The iteration counter always advances by one.
+
+def dpasgd_update(silos: Silos, mix, pool, cfg: TrainConfig, loss_grad_fn) -> list | None:
+    """One iteration of the schedule for all silos at once.
+
+    A consensus iteration replaces the parameters with ``mix`` of them;
+    any other takes one mini-batch step per silo (over ``pool`` when given)
+    and returns the losses in silo-id order.  ``k`` always advances by one.
     """
-    i = state.silo_id
-    if is_consensus_step(state.k, cfg.local_steps):
-        row = a.a[i]
-        neighbors = [j for j in range(a.order) if j != i and row[j] > 0.0]
-        missing = [j for j in neighbors if j not in inbox]
-        if missing:
-            raise ValueError(f"silo {i} consensus step at k={state.k} missing "
-                             f"in-neighbor parameters from {missing}")
-        mixed = row[i] * state.params
-        for j in neighbors:
-            mixed = mixed + row[j] * inbox[j]
-        state.params = mixed
-        state.last_loss = None
+    if is_consensus_step(silos.k, cfg.local_steps):
+        silos.theta = mix(silos.theta)
+        losses = None
     else:
-        _gradient_step(state, cfg, loss_grad_fn)
-    state.k += 1
-    return state
+        silos.t += 1
+        losses = _fan_out(len(silos.shards), pool,
+                          lambda i: _gradient_step(silos, i, cfg, loss_grad_fn))
+    silos.k += 1
+    return losses
 
 
 def _loss_grad_fn(model_kind: str, model_cfg: M.FADNetConfig):
@@ -252,24 +282,16 @@ def _loss_grad_fn(model_kind: str, model_cfg: M.FADNetConfig):
     return fn
 
 
-def _probe_loss(silos, cfg, loss_grad_fn) -> float:
+def _probe_loss(silos: Silos, cfg: TrainConfig, loss_grad_fn) -> float:
     """Mean initial-model loss over per-silo probe batches (first samples of
     each shard); used for the round-0 metrics row."""
     losses = []
-    for s in silos:
-        n = min(cfg.batch_size, s.shard.count)
-        batch = M.Batch(inputs=s.shard.inputs[:n], targets=s.shard.targets[:n])
-        loss, _ = loss_grad_fn(s.params, batch)
+    for shard, theta in zip(silos.shards, silos.theta):
+        n = min(cfg.batch_size, shard.count)
+        batch = M.Batch(inputs=shard.inputs[:n], targets=shard.targets[:n])
+        loss, _ = loss_grad_fn(theta, batch)
         losses.append(loss)
     return float(np.mean(losses))
-
-
-def _fan_out(silos, pool, fn) -> list:
-    """Apply fn to every silo; states are disjoint so fanning out over a
-    thread pool is safe, and results come back in silo-id order either way."""
-    if pool is not None and len(silos) > 1:
-        return list(pool.map(fn, silos))
-    return [fn(s) for s in silos]
 
 
 def _eval_rounds(cfg: TrainConfig):
@@ -278,79 +300,71 @@ def _eval_rounds(cfg: TrainConfig):
     return marks
 
 
-def _run_consensus_rounds(silos, a: ConsensusMatrix, round_duration: float,
-                          model_kind, model_cfg, test, cfg, strategy_tag) -> MetricsLog:
-    """Shared driver for dfl (and its single-silo degenerate form, cll)."""
+def _train(strategy: str, shards: list[Dataset], layout, mode: str, first_k: int,
+           mix, evaluated, model_kind: str, model_cfg: M.FADNetConfig,
+           test: Dataset, cfg: TrainConfig) -> MetricsLog:
+    """The one training loop: each round runs s+1 iterations of
+    ``dpasgd_update`` and advances the clock by ``simulate_round`` of
+    ``layout``; evaluated rounds test ``evaluated(theta)``."""
     loss_grad_fn = _loss_grad_fn(model_kind, model_cfg)
+    theta0 = M.init_params(model_kind, model_cfg, cfg.seed)
+    silos = Silos.start(theta0, shards, cfg, k=first_k)
+    delay = DelayParams(model_size_bytes=8.0 * theta0.size, local_steps=cfg.local_steps)
+    round_duration = simnet.simulate_round(layout, delay, mode)
     clock = simnet.Clock()
     log = MetricsLog()
     eval_at = _eval_rounds(cfg)
-    neighbor_lists = [[j for j in range(a.order) if j != i and a.a[i, j] > 0.0]
-                      for i in range(a.order)]
     pool = ThreadPoolExecutor(max_workers=cfg.workers) if cfg.workers > 1 else None
 
     def record(rnd: int, train_loss: float) -> None:
-        theta = federated_average([s.params for s in silos], cfg.eval_mask)
-        log.append(MetricsRow(rnd, clock.now, train_loss,
-                              evaluate(model_kind, model_cfg, theta, test),
-                              strategy_tag))
+        test_rmse = evaluate(model_kind, model_cfg, evaluated(silos.theta), test)
+        if not math.isfinite(test_rmse):
+            raise NanGradientError(f"non-finite test RMSE at round {rnd}: the evaluated "
+                                   f"parameters overflow the model; aborting run")
+        log.append(MetricsRow(rnd, clock.now, train_loss, test_rmse, strategy))
 
     try:
         record(0, _probe_loss(silos, cfg, loss_grad_fn))
         for rnd in range(1, cfg.rounds + 1):
-            snapshot = [s.params.copy() for s in silos]
-            for s in silos:
-                inbox = {j: snapshot[j] for j in neighbor_lists[s.silo_id]}
-                dpasgd_update(s, inbox, a, cfg, loss_grad_fn)
-            round_losses = []
-            for _ in range(cfg.local_steps):
-                _fan_out(silos, pool, lambda s: dpasgd_update(s, {}, a, cfg, loss_grad_fn))
-                round_losses.append([s.last_loss for s in silos])
+            losses = [dpasgd_update(silos, mix, pool, cfg, loss_grad_fn)
+                      for _ in range(cfg.local_steps + 1)]
             clock.advance(round_duration)
             if rnd in eval_at:
-                record(rnd, float(np.mean(round_losses)))
+                record(rnd, float(np.mean([l for l in losses if l is not None])))
     finally:
         if pool is not None:
             pool.shutdown()
-    log.final_params = federated_average([s.params for s in silos], cfg.eval_mask)
+    log.final_params = evaluated(silos.theta)
     return log
 
 
-def run_dfl(graph: ConnectivityGraph | None, overlay: Overlay, a: ConsensusMatrix,
-            model_kind: str, model_cfg: M.FADNetConfig, shards: list[Dataset],
-            test: Dataset, cfg: TrainConfig) -> MetricsLog:
+def run_dfl(overlay: Overlay, a: ConsensusMatrix, model_kind: str,
+            model_cfg: M.FADNetConfig, shards: list[Dataset], test: Dataset,
+            cfg: TrainConfig) -> MetricsLog:
     """Peer-to-peer training over the overlay; returns the metrics log.
 
-    One round = one consensus exchange plus ``local_steps`` gradient steps
-    per silo; the simulated clock advances by the overlay's worst edge delay
-    each round.
+    Each round mixes the silos through the consensus matrix, then takes
+    ``local_steps`` gradient steps per silo; the simulated clock advances by
+    the overlay's worst edge delay.
     """
     n = a.order
     if len(shards) != n:
         raise ValueError(f"need {n} shards for {n} silos, got {len(shards)}")
     if overlay.n != n:
         raise ValueError(f"overlay order {overlay.n} != consensus matrix order {n}")
-    theta0 = M.init_params(model_kind, model_cfg, cfg.seed)
-    silos = [make_silo(i, theta0, shards[i], cfg) for i in range(n)]
-    delay = DelayParams(model_size_bytes=8.0 * theta0.size, local_steps=cfg.local_steps)
-    round_duration = simnet.simulate_round(overlay, delay, "dfl_ring")
-    return _run_consensus_rounds(silos, a, round_duration, model_kind, model_cfg,
-                                 test, cfg, "dfl")
+    return _train("dfl", shards, overlay, "dfl_ring", 0, matrix_mix(a),
+                  lambda theta: federated_average(theta, cfg.eval_mask),
+                  model_kind, model_cfg, test, cfg)
 
 
 def run_cll(model_kind: str, model_cfg: M.FADNetConfig, dataset: Dataset,
             test: Dataset, cfg: TrainConfig) -> MetricsLog:
-    """Centralized training on the merged dataset (the single-silo degenerate
-    form of the consensus schedule, so dfl with one silo matches it exactly)."""
-    theta0 = M.init_params(model_kind, model_cfg, cfg.seed)
-    silos = [make_silo(0, theta0, dataset, cfg)]
-    a = ConsensusMatrix(a=np.ones((1, 1)))
-    delay = DelayParams(model_size_bytes=8.0 * theta0.size, local_steps=cfg.local_steps)
-    round_duration = simnet.simulate_round(
-        simnet.SingleSpec(compute_time_s=cfg.cll_compute_s), delay, "cll_single")
-    mask_cfg = cfg if cfg.eval_mask is None else replace(cfg, eval_mask=(1,))
-    return _run_consensus_rounds(silos, a, round_duration, model_kind, model_cfg,
-                                 test, mask_cfg, "cll")
+    """Centralized training on the merged dataset: one silo mixed with
+    A = [[1]], so dfl with one silo matches it exactly.  ``eval_mask`` does
+    not apply."""
+    return _train("cll", [dataset], simnet.SingleSpec(compute_time_s=cfg.cll_compute_s),
+                  "cll_single", 0, matrix_mix(ConsensusMatrix(a=np.ones((1, 1)))),
+                  federated_average, model_kind, model_cfg, test, cfg)
 
 
 def run_sfl(graph: ConnectivityGraph | None, model_kind: str, model_cfg: M.FADNetConfig,
@@ -369,46 +383,11 @@ def run_sfl(graph: ConnectivityGraph | None, model_kind: str, model_cfg: M.FADNe
     n = len(compute_times)
     if len(shards) != n:
         raise ValueError(f"need {n} shards for {n} silos, got {len(shards)}")
-    loss_grad_fn = _loss_grad_fn(model_kind, model_cfg)
-    theta0 = M.init_params(model_kind, model_cfg, cfg.seed)
-    silos = [make_silo(i, theta0, shards[i], cfg) for i in range(n)]
-    delay = DelayParams(model_size_bytes=8.0 * theta0.size, local_steps=cfg.local_steps)
     star = simnet.StarSpec(
         silo_compute_s=compute_times,
         server_latency_s=cfg.server_latency_s,
         server_bandwidth_Bps=cfg.server_bandwidth_Bps,
         server_compute_s=cfg.server_compute_s,
     )
-    round_duration = simnet.simulate_round(star, delay, "sfl_star")
-
-    clock = simnet.Clock()
-    log = MetricsLog()
-    eval_at = _eval_rounds(cfg)
-    pool = ThreadPoolExecutor(max_workers=cfg.workers) if cfg.workers > 1 else None
-
-    def sfl_step(s: SiloState) -> float:
-        loss = _gradient_step(s, cfg, loss_grad_fn)
-        s.k += 1
-        return loss
-
-    def record(rnd: int, train_loss: float, theta) -> None:
-        log.append(MetricsRow(rnd, clock.now, train_loss,
-                              evaluate(model_kind, model_cfg, theta, test), "sfl"))
-
-    try:
-        record(0, _probe_loss(silos, cfg, loss_grad_fn), silos[0].params)
-        for rnd in range(1, cfg.rounds + 1):
-            round_losses = []
-            for _ in range(cfg.local_steps):
-                round_losses.append(_fan_out(silos, pool, sfl_step))
-            theta = federated_average([s.params for s in silos])
-            for s in silos:
-                s.params = theta.copy()
-            clock.advance(round_duration)
-            if rnd in eval_at:
-                record(rnd, float(np.mean(round_losses)), theta)
-    finally:
-        if pool is not None:
-            pool.shutdown()
-    log.final_params = silos[0].params.copy()
-    return log
+    return _train("sfl", shards, star, "sfl_star", 1, broadcast_mean,
+                  lambda theta: theta[0], model_kind, model_cfg, test, cfg)

@@ -133,9 +133,6 @@ class ConsensusMatrix:
     def order(self) -> int:
         return self.a.shape[0]
 
-    def row(self, i: int) -> np.ndarray:
-        return self.a[i]
-
 
 def _validate_graph(g: ConnectivityGraph) -> None:
     ids = [s.id for s in g.silos]

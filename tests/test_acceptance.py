@@ -190,9 +190,9 @@ def test_criterion_5_convergence_analog(gaia11):
     overlay = tp.build_overlay_christofides(gaia11, delay)
     a = tp.consensus_matrix(overlay)
 
-    dfl = P.run_dfl(gaia11, overlay, a, "fadnet", M.TOY_CONFIG, shards, test, cfg)
+    dfl = P.run_dfl(overlay, a, "fadnet", M.TOY_CONFIG, shards, test, cfg)
     cll = P.run_cll("fadnet", M.TOY_CONFIG, train, test, cfg)
-    dfl_backbone = P.run_dfl(gaia11, overlay, a, "backbone_only", M.TOY_CONFIG,
+    dfl_backbone = P.run_dfl(overlay, a, "backbone_only", M.TOY_CONFIG,
                              shards, test, cfg)
     elapsed = time.monotonic() - start
 

@@ -94,6 +94,18 @@ class TestRun:
                              "--quiet"]) == 2
         assert "abort" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("strategy", ["dfl", "sfl"])
+    def test_overflowing_parameters_exit_2(self, tmp_path, capsys, strategy):
+        # one sgd step at learning rate 1e300 leaves finite parameters near
+        # 1e299 that overflow the forward pass: no exit 0 with a NaN RMSE
+        cfg_path = write_config(tmp_path, {
+            **FAST, "strategy": strategy, "topology": "gaia11", "optimizer": "sgd",
+            "learning_rate": 1e300, "rounds": 1})
+        with np.errstate(all="ignore"):
+            assert cli.main(["run", str(cfg_path), "--out", str(tmp_path / "out"),
+                             "--quiet"]) == 2
+        assert "non-finite test RMSE at round 1" in capsys.readouterr().err
+
     def test_external_data_source(self, tmp_path):
         ds = D.generate_linesteer(40, 8, 8, seed=0)
         D.save_external(tmp_path / "ext", ds)

@@ -95,15 +95,16 @@ class TestForward:
     def test_zero_params_zero_predictions(self):
         batch = toy_batch()
         zeros = np.zeros(M.param_count("fadnet", M.TOY_CONFIG))
-        assert M.fadnet_forward(M.TOY_CONFIG, zeros, batch).tolist() == [0.0, 0.0, 0.0]
+        assert M.predict("fadnet", M.TOY_CONFIG, zeros, batch.inputs).tolist() == [0.0, 0.0, 0.0]
         zeros_b = np.zeros(M.param_count("backbone_only", M.TOY_CONFIG))
-        assert M.backbone_only_forward(M.TOY_CONFIG, zeros_b, batch).tolist() == [0.0, 0.0, 0.0]
+        assert M.predict("backbone_only", M.TOY_CONFIG, zeros_b,
+                         batch.inputs).tolist() == [0.0, 0.0, 0.0]
 
     @pytest.mark.parametrize("n", [1, 4, 9])
     def test_prediction_vector_length(self, n):
         batch = toy_batch(n=n)
         theta = M.init_params("fadnet", M.TOY_CONFIG, 0)
-        assert M.fadnet_forward(M.TOY_CONFIG, theta, batch).shape == (n,)
+        assert M.predict("fadnet", M.TOY_CONFIG, theta, batch.inputs).shape == (n,)
 
     def test_toy_parameter_counts_match_hand_arithmetic(self):
         assert M.param_count("fadnet", M.TOY_CONFIG) == TOY_FADNET_PARAMS
@@ -120,17 +121,17 @@ class TestForward:
     def test_batch_order_equivariance(self):
         batch = toy_batch(n=5, seed=2)
         theta = M.init_params("fadnet", M.TOY_CONFIG, 0)
-        preds = M.fadnet_forward(M.TOY_CONFIG, theta, batch)
+        preds = M.predict("fadnet", M.TOY_CONFIG, theta, batch.inputs)
         perm = np.array([4, 2, 0, 1, 3])
         shuffled = M.Batch(inputs=batch.inputs[perm], targets=batch.targets[perm])
-        assert np.allclose(M.fadnet_forward(M.TOY_CONFIG, theta, shuffled),
+        assert np.allclose(M.predict("fadnet", M.TOY_CONFIG, theta, shuffled.inputs),
                            preds[perm], atol=1e-12)
 
     def test_deterministic(self):
         batch = toy_batch(n=2, seed=5)
         theta = M.init_params("fadnet", M.TOY_CONFIG, 1)
-        a = M.fadnet_forward(M.TOY_CONFIG, theta, batch)
-        b = M.fadnet_forward(M.TOY_CONFIG, theta, batch)
+        a = M.predict("fadnet", M.TOY_CONFIG, theta, batch.inputs)
+        b = M.predict("fadnet", M.TOY_CONFIG, theta, batch.inputs)
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("kind", M.MODEL_KINDS)
@@ -148,7 +149,7 @@ class TestForward:
         theta = M.init_params("fadnet", M.TOY_CONFIG, 0)
         bad = M.Batch(inputs=np.zeros((1, 16, 16, 1)), targets=np.zeros(1))
         with pytest.raises(ValueError, match="config input"):
-            M.fadnet_forward(M.TOY_CONFIG, theta, bad)
+            M.predict("fadnet", M.TOY_CONFIG, theta, bad.inputs)
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="widths"):
@@ -198,8 +199,7 @@ class TestParamsAndCheckpoint:
     def test_flatten_unflatten_roundtrip_bit_exact(self, seed):
         flat = np.random.default_rng(seed).standard_normal(
             M.param_count("fadnet", SMALL_CFG))
-        mp = M.ModelParams.from_flat("fadnet", SMALL_CFG, flat)
-        again = mp.to_flat()
+        again = M.ModelParams("fadnet", SMALL_CFG, flat).flat
         assert again.tobytes() == flat.tobytes()
 
     def test_named_views_cover_vector(self):
