@@ -358,29 +358,30 @@ def _forward_full(kind: str, cfg: FADNetConfig, mp: ModelParams, x: np.ndarray,
     return preds, caches, {"margin": margin}
 
 
-def _back(name: str, mp: ModelParams, caches, grad_out, grads: dict, specs,
+def _back(name: str, mp: ModelParams, caches, grad_out, grads: ModelParams, specs,
           input_grad: bool = True):
-    spec = specs[name]
-    gx, gparams = T.backward(spec, caches[name], grad_out, input_grad=input_grad)
-    if gparams:
-        grads[f"{name}.W"] = grads.get(f"{name}.W", 0.0) + gparams[0]
-        if spec.bias:
-            grads[f"{name}.b"] = grads.get(f"{name}.b", 0.0) + gparams[1]
+    """Backward through one layer; its parameter gradients are added into
+    their views of ``grads``."""
+    gx, gparams = T.backward(specs[name], caches[name], grad_out, input_grad=input_grad)
+    for suffix, g in zip(("W", "b"), gparams):
+        view = grads[f"{name}.{suffix}"]
+        view += g
     return gx
 
 
 def _backward_full(kind: str, cfg: FADNetConfig, mp: ModelParams, caches: dict,
-                   gpred: np.ndarray) -> dict:
-    specs = _plan(kind, cfg)["specs"]
-    grads: dict[str, np.ndarray] = {}
+                   gpred: np.ndarray) -> np.ndarray:
+    """The flat parameter gradient, one zeroed vector filled layer by layer."""
+    plan = _plan(kind, cfg)
+    specs = plan["specs"]
+    grads = ModelParams(kind, cfg, np.zeros(plan["total"]))
     d = cfg.feature_dim
 
     if kind == "fadnet":
         tail, f_c, branch_feats, w = caches["head"]
         gtail = gpred[:, None] * f_c / d
         gfc = gpred[:, None] * tail / d
-        grads["head.accum.w"] = np.array(
-            [float((gfc * f).sum()) for f in branch_feats])
+        grads["head.accum.w"][:] = [float((gfc * f).sum()) for f in branch_feats]
         gblocks_from_branches = []
         for h in range(1, N_BLOCKS + 1):
             gfh = gfc * w[h - 1]
@@ -393,7 +394,7 @@ def _backward_full(kind: str, cfg: FADNetConfig, mp: ModelParams, caches: dict,
         gblocks_from_branches = [0.0] * N_BLOCKS
 
     gflat = _back("tail.fc", mp, caches, gtail, grads, specs)
-    gcur = gflat.reshape(gpred.shape[0], *_plan(kind, cfg)["dims"][-1])
+    gcur = gflat.reshape(gpred.shape[0], *plan["dims"][-1])
 
     for h in range(N_BLOCKS, 0, -1):
         gcur = gcur + gblocks_from_branches[h - 1]
@@ -408,7 +409,7 @@ def _backward_full(kind: str, cfg: FADNetConfig, mp: ModelParams, caches: dict,
     # the input has no parameters upstream: neither the stem conv's input
     # gradient nor the input_norm backward would be used
     _back("stem.conv", mp, caches, gs1, grads, specs, input_grad=False)
-    return grads
+    return grads.flat
 
 
 def predict(kind: str, cfg: FADNetConfig, params, inputs: np.ndarray) -> np.ndarray:
@@ -426,15 +427,7 @@ def loss_and_grad(kind: str, cfg: FADNetConfig, params, batch: Batch):
     residual = preds - batch.targets
     loss = float(np.mean(residual ** 2))
     gpred = 2.0 * residual / batch.size
-    grads = _backward_full(kind, cfg, mp, caches, gpred)
-
-    plan = _plan(kind, cfg)
-    layout = plan["layout"]
-    flat_grad = np.zeros(plan["total"])
-    for name, g in grads.items():
-        off, size, _ = layout[name]
-        flat_grad[off:off + size] = g.ravel()
-    return loss, flat_grad
+    return loss, _backward_full(kind, cfg, mp, caches, gpred)
 
 
 def rmse(predictions, targets) -> float:

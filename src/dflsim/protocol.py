@@ -17,15 +17,15 @@ Starting sfl at k=1 puts its s local steps before the server average.
 
 Everything is deterministic given the config seed: silo batch samplers use
 per-silo seeded generators, all silos start from one broadcast seeded init,
-and cross-silo reductions run in fixed silo-id order, so results do not
-depend on the worker-thread count.
+and silo steps and cross-silo reductions run serially in fixed silo-id
+order.  The ``workers`` setting is accepted and validated but has no effect.
+Simulated round times are closed forms (``simnet.simulate_round``).
 """
 from __future__ import annotations
 
 import csv
 import io
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,7 +61,7 @@ class TrainConfig:
     seed: int = 0
     eval_interval: int = 10
     eval_mask: tuple[int, ...] | None = None
-    workers: int = 1
+    workers: int = 1  # accepted and validated; silo steps always run serially
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
@@ -89,6 +89,11 @@ class TrainConfig:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.eval_mask is not None and sum(self.eval_mask) < 1:
             raise ValueError("eval_mask must select at least one silo")
+        if self.server_bandwidth_Bps <= 0:
+            raise ValueError(f"server_bandwidth_Bps must be > 0, got {self.server_bandwidth_Bps}")
+        for name in ("server_latency_s", "server_compute_s", "cll_compute_s"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass
@@ -160,19 +165,6 @@ class MetricsLog:
         with open(path, "w", newline="") as f:
             f.write(self.to_csv_string())
 
-    @classmethod
-    def from_csv(cls, path) -> "MetricsLog":
-        log = cls()
-        with open(path, newline="") as f:
-            reader = csv.DictReader(f)
-            if tuple(reader.fieldnames or ()) != METRICS_HEADER:
-                raise ValueError(f"unexpected metrics header {reader.fieldnames}")
-            for row in reader:
-                log.append(MetricsRow(int(row["round"]), float(row["sim_time_s"]),
-                                      float(row["train_loss"]), float(row["test_rmse"]),
-                                      row["strategy"]))
-        return log
-
 
 def is_consensus_step(k: int, local_steps: int) -> bool:
     """The update schedule: consensus when k % (s+1) == 0, gradient otherwise."""
@@ -201,14 +193,14 @@ def matrix_mix(a: ConsensusMatrix):
     neighbors = [[j for j in range(a.order) if j != i and a.a[i, j] > 0.0]
                  for i in range(a.order)]
 
-    def mix(theta: np.ndarray) -> np.ndarray:
+    def mix_with_matrix(theta: np.ndarray) -> np.ndarray:
         out = np.empty_like(theta)
         for i, row in enumerate(out):
             np.multiply(a.a[i, i], theta[i], out=row)
             for j in neighbors[i]:
                 row += a.a[i, j] * theta[j]
         return out
-    return mix
+    return mix_with_matrix
 
 
 def broadcast_mean(theta: np.ndarray) -> np.ndarray:
@@ -250,28 +242,24 @@ def _gradient_step(silos: Silos, i: int, cfg: TrainConfig, loss_grad_fn) -> floa
     return loss
 
 
-def _fan_out(n: int, pool, fn) -> list:
-    """fn(i) for every silo i; rows are disjoint, so fanning out over a
-    thread pool is safe, and results come back in silo-id order either way."""
-    if pool is not None and n > 1:
-        return list(pool.map(fn, range(n)))
-    return [fn(i) for i in range(n)]
-
-
-def dpasgd_update(silos: Silos, mix, pool, cfg: TrainConfig, loss_grad_fn) -> list | None:
+def dpasgd_update(silos: Silos, mix, loss_grad_fn, cfg: TrainConfig) -> list | None:
     """One iteration of the schedule for all silos at once.
 
     A consensus iteration replaces the parameters with ``mix`` of them;
-    any other takes one mini-batch step per silo (over ``pool`` when given)
-    and returns the losses in silo-id order.  ``k`` always advances by one.
+    any other takes one mini-batch step per silo, in silo-id order, and
+    returns the losses in that order.  ``k`` always advances by one.
     """
     if is_consensus_step(silos.k, cfg.local_steps):
         silos.theta = mix(silos.theta)
+        if not np.all(np.isfinite(silos.theta)):
+            raise NanGradientError(
+                f"non-finite parameters after the mix {mix.__name__} "
+                f"at iteration k={silos.k}; aborting run")
         losses = None
     else:
         silos.t += 1
-        losses = _fan_out(len(silos.shards), pool,
-                          lambda i: _gradient_step(silos, i, cfg, loss_grad_fn))
+        losses = [_gradient_step(silos, i, cfg, loss_grad_fn)
+                  for i in range(len(silos.shards))]
     silos.k += 1
     return losses
 
@@ -300,12 +288,15 @@ def _eval_rounds(cfg: TrainConfig):
     return marks
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _train(strategy: str, shards: list[Dataset], layout, mode: str, first_k: int,
            mix, evaluated, model_kind: str, model_cfg: M.FADNetConfig,
            test: Dataset, cfg: TrainConfig) -> MetricsLog:
     """The one training loop: each round runs s+1 iterations of
     ``dpasgd_update`` and advances the clock by ``simulate_round`` of
-    ``layout``; evaluated rounds test ``evaluated(theta)``."""
+    ``layout``; evaluated rounds test ``evaluated(theta)``.  numpy's
+    floating-point warnings are off: a non-finite loss, row or test RMSE
+    aborts the run with ``NanGradientError`` instead."""
     loss_grad_fn = _loss_grad_fn(model_kind, model_cfg)
     theta0 = M.init_params(model_kind, model_cfg, cfg.seed)
     silos = Silos.start(theta0, shards, cfg, k=first_k)
@@ -314,7 +305,6 @@ def _train(strategy: str, shards: list[Dataset], layout, mode: str, first_k: int
     clock = simnet.Clock()
     log = MetricsLog()
     eval_at = _eval_rounds(cfg)
-    pool = ThreadPoolExecutor(max_workers=cfg.workers) if cfg.workers > 1 else None
 
     def record(rnd: int, train_loss: float) -> None:
         test_rmse = evaluate(model_kind, model_cfg, evaluated(silos.theta), test)
@@ -323,17 +313,13 @@ def _train(strategy: str, shards: list[Dataset], layout, mode: str, first_k: int
                                    f"parameters overflow the model; aborting run")
         log.append(MetricsRow(rnd, clock.now, train_loss, test_rmse, strategy))
 
-    try:
-        record(0, _probe_loss(silos, cfg, loss_grad_fn))
-        for rnd in range(1, cfg.rounds + 1):
-            losses = [dpasgd_update(silos, mix, pool, cfg, loss_grad_fn)
-                      for _ in range(cfg.local_steps + 1)]
-            clock.advance(round_duration)
-            if rnd in eval_at:
-                record(rnd, float(np.mean([l for l in losses if l is not None])))
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    record(0, _probe_loss(silos, cfg, loss_grad_fn))
+    for rnd in range(1, cfg.rounds + 1):
+        losses = [dpasgd_update(silos, mix, loss_grad_fn, cfg)
+                  for _ in range(cfg.local_steps + 1)]
+        clock.advance(round_duration)
+        if rnd in eval_at:
+            record(rnd, float(np.mean([l for l in losses if l is not None])))
     log.final_params = evaluated(silos.theta)
     return log
 

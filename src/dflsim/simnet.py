@@ -1,56 +1,17 @@
-"""Deterministic event-driven clock for synchronous communication rounds.
+"""Closed-form durations of synchronous communication rounds.
 
-Events order by (timestamp, kind, src, dst) with a fixed kind ranking, so the
-dequeue order never depends on insertion order.  Round simulation posts the
-compute/message events for one bulk-synchronous round and returns the barrier
-time; the protocol layer accumulates those durations on a Clock.
+A round ends at a barrier, when the last silo has what it needs for the next
+one, so its duration is a max over closed forms: the slowest overlay edge for
+dfl, the slowest silo round trip through the server for sfl, local compute
+for cll.  Nothing is simulated event by event.  The protocol layer
+accumulates those durations on a Clock.
 """
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 
-from .topology import DelayParams, Overlay, path_delay
-
-KIND_ORDER = {"compute_done": 0, "message_arrival": 1, "round_barrier": 2}
-
-
-@dataclass(frozen=True)
-class SimEvent:
-    timestamp: float
-    kind: str
-    src: int
-    dst: int
-    payload: int = 0
-
-    def __post_init__(self):
-        if self.timestamp < 0 or not math.isfinite(self.timestamp):
-            raise ValueError(f"event timestamp must be finite and >= 0, got {self.timestamp}")
-        if self.kind not in KIND_ORDER:
-            raise ValueError(f"unknown event kind {self.kind!r}")
-
-    def sort_key(self):
-        return (self.timestamp, KIND_ORDER[self.kind], self.src, self.dst, self.payload)
-
-
-class EventQueue:
-    """Priority queue over SimEvents with the deterministic ordering above."""
-
-    def __init__(self):
-        self._heap: list[tuple] = []
-
-    def post(self, event: SimEvent) -> None:
-        heapq.heappush(self._heap, (event.sort_key(), event))
-
-    def next_event(self) -> SimEvent | None:
-        """Pop the next event; None signals end of simulation."""
-        if not self._heap:
-            return None
-        return heapq.heappop(self._heap)[1]
-
-    def __len__(self) -> int:
-        return len(self._heap)
+from .topology import DelayParams, Overlay, cycle_time
 
 
 @dataclass
@@ -99,49 +60,25 @@ def simulate_round(overlay, p: DelayParams, mode: str) -> float:
     """Duration of one synchronous round under the given communication mode.
 
     dfl_ring: every silo sends its weights along each directed overlay edge;
-    the round ends when the last message lands (max edge delay).
+    the round ends when the last message lands (``topology.cycle_time``).
     sfl_star: duration is the worst silo round trip (uplink + downlink) plus
     one server aggregation.  ``overlay`` must be a StarSpec.
     cll_single: local compute only.  ``overlay`` must be a SingleSpec.
     """
-    queue = EventQueue()
-    payload = 0
     if mode == "dfl_ring":
         if not isinstance(overlay, Overlay):
             raise ValueError("dfl_ring mode needs an Overlay")
-        if not overlay.edges:
-            return 0.0
-        seen_src = set()
-        for (i, j) in overlay.edges:
-            if i not in seen_src:
-                seen_src.add(i)
-                queue.post(SimEvent(p.local_steps * overlay.parent.compute_time(i),
-                                    "compute_done", i, i, payload))
-                payload += 1
-            queue.post(SimEvent(path_delay(overlay.parent, overlay.paths[(i, j)], p),
-                                "message_arrival", i, j, payload))
-            payload += 1
-    elif mode == "sfl_star":
+        return cycle_time(overlay, p)
+    if mode == "sfl_star":
         if not isinstance(overlay, StarSpec):
             raise ValueError("sfl_star mode needs a StarSpec")
-        server = len(overlay.silo_compute_s)
         per_leg = p.model_size_bytes / overlay.server_bandwidth_Bps
-        for i, tc in enumerate(overlay.silo_compute_s):
-            up = p.local_steps * tc + overlay.server_latency_s + per_leg
-            down = overlay.server_latency_s + per_leg
-            queue.post(SimEvent(up, "message_arrival", i, server, payload))
-            payload += 1
-            queue.post(SimEvent(up + overlay.server_compute_s + down,
-                                "message_arrival", server, i, payload))
-            payload += 1
-    elif mode == "cll_single":
+        down = overlay.server_latency_s + per_leg
+        # uplink, aggregation, downlink, summed in the order perfbench's gate uses
+        return max(p.local_steps * tc + overlay.server_latency_s + per_leg
+                   + overlay.server_compute_s + down for tc in overlay.silo_compute_s)
+    if mode == "cll_single":
         if not isinstance(overlay, SingleSpec):
             raise ValueError("cll_single mode needs a SingleSpec")
-        queue.post(SimEvent(p.local_steps * overlay.compute_time_s, "compute_done", 0, 0, payload))
-    else:
-        raise ValueError(f"unknown simulation mode {mode!r}")
-
-    barrier = 0.0
-    while (ev := queue.next_event()) is not None:
-        barrier = ev.timestamp
-    return barrier
+        return p.local_steps * overlay.compute_time_s
+    raise ValueError(f"unknown simulation mode {mode!r}")

@@ -89,9 +89,6 @@ class ConnectivityGraph:
     def has_link(self, i: int, j: int) -> bool:
         return (i, j) in self._link_map
 
-    def out_neighbors(self, i: int) -> list[int]:
-        return sorted(l.dst for l in self.links if l.src == i)
-
 
 @dataclass(frozen=True)
 class Overlay:
@@ -114,13 +111,6 @@ class Overlay:
     @property
     def n(self) -> int:
         return len(self.in_neighbors)
-
-    @classmethod
-    def singleton(cls) -> "Overlay":
-        """Degenerate one-silo overlay (no edges); lets the peer-to-peer
-        protocol collapse to single-node training."""
-        return cls(parent=None, tour=(0,), edges=(), in_neighbors=((),),
-                   out_neighbors=((),), paths={}, metric_weight=0.0)
 
 
 @dataclass(frozen=True)

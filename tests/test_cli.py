@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -106,6 +110,28 @@ class TestRun:
                              "--quiet"]) == 2
         assert "non-finite test RMSE at round 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("payload, reason", [
+        ({"strategy": "cll", "optimizer": "sgd", "learning_rate": 1e30}, "non-finite test RMSE"),
+        ({"strategy": "sfl", "topology": "gaia11", "optimizer": "sgd",
+          "learning_rate": 3e307}, "after the mix broadcast_mean"),
+    ])
+    def test_abort_prints_one_stderr_line(self, tmp_path, payload, reason):
+        # the kernels overflow on the way (in matmul, in the server mean);
+        # numpy's warnings must not reach stderr ahead of the abort message
+        cfg_path = write_config(tmp_path, {**FAST, **payload})
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONWARNINGS="default",
+                   PYTHONPATH=os.pathsep.join([src] + ([os.environ["PYTHONPATH"]]
+                                                       if os.environ.get("PYTHONPATH") else [])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "dflsim.cli", "run", str(cfg_path),
+             "--out", str(tmp_path / "out"), "--quiet"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("runtime abort: "), proc.stderr
+        assert reason in lines[0]
+
     def test_external_data_source(self, tmp_path):
         ds = D.generate_linesteer(40, 8, 8, seed=0)
         D.save_external(tmp_path / "ext", ds)
@@ -165,6 +191,19 @@ class TestFieldTypes:
         cfg_path = write_config(tmp_path, {"strategy": "cll", **dict(FAST, **{field: value})})
         assert cli.main(["run", str(cfg_path), "--quiet"]) == 1
         assert f"config field '{field}':" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("strategy, field, value", [
+        ("sfl", "server_bandwidth_Bps", 0), ("sfl", "server_bandwidth_Bps", -1e6),
+        ("sfl", "server_latency_s", -0.01), ("sfl", "server_compute_s", -0.01),
+        ("cll", "cll_compute_s", -0.01)])
+    def test_timing_field_out_of_range_names_field(self, tmp_path, capsys, strategy, field,
+                                                   value):
+        cfg_path = write_config(tmp_path, {"strategy": strategy, "topology": "gaia11",
+                                           **dict(FAST, **{field: value})})
+        assert cli.main(["run", str(cfg_path), "--out", str(tmp_path / "out"),
+                         "--quiet"]) == 1
+        assert f"{field} must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_whole_numbers_accepted(self):
         assert cli._int(3.0) == 3 and cli._int("4") == 4

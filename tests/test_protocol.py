@@ -1,3 +1,4 @@
+import csv
 import json
 import sys
 
@@ -59,14 +60,14 @@ class TestDpasgdUpdate:
     def test_consensus_averages_two_silo_ring(self):
         cfg = P.TrainConfig(rounds=1, optimizer="sgd", local_steps=1)
         silos = stub_silos([[1.0], [3.0]], cfg)
-        assert P.dpasgd_update(silos, P.matrix_mix(TWO_RING), None, cfg, zero_grad) is None
+        assert P.dpasgd_update(silos, P.matrix_mix(TWO_RING), zero_grad, cfg) is None
         assert silos.theta.tolist() == [[2.0], [2.0]]
         assert silos.k == 1
 
     def test_sgd_gradient_step(self):
         cfg = P.TrainConfig(rounds=1, optimizer="sgd", learning_rate=0.1)
         silos = stub_silos([[5.0]], cfg, k=1)  # gradient slot of the s=1 schedule
-        losses = P.dpasgd_update(silos, ONE_MIX, None, cfg, const_grad(1.0))
+        losses = P.dpasgd_update(silos, ONE_MIX, const_grad(1.0), cfg)
         assert losses == [0.0]
         assert silos.theta.tolist() == [[pytest.approx(4.9)]]
         assert silos.k == 2
@@ -78,7 +79,7 @@ class TestDpasgdUpdate:
         silos = stub_silos([[10.0]], cfg)
         trace = []
         for _ in range(6):
-            P.dpasgd_update(silos, ONE_MIX, None, cfg, const_grad(1.0))
+            P.dpasgd_update(silos, ONE_MIX, const_grad(1.0), cfg)
             trace.append(float(silos.theta[0, 0]))
         assert trace == [10.0, 9.0, 9.0, 8.0, 8.0, 7.0]
 
@@ -92,7 +93,7 @@ class TestDpasgdUpdate:
         cfg = P.TrainConfig(rounds=1, optimizer="sgd")
         silos = stub_silos([[1.0]], cfg, k=1)
         with pytest.raises(P.NanGradientError, match="silo 0"):
-            P.dpasgd_update(silos, ONE_MIX, None, cfg, const_grad(np.nan))
+            P.dpasgd_update(silos, ONE_MIX, const_grad(np.nan), cfg)
 
     def test_non_finite_parameters_abort_with_diagnostics(self):
         # finite loss and gradient, but the step overflows silo 1's row
@@ -100,12 +101,20 @@ class TestDpasgdUpdate:
         silos = stub_silos([[0.0], [-1e308]], cfg, k=1)
         with np.errstate(over="ignore"), \
                 pytest.raises(P.NanGradientError, match="silo 1, iteration k=1"):
-            P.dpasgd_update(silos, P.matrix_mix(TWO_RING), None, cfg, const_grad(1.0))
+            P.dpasgd_update(silos, P.matrix_mix(TWO_RING), const_grad(1.0), cfg)
+
+    def test_overflowing_mix_aborts_with_diagnostics(self):
+        # finite rows whose server mean overflows to inf
+        cfg = P.TrainConfig(rounds=1, optimizer="sgd")
+        silos = stub_silos([[1e308], [1e308]], cfg, k=2)
+        with np.errstate(over="ignore"), pytest.raises(
+                P.NanGradientError, match="after the mix broadcast_mean at iteration k=2"):
+            P.dpasgd_update(silos, P.broadcast_mean, zero_grad, cfg)
 
     def test_adam_transform_applied(self):
         cfg = P.TrainConfig(rounds=1, optimizer="adam", learning_rate=0.5)
         silos = stub_silos([[0.0]], cfg, k=1)
-        P.dpasgd_update(silos, ONE_MIX, None, cfg, const_grad(2.0))
+        P.dpasgd_update(silos, ONE_MIX, const_grad(2.0), cfg)
         # first Adam step moves by ~lr regardless of gradient magnitude
         assert silos.theta[0, 0] == pytest.approx(-0.5, rel=1e-6)
         assert silos.t == 1
@@ -207,7 +216,7 @@ def consensus_sweep(a, silos, cfg, steps):
     mean0 = silos.theta.mean(axis=0)
     drifts, dispersions = [], []
     for _ in range(steps):
-        P.dpasgd_update(silos, mix, None, cfg, zero_grad)
+        P.dpasgd_update(silos, mix, zero_grad, cfg)
         silos.k += 1  # skip the gradient slot; equivalent to a zero step
         mean = silos.theta.mean(axis=0)
         drifts.append(np.abs(mean - mean0).max())
@@ -245,7 +254,8 @@ class TestRunnersDegenerate:
         test = tiny_shard(count=12, seed=3)
         cfg = P.TrainConfig(strategy="dfl", rounds=5, eval_interval=2, seed=11,
                             batch_size=8)
-        overlay = tp.Overlay.singleton()
+        overlay = tp.Overlay(parent=None, tour=(0,), edges=(), in_neighbors=((),),
+                             out_neighbors=((),), paths={}, metric_weight=0.0)
         a = tp.ConsensusMatrix(a=np.ones((1, 1)))
         dfl = P.run_dfl(overlay, a, "fadnet", SMALL_CFG, [ds], test, cfg)
         cll = P.run_cll("fadnet", SMALL_CFG, ds, test, cfg)
@@ -276,8 +286,8 @@ class TestRunnersDegenerate:
         silos = P.Silos.start(theta0, plan.shards(ds), cfg)
         fn = P._loss_grad_fn("fadnet", SMALL_CFG)
         mix = P.matrix_mix(a)
-        assert P.dpasgd_update(silos, mix, None, cfg, fn) is None
-        losses = P.dpasgd_update(silos, mix, None, cfg, fn)
+        assert P.dpasgd_update(silos, mix, fn, cfg) is None
+        losses = P.dpasgd_update(silos, mix, fn, cfg)
         assert len(losses) == gaia11.n and all(np.isfinite(losses))
         assert silos.k == 2 and silos.t == 1
 
@@ -391,9 +401,14 @@ class TestMetricsLog:
         log.append(P.MetricsRow(10, 1.25, 0.25, 0.3, "dfl"))
         path = tmp_path / "metrics.csv"
         log.to_csv(path)
-        again = P.MetricsLog.from_csv(path)
-        assert again.rows == log.rows
-        assert again.to_csv_string() == log.to_csv_string()
+        with open(path, newline="") as f:
+            reader = csv.DictReader(f)
+            assert tuple(reader.fieldnames) == P.METRICS_HEADER
+            again = [P.MetricsRow(int(r["round"]), float(r["sim_time_s"]),
+                                  float(r["train_loss"]), float(r["test_rmse"]), r["strategy"])
+                     for r in reader]
+        assert again == log.rows
+        assert path.read_text() == log.to_csv_string()
 
     def test_header_schema(self):
         log = P.MetricsLog()

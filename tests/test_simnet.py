@@ -1,77 +1,7 @@
-import math
-import random
-
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from dflsim import simnet, topology as tp
 from conftest import TINY_DELAY, uniform_complete_graph
-
-
-def drain(queue):
-    out = []
-    while (ev := queue.next_event()) is not None:
-        out.append(ev)
-    return out
-
-
-class TestEventQueue:
-    def test_src_breaks_timestamp_tie(self):
-        q = simnet.EventQueue()
-        q.post(simnet.SimEvent(1.0, "message_arrival", 1, 0))
-        q.post(simnet.SimEvent(1.0, "message_arrival", 0, 1))
-        first = q.next_event()
-        assert first.src == 0
-
-    def test_kind_rank_orders_equal_timestamps(self):
-        q = simnet.EventQueue()
-        q.post(simnet.SimEvent(2.0, "round_barrier", 0, 0))
-        q.post(simnet.SimEvent(2.0, "compute_done", 5, 5))
-        q.post(simnet.SimEvent(2.0, "message_arrival", 0, 1))
-        kinds = [ev.kind for ev in drain(q)]
-        assert kinds == ["compute_done", "message_arrival", "round_barrier"]
-
-    def test_empty_queue_signals_end(self):
-        q = simnet.EventQueue()
-        assert q.next_event() is None
-
-    def test_negative_timestamp_rejected(self):
-        with pytest.raises(ValueError, match="timestamp"):
-            simnet.SimEvent(-1.0, "compute_done", 0, 0)
-        with pytest.raises(ValueError, match="timestamp"):
-            simnet.SimEvent(math.nan, "compute_done", 0, 0)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="kind"):
-            simnet.SimEvent(0.0, "teleport", 0, 0)
-
-    @settings(max_examples=40, deadline=None)
-    @given(shuffle_seed=st.integers(0, 10_000))
-    def test_order_invariant_under_insertion_permutation(self, shuffle_seed):
-        events = [
-            simnet.SimEvent(t, kind, src, dst, payload)
-            for payload, (t, kind, src, dst) in enumerate([
-                (0.5, "compute_done", 0, 0),
-                (0.5, "compute_done", 1, 1),
-                (0.5, "message_arrival", 0, 1),
-                (0.25, "round_barrier", 0, 0),
-                (0.75, "message_arrival", 1, 0),
-                (0.75, "message_arrival", 1, 2),
-                (0.75, "compute_done", 1, 2),
-            ])
-        ]
-        baseline = simnet.EventQueue()
-        for ev in events:
-            baseline.post(ev)
-        expected = drain(baseline)
-
-        shuffled = events[:]
-        random.Random(shuffle_seed).shuffle(shuffled)
-        q = simnet.EventQueue()
-        for ev in shuffled:
-            q.post(ev)
-        assert drain(q) == expected
 
 
 class TestClock:

@@ -191,6 +191,35 @@ class TestChristofides:
             for u, v in zip(path, path[1:]):
                 assert g.has_link(u, v)
 
+    @pytest.mark.parametrize("n, matcher", [(16, "_exact_min_matching"),
+                                            (18, "_greedy_matching")])
+    def test_matching_limit(self, monkeypatch, n, matcher):
+        # a star's spanning tree is the star: n-1 odd leaves and an odd-degree
+        # centre, so n odd vertices, exactly EXACT_MATCHING_LIMIT at n = 16
+        latency = np.random.default_rng(n).uniform(0.01, 0.5, n)
+        links = tuple(tp.LinkRecord(a, b, float(latency[leaf]), 1e8)
+                      for leaf in range(1, n) for a, b in ((0, leaf), (leaf, 0)))
+        g = tp.ConnectivityGraph(silos=tuple(tp.SiloRecord(i, 0.0) for i in range(n)),
+                                 links=links)
+        p = tp.DelayParams(1e3, 1)
+        matchings = {}
+        for name in ("_exact_min_matching", "_greedy_matching"):
+            def spy(odd, w, name=name, real=getattr(tp, name)):
+                matchings[name] = (odd, real(odd, w))
+                return matchings[name][1]
+            monkeypatch.setattr(tp, name, spy)
+        o = tp.build_overlay_christofides(g, p)
+
+        assert list(matchings) == [matcher]
+        odd, pairs = matchings[matcher]
+        assert odd == list(range(n))
+        assert sorted(o.tour) == list(range(n))
+        w, _ = tp.symmetrized_weights(g, p)
+        mst = sum(w[a, b] for a, b in tp._minimum_spanning_tree(w))
+        matching = sum(w[a, b] for a, b in pairs)
+        # shortcutting the Euler circuit never lengthens it (up to rounding)
+        assert o.metric_weight <= (mst + matching) * (1 + 1e-12)
+
     def test_deterministic(self):
         g = random_metric_graph(9, seed=5)
         p = tp.DelayParams(1e6, 1)
