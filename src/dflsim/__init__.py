@@ -4,7 +4,7 @@ from .data import Dataset, PartitionPlan, generate_linesteer, load_external, par
 from .model import Batch, FADNetConfig, ModelParams, accumulation, aggregation, init_params, loss_and_grad, param_count, predict, rmse
 from .protocol import MetricsLog, Silos, TrainConfig, dpasgd_update, evaluate, federated_average, run_cll, run_dfl, run_sfl
 from .simnet import Clock, simulate_round
-from .tensor import LayerSpec, backward, forward, grad_check
+from .tensor import LayerSpec, backward, forward
 from .topology import (
     ConnectivityGraph,
     ConsensusMatrix,

@@ -194,7 +194,10 @@ def _build_data(cfg: dict, model_cfg: M.FADNetConfig):
         ds = D.generate_linesteer(cfg["sample_count"], model_cfg.input_height,
                                   model_cfg.input_width, cfg["seed"])
     else:
-        ds = D.load_external(cfg["external_path"])
+        try:
+            ds = D.load_external(cfg["external_path"])
+        except ValueError as e:
+            raise ConfigError(f"config field 'external_path': {e}") from e
         expected = (model_cfg.input_height, model_cfg.input_width, model_cfg.input_channels)
         if ds.inputs.shape[1:] != expected:
             raise ConfigError(f"config field 'external_path': dataset shape "
@@ -265,6 +268,7 @@ def run_command(config_path, out=None, seed=None, quiet=False) -> int:
         cfg["out_dir"] = str(out)
     if seed is not None:
         cfg["seed"] = int(seed)
+        validate_config(cfg)
     log = execute(cfg)
     out_dir = _write_outputs(cfg, log)
     if not quiet:
@@ -281,6 +285,7 @@ def compare_command(config_paths, out=None, seed=None, quiet=False) -> int:
     if seed is not None:
         for c in cfgs:
             c["seed"] = int(seed)
+            validate_config(c)
     base = cfgs[0]
     for c, path in zip(cfgs[1:], config_paths[1:]):
         diffs = [k for k in _COMPARE_KEYS if c[k] != base[k]]
@@ -330,7 +335,7 @@ def main(argv=None) -> int:
     except (ConfigError, tp.TopologyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (P.NanGradientError, FloatingPointError) as e:
+    except P.NanGradientError as e:
         print(f"runtime abort: {e}", file=sys.stderr)
         return 2
 

@@ -25,7 +25,6 @@ class Dataset:
 
     inputs: np.ndarray
     targets: np.ndarray
-    provenance: str = "unknown"
 
     def __post_init__(self):
         if self.inputs.ndim != 4 or self.inputs.shape[0] < 1:
@@ -44,8 +43,7 @@ class Dataset:
 
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices)
-        return Dataset(inputs=self.inputs[idx], targets=self.targets[idx],
-                       provenance=self.provenance)
+        return Dataset(inputs=self.inputs[idx], targets=self.targets[idx])
 
 
 @dataclass(frozen=True)
@@ -95,8 +93,7 @@ def generate_linesteer(count: int, height: int, width: int, seed: int) -> Datase
     dist = np.abs(-np.sin(angles)[:, None, None] * xs[None, None, :]
                   + np.cos(angles)[:, None, None] * ys[None, :, None])
     images = np.maximum(0.0, 1.0 - dist)[..., None] + noise
-    return Dataset(inputs=images, targets=angles / ANGLE_RANGE,
-                   provenance=f"linesteer(seed={seed})")
+    return Dataset(inputs=images, targets=angles / ANGLE_RANGE)
 
 
 def partition_noniid(ds: Dataset, n_silos: int, skew: float, seed: int) -> PartitionPlan:
@@ -174,14 +171,23 @@ def load_external(dir_path) -> Dataset:
     """
     d = Path(dir_path)
     manifest_path = d / "shape.json"
-    if not manifest_path.exists():
+    if not manifest_path.is_file():
         raise ValueError(f"{d}: missing shape manifest shape.json")
-    manifest = json.loads(manifest_path.read_text())
-    shape = tuple(int(v) for v in manifest["shape"])
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except ValueError as e:
+        raise ValueError(f"{d}: shape.json is not valid JSON ({e})") from e
+    if not isinstance(manifest, dict) or "shape" not in manifest:
+        raise ValueError(f"{d}: shape.json must be an object with a 'shape' list")
+    try:
+        shape = tuple(int(v) for v in manifest["shape"])
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"{d}: manifest shape must list integers, "
+                         f"got {manifest['shape']!r}") from e
     if len(shape) != 3 or min(shape) < 1:
         raise ValueError(f"{d}: manifest shape must be (H, W, C), got {shape}")
     labels_path = d / "labels.csv"
-    if not labels_path.exists():
+    if not labels_path.is_file():
         raise ValueError(f"{d}: missing labels.csv")
     rows = []
     with open(labels_path, newline="") as f:
@@ -190,7 +196,11 @@ def load_external(dir_path) -> Dataset:
             raise ValueError(f"{d}: labels.csv header must be 'file,angle', "
                              f"got {reader.fieldnames}")
         for row in reader:
-            rows.append((row["file"], float(row["angle"])))
+            try:
+                rows.append((row["file"], float(row["angle"])))
+            except (TypeError, ValueError) as e:
+                raise ValueError(f"{d}: labels.csv line {reader.line_num}: "
+                                 f"need a file name and an angle ({e})") from e
     if not rows:
         raise ValueError(f"{d}: no samples listed in labels.csv")
 
@@ -199,7 +209,7 @@ def load_external(dir_path) -> Dataset:
     angles = np.empty(len(rows))
     for i, (name, angle) in enumerate(rows):
         path = d / name
-        if not path.exists():
+        if not path.is_file():
             raise ValueError(f"{d}: unreadable sample file {name}")
         buf = np.fromfile(path, dtype="<f8")
         if buf.size != per_sample:
@@ -211,4 +221,4 @@ def load_external(dir_path) -> Dataset:
     n_clamped = int(np.sum(clamped != angles))
     if n_clamped:
         warnings.warn(f"{d}: clamped {n_clamped} angle(s) to [-1, 1]")
-    return Dataset(inputs=images, targets=clamped, provenance=str(d))
+    return Dataset(inputs=images, targets=clamped)

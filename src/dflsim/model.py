@@ -184,7 +184,7 @@ def _plan(kind: str, cfg: FADNetConfig) -> dict:
         layout[name] = (total, size, shape)
         total += size
     return {"specs": specs, "names": tuple(names), "shapes": tuple(shapes),
-            "layout": layout, "total": total, "dims": dims, "flat_dim": flat_dim}
+            "layout": layout, "total": total, "dims": dims}
 
 
 def param_count(kind: str, cfg: FADNetConfig) -> int:
@@ -303,37 +303,28 @@ def _run(name: str, mp: ModelParams, x, caches: dict | None, specs):
     return out
 
 
-def _forward_full(kind: str, cfg: FADNetConfig, mp: ModelParams, x: np.ndarray,
-                  probe_margins: bool = False, keep_caches: bool = True):
-    """Run the whole network, returning predictions, caches, and features.
+def _forward(kind: str, cfg: FADNetConfig, mp: ModelParams, x: np.ndarray,
+             caches: dict | None = None) -> np.ndarray:
+    """Run the whole network and return its predictions.
 
-    With keep_caches=False no layer cache is kept (caches comes back None),
-    so each layer's workspace is freed once the next layer has run.  With
-    probe_margins=True also returns the smallest distance of any
-    relu/maxpool decision to its kink, used to pick finite-difference-safe
-    seeds.
+    Given a ``caches`` dict, each layer stores its backward cache there under
+    its layer name, and the product head stores its inputs under "head";
+    ``_backward_full`` reads them.  With None no cache is kept, so each
+    layer's workspace is freed once the next layer has run.
     """
     specs = _plan(kind, cfg)["specs"]
     if x.shape[1:] != (cfg.input_height, cfg.input_width, cfg.input_channels):
         raise T.ShapeError(
             f"batch shape {x.shape[1:]} != config input "
             f"({cfg.input_height}, {cfg.input_width}, {cfg.input_channels})")
-    caches: dict | None = {} if keep_caches else None
-    margin = np.inf
 
     h0 = _run("norm", mp, x, None, specs)  # backward never reaches the input
     s1 = _run("stem.conv", mp, h0, caches, specs)
-    if probe_margins:
-        patches, _ = T._pool_patches(s1, 2, 2)
-        top2 = np.sort(patches, axis=3)[:, :, :, -2:, :]
-        margin = min(margin, float((top2[:, :, :, 1, :] - top2[:, :, :, 0, :]).min()))
     cur = _run("stem.pool", mp, s1, caches, specs)
 
     block_outputs = []
     for h in range(1, N_BLOCKS + 1):
         t1 = _run(f"block{h}.conv1", mp, cur, caches, specs)
-        if probe_margins:
-            margin = min(margin, float(np.abs(t1).min()))
         r1 = _run(f"block{h}.relu", mp, t1, caches, specs)
         t2 = _run(f"block{h}.conv2", mp, r1, caches, specs)
         sc = _run(f"block{h}.shortcut", mp, cur, caches, specs)
@@ -343,8 +334,7 @@ def _forward_full(kind: str, cfg: FADNetConfig, mp: ModelParams, x: np.ndarray,
     tail = _run("tail.fc", mp, cur.reshape(x.shape[0], -1), caches, specs)
 
     if kind == "backbone_only":
-        preds = tail[:, 0]
-        return preds, caches, {"margin": margin}
+        return tail[:, 0]
 
     branch_feats = []
     for h in range(1, N_BLOCKS + 1):
@@ -355,7 +345,7 @@ def _forward_full(kind: str, cfg: FADNetConfig, mp: ModelParams, x: np.ndarray,
     preds = aggregation(tail, f_c)
     if caches is not None:
         caches["head"] = (tail, f_c, branch_feats, w)
-    return preds, caches, {"margin": margin}
+    return preds
 
 
 def _back(name: str, mp: ModelParams, caches, grad_out, grads: ModelParams, specs,
@@ -414,16 +404,15 @@ def _backward_full(kind: str, cfg: FADNetConfig, mp: ModelParams, caches: dict,
 
 def predict(kind: str, cfg: FADNetConfig, params, inputs: np.ndarray) -> np.ndarray:
     """Predictions for a batch of inputs; keeps no backward caches."""
-    mp = _coerce_params(kind, cfg, params)
-    preds, _, _ = _forward_full(kind, cfg, mp, inputs, keep_caches=False)
-    return preds
+    return _forward(kind, cfg, _coerce_params(kind, cfg, params), inputs)
 
 
 def loss_and_grad(kind: str, cfg: FADNetConfig, params, batch: Batch):
     """Mean squared error over the batch and its exact gradient with respect
     to the flat parameter vector."""
     mp = _coerce_params(kind, cfg, params)
-    preds, caches, _ = _forward_full(kind, cfg, mp, batch.inputs)
+    caches: dict = {}
+    preds = _forward(kind, cfg, mp, batch.inputs, caches)
     residual = preds - batch.targets
     loss = float(np.mean(residual ** 2))
     gpred = 2.0 * residual / batch.size
@@ -437,66 +426,6 @@ def rmse(predictions, targets) -> float:
     if p.shape != t.shape or p.ndim != 1 or p.size < 1:
         raise ValueError(f"need equal-length nonempty vectors, got {p.shape} and {t.shape}")
     return float(np.sqrt(np.mean((p - t) ** 2)))
-
-
-# --------------------------------------------------------------------------
-# Full-model gradient checking
-
-
-def find_smooth_seed(kind: str, cfg: FADNetConfig, batch_size: int = 2,
-                     start_seed: int = 0, margin: float = 1e-3) -> int:
-    """First seed whose random instance keeps every relu input and pooling
-    decision at least ``margin`` away from its kink, so central finite
-    differences with a 1e-5 step stay trustworthy."""
-    for seed in range(start_seed, start_seed + 200):
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal((batch_size, cfg.input_height, cfg.input_width,
-                                 cfg.input_channels))
-        flat = init_params(kind, cfg, seed)
-        mp = ModelParams(kind, cfg, flat)
-        _, _, info = _forward_full(kind, cfg, mp, x, probe_margins=True, keep_caches=False)
-        if info["margin"] > margin:
-            return seed
-    raise RuntimeError("no finite-difference-safe seed found in 200 tries")
-
-
-def model_grad_check(kind: str, cfg: FADNetConfig, seed: int, batch_size: int = 2,
-                     max_coords_per_tensor: int | None = None,
-                     step: float = T.FD_STEP) -> float:
-    """Compare the analytic parameter gradient against central finite
-    differences on a seeded random batch; returns the max relative error.
-
-    With max_coords_per_tensor set, large tensors are sampled on an evenly
-    strided index subset (every tensor is still covered); otherwise every
-    coordinate is checked.
-    """
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((batch_size, cfg.input_height, cfg.input_width,
-                             cfg.input_channels))
-    targets = rng.uniform(-1.0, 1.0, batch_size)
-    batch = Batch(inputs=x, targets=targets)
-    flat = init_params(kind, cfg, seed)
-
-    _, analytic = loss_and_grad(kind, cfg, flat, batch)
-
-    plan = _plan(kind, cfg)
-    worst = 0.0
-    for off, size, _ in plan["layout"].values():
-        if max_coords_per_tensor is None or size <= max_coords_per_tensor:
-            idx = range(off, off + size)
-        else:
-            stride = size / max_coords_per_tensor
-            idx = [off + int(i * stride) for i in range(max_coords_per_tensor)]
-        for i in idx:
-            orig = flat[i]
-            flat[i] = orig + step
-            up, _ = loss_and_grad(kind, cfg, flat, batch)
-            flat[i] = orig - step
-            down, _ = loss_and_grad(kind, cfg, flat, batch)
-            flat[i] = orig
-            numeric = (up - down) / (2 * step)
-            worst = max(worst, T.relative_error(analytic[i], numeric))
-    return worst
 
 
 # --------------------------------------------------------------------------

@@ -79,6 +79,8 @@ class TrainConfig:
             raise ValueError(f"local_steps must be >= 1, got {self.local_steps}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.optimizer not in ("sgd", "adam"):

@@ -26,8 +26,6 @@ over window positions would, so the bits match that loop.
 discard the input gradient: it skips computing it and returns None in its
 place.  The first conv of a network needs no input gradient, and for it this
 saves the transposed product and the col2im scatter.
-
-Set DEBUG_CHECK_FINITE to make every op assert its outputs are finite.
 """
 from __future__ import annotations
 
@@ -37,13 +35,9 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-DEBUG_CHECK_FINITE = False
-
 KINDS = ("input_norm", "conv2d", "maxpool2d", "relu", "fc", "gap", "residual_add")
 
 NORM_EPS = 1e-6
-
-FD_STEP = 1e-5
 
 
 class ShapeError(ValueError):
@@ -101,13 +95,6 @@ def param_shapes(spec: LayerSpec) -> list[tuple[int, ...]]:
             shapes.append((spec.out_features,))
         return shapes
     return []
-
-
-def _check_finite(name: str, *arrays) -> None:
-    if DEBUG_CHECK_FINITE:
-        for a in arrays:
-            if not np.all(np.isfinite(a)):
-                raise FloatingPointError(f"{name}: non-finite values produced")
 
 
 def _windows(x: np.ndarray, k: int, s: int, oh: int, ow: int) -> list[np.ndarray]:
@@ -198,7 +185,6 @@ def forward(spec: LayerSpec, params: list[np.ndarray], x):
         centered = flat - mu
         sigma = np.sqrt((centered ** 2).mean(axis=1, keepdims=True))
         y = (centered / (sigma + NORM_EPS)).reshape(x.shape)
-        _check_finite(kind, y)
         return y, (spec, x.shape, centered, sigma)
 
     if kind == "conv2d":
@@ -213,7 +199,6 @@ def forward(spec: LayerSpec, params: list[np.ndarray], x):
             out += params[1]
         b, _, _, _, oh, ow = geom
         y = out.reshape(b, oh, ow, spec.out_channels)
-        _check_finite(kind, y)
         return y, (spec, cols, geom, wmat)
 
     if kind == "maxpool2d":
@@ -226,7 +211,6 @@ def forward(spec: LayerSpec, params: list[np.ndarray], x):
             # np.maximum returns its second operand when the two compare
             # equal, so the earlier window position keeps the signed zero
             np.maximum(view, y, out=y)
-        _check_finite(kind, y)
         return y, (spec, x, y)
 
     if kind == "relu":
@@ -239,7 +223,6 @@ def forward(spec: LayerSpec, params: list[np.ndarray], x):
         y = x @ wgt
         if spec.bias:
             y += params[1]
-        _check_finite(kind, y)
         return y, (spec, x, wgt)
 
     if kind == "gap":
@@ -294,10 +277,8 @@ def backward(spec: LayerSpec, cache, grad_out, input_grad: bool = True):
         if spec.bias:
             grads.append(gmat.sum(axis=0))
         if not input_grad:
-            _check_finite(kind, *grads)
             return None, grads
         gx = _col2im(gmat @ wmat.T, geom, spec.kernel, spec.stride, spec.padding)
-        _check_finite(kind, gx, *grads)
         return gx, grads
 
     if kind == "maxpool2d":
@@ -345,7 +326,6 @@ def backward(spec: LayerSpec, cache, grad_out, input_grad: bool = True):
         grads = [gw]
         if spec.bias:
             grads.append(grad_out.sum(axis=0))
-        _check_finite(kind, gx, *grads)
         return gx, grads
 
     if kind == "gap":
@@ -364,98 +344,3 @@ def backward(spec: LayerSpec, cache, grad_out, input_grad: bool = True):
 
     raise ShapeError(f"unknown layer kind {kind!r}")
 
-
-def _default_instance(spec: LayerSpec, rng: np.random.Generator):
-    """Small random (input, params) pair for gradient checking."""
-    kind = spec.kind
-    if kind in ("input_norm", "maxpool2d", "relu"):
-        ch = 3 if kind != "relu" else 1
-        x = rng.standard_normal((2, 6, 6, ch))
-    elif kind == "conv2d":
-        x = rng.standard_normal((2, 6, 6, spec.in_channels))
-    elif kind == "fc":
-        x = rng.standard_normal((2, spec.in_features))
-    elif kind == "gap":
-        x = rng.standard_normal((2, 4, 5, 3))
-    elif kind == "residual_add":
-        x = (rng.standard_normal((2, 3, 3, 2)), rng.standard_normal((2, 3, 3, 2)))
-    else:
-        raise ShapeError(kind)
-    params = [rng.standard_normal(s) * 0.5 for s in param_shapes(spec)]
-    return x, params
-
-
-def _nudge_kinks(spec: LayerSpec, x, rng: np.random.Generator, margin: float = 1e-3):
-    """Resample until the instance sits away from relu/maxpool kinks."""
-    if spec.kind == "relu":
-        while np.abs(x).min() < margin:
-            x = rng.standard_normal(x.shape)
-        return x
-    if spec.kind == "maxpool2d":
-        while True:
-            patches, _ = _pool_patches(x, spec.kernel, spec.stride)
-            top2 = np.sort(patches, axis=3)[:, :, :, -2:, :]
-            if (top2[:, :, :, 1, :] - top2[:, :, :, 0, :]).min() > margin:
-                return x
-            x = rng.standard_normal(x.shape)
-    return x
-
-
-def _pool_patches(x, k, s):
-    b, h, w, c = x.shape
-    oh, ow = conv_output_hw(h, w, k, s, 0)
-    return np.stack(_windows(x, k, s, oh, ow), axis=3), (oh, ow)
-
-
-def relative_error(analytic: np.ndarray, numeric: np.ndarray, floor: float = 1e-3) -> float:
-    """Max elementwise |a-n| / max(|a|,|n|,floor); the floor keeps
-    finite-difference roundoff on near-zero coordinates from dominating."""
-    a = np.asarray(analytic, dtype=np.float64).ravel()
-    n = np.asarray(numeric, dtype=np.float64).ravel()
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
-    if a.size == 0:
-        return 0.0
-    return float(np.max(np.abs(a - n) / denom))
-
-
-def grad_check(spec: LayerSpec, seed: int, step: float = FD_STEP) -> float:
-    """Compare backward against central finite differences on every input and
-    parameter coordinate of a small seeded instance; returns the max relative
-    error."""
-    rng = np.random.default_rng(seed)
-    x, params = _default_instance(spec, rng)
-    if spec.kind in ("relu", "maxpool2d"):
-        x = _nudge_kinks(spec, x, rng)
-
-    out, cache = forward(spec, params, x)
-    proj = np.random.default_rng(seed + 1).standard_normal(out.shape)
-
-    def loss_at(x_val, p_val):
-        y, _ = forward(spec, p_val, x_val)
-        return float(np.sum(y * proj))
-
-    gx, gparams = backward(spec, cache, proj)
-
-    def fd(read, write, analytic):
-        flatg = np.asarray(analytic).ravel()
-        numeric = np.empty_like(flatg)
-        base = read()
-        for idx in range(base.size):
-            orig = base.flat[idx]
-            base.flat[idx] = orig + step
-            up = loss_at(*write())
-            base.flat[idx] = orig - step
-            down = loss_at(*write())
-            base.flat[idx] = orig
-            numeric[idx] = (up - down) / (2 * step)
-        return relative_error(flatg, numeric)
-
-    errs = []
-    if spec.kind == "residual_add":
-        for t, g in zip(x, gx):
-            errs.append(fd(lambda t=t: t, lambda: (x, params), g))
-    else:
-        errs.append(fd(lambda: x, lambda: (x, params), gx))
-    for p, g in zip(params, gparams):
-        errs.append(fd(lambda p=p: p, lambda: (x, params), g))
-    return max(errs)

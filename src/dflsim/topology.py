@@ -188,6 +188,8 @@ def load_topology(path) -> ConnectivityGraph:
         raise TopologyError(f"topology file {path}: invalid JSON ({e})") from e
     except OSError as e:
         raise TopologyError(f"topology file {path}: {e}") from e
+    if not isinstance(raw, dict):
+        raise TopologyError(f"topology file {path}: top level must be a JSON object")
     for key in ("silos", "links", "undirected"):
         if key not in raw:
             raise TopologyError(f"topology file {path}: missing key {key!r}")

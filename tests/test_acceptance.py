@@ -14,6 +14,7 @@ import pytest
 
 from dflsim import cli, data as D, model as M, protocol as P, simnet, tensor as T, topology as tp
 from conftest import random_metric_graph
+from fdcheck import find_smooth_seed, grad_check, model_grad_check
 
 
 def report(criterion: str, ok: bool, detail: str) -> bool:
@@ -46,14 +47,14 @@ def test_criterion_1_gradient_suite():
     start = time.monotonic()
     worst_layer = 0.0
     for name, spec, bound in LAYER_CASES:
-        err = T.grad_check(spec, seed=7)
+        err = grad_check(spec, seed=7)
         assert err < bound, f"layer {name}: grad error {err:.3e} >= {bound}"
         worst_layer = max(worst_layer, err)
     model_errs = {}
     for kind in ("fadnet", "backbone_only"):
-        seed = M.find_smooth_seed(kind, M.TOY_CONFIG)
-        model_errs[kind] = M.model_grad_check(kind, M.TOY_CONFIG, seed,
-                                              max_coords_per_tensor=120)
+        seed = find_smooth_seed(kind, M.TOY_CONFIG)
+        model_errs[kind] = model_grad_check(kind, M.TOY_CONFIG, seed,
+                                            max_coords_per_tensor=120)
     elapsed = time.monotonic() - start
     ok = all(e < 1e-4 for e in model_errs.values()) and elapsed < 60.0
     report("1 gradient-suite", ok,

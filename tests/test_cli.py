@@ -152,6 +152,49 @@ class TestRun:
         assert cli.main(["run", str(cfg_path), "--quiet"]) == 1
         assert "external_path" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["not_json", "shape_2d", "no_shape_key", "shape_not_list",
+                                      "missing_sample", "sample_is_dir", "wrong_sample_size",
+                                      "no_angle"])
+    def test_malformed_external_dataset_names_field(self, tmp_path, capsys, case):
+        ext = tmp_path / "ext"
+        D.save_external(ext, D.generate_linesteer(10, 8, 8, seed=0))
+        if case == "not_json":
+            (ext / "shape.json").write_text("{not json")
+        elif case == "shape_2d":
+            (ext / "shape.json").write_text(json.dumps({"shape": [8, 8]}))
+        elif case == "no_shape_key":
+            (ext / "shape.json").write_text(json.dumps({"format_version": 1}))
+        elif case == "shape_not_list":
+            (ext / "shape.json").write_text(json.dumps({"shape": 8}))
+        elif case == "no_angle":
+            with open(ext / "labels.csv", "a") as f:
+                f.write("sample_000003.bin\n")
+        elif case == "missing_sample":
+            (ext / "sample_000003.bin").unlink()
+        elif case == "sample_is_dir":
+            (ext / "sample_000003.bin").unlink()
+            (ext / "sample_000003.bin").mkdir()
+        else:
+            np.zeros(5, dtype="<f8").tofile(ext / "sample_000003.bin")
+        cfg_path = write_config(tmp_path, {
+            "strategy": "cll", "data_source": "external",
+            "external_path": str(ext), **FAST})
+        assert cli.main(["run", str(cfg_path), "--out", str(tmp_path / "out"),
+                         "--quiet"]) == 1
+        assert "config field 'external_path':" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_negative_seed_override_rejected(self, tmp_path, capsys, command):
+        paths = [write_config(tmp_path, {"strategy": s, **FAST}, name=f"{s}.json")
+                 for s in ("cll", "sfl")]
+        if command == "run":
+            paths = paths[:1]
+        assert cli.main([command, *map(str, paths), "--out", str(tmp_path / "out"),
+                         "--seed", "-1", "--quiet"]) == 1
+        assert "config validation: seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 INT_FIELDS = [key for key, (_, parse) in cli._CONFIG_FIELDS.items() if parse is cli._int]
 
@@ -195,7 +238,7 @@ class TestFieldTypes:
     @pytest.mark.parametrize("strategy, field, value", [
         ("sfl", "server_bandwidth_Bps", 0), ("sfl", "server_bandwidth_Bps", -1e6),
         ("sfl", "server_latency_s", -0.01), ("sfl", "server_compute_s", -0.01),
-        ("cll", "cll_compute_s", -0.01)])
+        ("cll", "cll_compute_s", -0.01), ("cll", "seed", -1)])
     def test_timing_field_out_of_range_names_field(self, tmp_path, capsys, strategy, field,
                                                    value):
         cfg_path = write_config(tmp_path, {"strategy": strategy, "topology": "gaia11",

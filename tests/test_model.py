@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dflsim import model as M
+from fdcheck import find_smooth_seed, model_grad_check
 
 SMALL_CFG = M.FADNetConfig(input_height=8, input_width=8, input_channels=1,
                            widths=(2, 3, 4), feature_dim=5)
@@ -138,10 +139,10 @@ class TestForward:
     def test_cache_free_forward_matches_training_forward(self, kind):
         batch = toy_batch(n=4, seed=6)
         mp = M.ModelParams(kind, M.TOY_CONFIG, M.init_params(kind, M.TOY_CONFIG, 2))
-        train_preds, caches, _ = M._forward_full(kind, M.TOY_CONFIG, mp, batch.inputs)
-        eval_preds, no_caches, _ = M._forward_full(kind, M.TOY_CONFIG, mp, batch.inputs,
-                                                   keep_caches=False)
-        assert caches and no_caches is None
+        caches = {}
+        train_preds = M._forward(kind, M.TOY_CONFIG, mp, batch.inputs, caches)
+        eval_preds = M._forward(kind, M.TOY_CONFIG, mp, batch.inputs)
+        assert caches
         assert np.array_equal(train_preds, eval_preds)
         assert np.array_equal(M.predict(kind, M.TOY_CONFIG, mp, batch.inputs), eval_preds)
 
@@ -189,8 +190,8 @@ class TestLossAndGrad:
 
     @pytest.mark.parametrize("kind", ["fadnet", "backbone_only"])
     def test_full_model_gradient_vs_finite_differences(self, kind):
-        seed = M.find_smooth_seed(kind, SMALL_CFG)
-        assert M.model_grad_check(kind, SMALL_CFG, seed) < 1e-4
+        seed = find_smooth_seed(kind, SMALL_CFG)
+        assert model_grad_check(kind, SMALL_CFG, seed) < 1e-4
 
 
 class TestParamsAndCheckpoint:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from dflsim import model as M
 from dflsim import tensor as T
+from fdcheck import _default_instance, grad_check
 
 
 def make_conv(kernel=3, stride=1, padding=1, cin=2, cout=3, bias=True):
@@ -85,13 +86,13 @@ class TestBackwardExamples:
 
 class TestGradCheck:
     def test_fc(self):
-        assert T.grad_check(T.LayerSpec("fc", in_features=6, out_features=4), seed=7) < 1e-6
+        assert grad_check(T.LayerSpec("fc", in_features=6, out_features=4), seed=7) < 1e-6
 
     def test_conv2d(self):
-        assert T.grad_check(make_conv(), seed=7) < 1e-4
+        assert grad_check(make_conv(), seed=7) < 1e-4
 
     def test_gap(self):
-        assert T.grad_check(T.LayerSpec("gap"), seed=7) < 1e-8
+        assert grad_check(T.LayerSpec("gap"), seed=7) < 1e-8
 
     @pytest.mark.parametrize("spec", [
         T.LayerSpec("input_norm"),
@@ -105,7 +106,7 @@ class TestGradCheck:
         T.LayerSpec("residual_add"),
     ])
     def test_all_layer_kinds(self, spec):
-        assert T.grad_check(spec, seed=11) < 1e-4
+        assert grad_check(spec, seed=11) < 1e-4
 
 
 class TestShapeAlgebra:
@@ -170,13 +171,6 @@ class TestProperties:
         assert np.array_equal(gx1, gx2)
         for a, b in zip(gp1, gp2):
             assert np.array_equal(a, b)
-
-    def test_debug_finite_flag(self, monkeypatch):
-        monkeypatch.setattr(T, "DEBUG_CHECK_FINITE", True)
-        spec = T.LayerSpec("fc", in_features=2, out_features=2)
-        x = np.array([[1.0, np.inf]])
-        with pytest.raises(FloatingPointError):
-            T.forward(spec, [np.ones((2, 2)), np.zeros(2)], x)
 
 
 def reference_maxpool(x, k, s):
@@ -345,7 +339,7 @@ class TestKernelEquivalence:
     ])
     def test_skipped_input_grad(self, spec):
         rng = np.random.default_rng(9)
-        x, params = T._default_instance(spec, rng)
+        x, params = _default_instance(spec, rng)
         out, cache = T.forward(spec, params, x)
         grad = rng.standard_normal(out.shape)
         gx_full, gp_full = T.backward(spec, cache, grad)
@@ -354,11 +348,3 @@ class TestKernelEquivalence:
         assert len(gp) == len(gp_full)
         for a, b in zip(gp, gp_full):
             assert_same_bits(a, b)
-
-    def test_skipped_input_grad_still_checks_params(self, monkeypatch):
-        monkeypatch.setattr(T, "DEBUG_CHECK_FINITE", True)
-        spec = make_conv(kernel=1, padding=0, cin=1, cout=2)
-        params = [np.ones(s) for s in T.param_shapes(spec)]
-        _, cache = T.forward(spec, params, np.ones((1, 4, 4, 1)))
-        with pytest.raises(FloatingPointError):
-            T.backward(spec, cache, np.full((1, 4, 4, 2), np.inf), input_grad=False)

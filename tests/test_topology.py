@@ -85,6 +85,11 @@ class TestLoadTopology:
         with pytest.raises(tp.TopologyError, match="invalid JSON"):
             tp.load_topology(path)
 
+    @pytest.mark.parametrize("payload", [5, ["silos", "links", "undirected"]])
+    def test_top_level_not_an_object(self, tmp_path, payload):
+        with pytest.raises(tp.TopologyError, match="top level must be a JSON object"):
+            tp.load_topology(write_topology(tmp_path, payload))
+
     def test_missing_key(self, tmp_path):
         payload = simple_payload()
         del payload["undirected"]
