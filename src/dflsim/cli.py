@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import data as D
@@ -27,12 +28,7 @@ class ConfigError(ValueError):
     """Config validation failure; the message names the offending field."""
 
 
-def _int(value) -> int:
-    """A whole number: an integer, an integral float or an integer string.
-    Booleans and fractional numbers are rejected rather than truncated."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
+_int = D.whole_number
 
 
 def _float(value) -> float:
@@ -53,42 +49,38 @@ def _parse_field(key: str, parse, value):
         raise ConfigError(f"config field {key!r}: {e}") from e
 
 
-# field -> (default, parser). Defaults mirror the reference training setup.
+def _parser(default):
+    """The parser of a dataclass field, chosen by its default's type; the
+    list fields (a tuple, or None for eval_mask) are checked entry by entry
+    in validate_config."""
+    if isinstance(default, int):
+        return _int
+    if isinstance(default, float):
+        return _float
+    if isinstance(default, str):
+        return str
+    return list
+
+
+# field -> (default, parser): the run-level keys, then every field of
+# TrainConfig and of FADNetConfig with the default declared there.
 _CONFIG_FIELDS: dict = {
-    "strategy": ("dfl", str),
     "model_kind": ("fadnet", str),
     "topology": ("gaia11", str),
-    "input_height": (32, _int),
-    "input_width": (32, _int),
-    "input_channels": (1, _int),
-    "widths": ([8, 16, 32], list),
-    "feature_dim": (64, _int),
-    "rounds": (3000, _int),
-    "local_steps": (1, _int),
-    "batch_size": (32, _int),
-    "learning_rate": (1e-3, _float),
-    "optimizer": ("adam", str),
-    "eval_interval": (10, _int),
-    "eval_mask": (None, list),
-    "workers": (1, _int),
-    "server_latency_s": (0.05, _float),
-    "server_bandwidth_Bps": (2.5e7, _float),
-    "server_compute_s": (0.05, _float),
-    "cll_compute_s": (0.1, _float),
     "data_source": ("linesteer", str),
     "sample_count": (2000, _int),
     "skew": (0.8, _float),
     "train_fraction": (0.8, _float),
     "external_path": (None, str),
     "out_dir": (None, str),
-    "seed": (0, _int),
+    **{f.name: (f.default, _parser(f.default))
+       for cls in (P.TrainConfig, M.FADNetConfig) for f in fields(cls)},
 }
 
 # settings that must agree across configs for a comparison to be meaningful
 _COMPARE_KEYS = (
-    "model_kind", "input_height", "input_width", "input_channels", "widths",
-    "feature_dim", "data_source", "sample_count", "skew", "train_fraction",
-    "external_path", "seed",
+    "model_kind", *(f.name for f in fields(M.FADNetConfig)), "data_source",
+    "sample_count", "skew", "train_fraction", "external_path", "seed",
 )
 
 
@@ -109,7 +101,7 @@ def load_config(path) -> dict:
     cfg = {}
     for key, (default, parse) in _CONFIG_FIELDS.items():
         value = raw.get(key, default)
-        if value is not None and key not in ("widths", "eval_mask"):
+        if value is not None and parse is not list:
             value = _parse_field(key, parse, value)
         cfg[key] = value
     return validate_config(cfg)
@@ -158,29 +150,18 @@ def validate_config(cfg: dict) -> dict:
         cfg["out_dir"] = f"runs/{cfg['strategy']}"
     # delegate numeric range checks to the dataclass validators
     try:
-        _train_config(cfg)
-        _model_config(cfg)
+        _dataclass_config(P.TrainConfig, cfg)
+        _dataclass_config(M.FADNetConfig, cfg)
     except ValueError as e:
         raise ConfigError(f"config validation: {e}") from e
     return cfg
 
 
-def _model_config(cfg: dict) -> M.FADNetConfig:
-    return M.FADNetConfig(
-        input_height=cfg["input_height"], input_width=cfg["input_width"],
-        input_channels=cfg["input_channels"], widths=tuple(cfg["widths"]),
-        feature_dim=cfg["feature_dim"])
-
-
-def _train_config(cfg: dict) -> P.TrainConfig:
-    return P.TrainConfig(
-        strategy=cfg["strategy"], rounds=cfg["rounds"], local_steps=cfg["local_steps"],
-        batch_size=cfg["batch_size"], learning_rate=cfg["learning_rate"],
-        optimizer=cfg["optimizer"], seed=cfg["seed"], eval_interval=cfg["eval_interval"],
-        eval_mask=None if cfg["eval_mask"] is None else tuple(cfg["eval_mask"]),
-        workers=cfg["workers"], server_latency_s=cfg["server_latency_s"],
-        server_bandwidth_Bps=cfg["server_bandwidth_Bps"],
-        server_compute_s=cfg["server_compute_s"], cll_compute_s=cfg["cll_compute_s"])
+def _dataclass_config(cls, cfg: dict):
+    """A TrainConfig or FADNetConfig of the config's keys; the list fields
+    (widths, eval_mask) become tuples."""
+    return cls(**{f.name: tuple(cfg[f.name]) if isinstance(cfg[f.name], list) else cfg[f.name]
+                  for f in fields(cls)})
 
 
 def _resolve_topology_path(name: str):
@@ -229,8 +210,8 @@ def _check_against_topology(cfg: dict, n_silos: int, n_train: int) -> None:
 
 def execute(cfg: dict) -> P.MetricsLog:
     """Run one validated config and return its metrics log."""
-    model_cfg = _model_config(cfg)
-    train_cfg = _train_config(cfg)
+    model_cfg = _dataclass_config(M.FADNetConfig, cfg)
+    train_cfg = _dataclass_config(P.TrainConfig, cfg)
     train, test = _build_data(cfg, model_cfg)
 
     if cfg["strategy"] == "cll":
@@ -256,7 +237,7 @@ def _write_outputs(cfg: dict, log: P.MetricsLog) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     log.to_csv(out / "metrics.csv")
     M.save_checkpoint(out / "final_model.ckpt", cfg["model_kind"],
-                      _model_config(cfg), log.final_params)
+                      _dataclass_config(M.FADNetConfig, cfg), log.final_params)
     (out / "resolved_config.json").write_text(
         json.dumps(cfg, indent=2, sort_keys=True) + "\n")
     return out

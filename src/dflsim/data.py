@@ -19,6 +19,14 @@ ANGLE_RANGE = np.pi / 4
 NOISE_SIGMA = 0.05
 
 
+def whole_number(value) -> int:
+    """A whole number: an integer, an integral float or an integer string.
+    Booleans and fractional numbers are rejected rather than truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Images (count, H, W, C) with normalized steering targets in [-1, 1]."""
@@ -166,7 +174,8 @@ def load_external(dir_path) -> Dataset:
     """Load a pre-tensorized dataset directory.
 
     Layout: ``labels.csv`` (header ``file,angle``), ``shape.json`` (per-sample
-    shape manifest), and one raw little-endian float64 buffer per sample.
+    shape manifest, whole numbers only), and one raw little-endian float64
+    buffer per sample, named by a plain file name inside the directory.
     Angles outside [-1, 1] are clamped with a warning.
     """
     d = Path(dir_path)
@@ -180,10 +189,10 @@ def load_external(dir_path) -> Dataset:
     if not isinstance(manifest, dict) or "shape" not in manifest:
         raise ValueError(f"{d}: shape.json must be an object with a 'shape' list")
     try:
-        shape = tuple(int(v) for v in manifest["shape"])
+        shape = tuple(whole_number(v) for v in manifest["shape"])
     except (TypeError, ValueError) as e:
         raise ValueError(f"{d}: manifest shape must list integers, "
-                         f"got {manifest['shape']!r}") from e
+                         f"got {manifest['shape']!r} ({e})") from e
     if len(shape) != 3 or min(shape) < 1:
         raise ValueError(f"{d}: manifest shape must be (H, W, C), got {shape}")
     labels_path = d / "labels.csv"
@@ -208,6 +217,9 @@ def load_external(dir_path) -> Dataset:
     images = np.empty((len(rows),) + shape, dtype=np.float64)
     angles = np.empty(len(rows))
     for i, (name, angle) in enumerate(rows):
+        if name == ".." or Path(name).name != name:
+            raise ValueError(f"{d}: sample file name {name!r} must name a file "
+                             f"inside the dataset directory")
         path = d / name
         if not path.is_file():
             raise ValueError(f"{d}: unreadable sample file {name}")

@@ -18,13 +18,14 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
 from . import tensor as T
+from .data import whole_number
 
 MODEL_KINDS = ("fadnet", "backbone_only")
 
@@ -52,24 +53,18 @@ class FADNetConfig:
         if self.input_height < 8 or self.input_width < 8 or self.input_channels < 1:
             raise ValueError(f"input shape too small: {self}")
 
-    def to_dict(self) -> dict:
-        return {
-            "input_height": self.input_height,
-            "input_width": self.input_width,
-            "input_channels": self.input_channels,
-            "widths": list(self.widths),
-            "feature_dim": self.feature_dim,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "FADNetConfig":
-        return cls(
-            input_height=int(d["input_height"]),
-            input_width=int(d["input_width"]),
-            input_channels=int(d["input_channels"]),
-            widths=tuple(int(w) for w in d["widths"]),
-            feature_dim=int(d["feature_dim"]),
-        )
+        """The config of a JSON object such as ``asdict`` writes: every
+        field a whole number, except ``widths``, a list of them."""
+        values = {}
+        for f in fields(cls):
+            try:
+                values[f.name] = (tuple(map(whole_number, d[f.name])) if f.name == "widths"
+                                  else whole_number(d[f.name]))
+            except (TypeError, ValueError) as e:
+                raise ValueError(f"model config {f.name!r}: {e}") from e
+        return cls(**values)
 
 
 TOY_CONFIG = FADNetConfig()
@@ -112,11 +107,9 @@ def _stage_dims(cfg: FADNetConfig) -> list[tuple[int, int, int]]:
     h, w = T.conv_output_hw(cfg.input_height, cfg.input_width, 3, 1, 1)
     h, w = T.conv_output_hw(h, w, 2, 2, 0)  # stem maxpool
     dims = [(h, w, cfg.widths[0])]
-    c_in = cfg.widths[0]
     for c_out in cfg.widths:
         h, w = T.conv_output_hw(h, w, 3, 2, 1)
         dims.append((h, w, c_out))
-        c_in = c_out
     return dims  # dims[0] is the stem output, dims[1..3] the block outputs
 
 
@@ -155,36 +148,19 @@ def _plan(kind: str, cfg: FADNetConfig) -> dict:
     else:
         specs["tail.fc"] = T.LayerSpec("fc", in_features=flat_dim, out_features=1)
 
-    names: list[str] = []
-    shapes: list[tuple[int, ...]] = []
-
-    def add(layer_name: str):
-        ps = T.param_shapes(specs[layer_name])
-        suffixes = ["W", "b"][: len(ps)]
-        for sfx, shape in zip(suffixes, ps):
-            names.append(f"{layer_name}.{sfx}")
-            shapes.append(shape)
-
-    add("stem.conv")
-    for h in range(1, N_BLOCKS + 1):
-        add(f"block{h}.conv1")
-        add(f"block{h}.conv2")
-        add(f"block{h}.shortcut")
-    add("tail.fc")
+    # parameters are stored in layer order, weight before bias
+    shapes = {f"{layer}.{sfx}": shape for layer, spec in specs.items()
+              for sfx, shape in zip("Wb", T.param_shapes(spec))}
     if kind == "fadnet":
-        for h in range(1, N_BLOCKS + 1):
-            add(f"branch{h}.proj")
-        names.append("head.accum.w")
-        shapes.append((N_BLOCKS,))
+        shapes["head.accum.w"] = (N_BLOCKS,)
 
     layout: dict[str, tuple[int, int, tuple[int, ...]]] = {}
     total = 0
-    for name, shape in zip(names, shapes):
+    for name, shape in shapes.items():
         size = math.prod(shape)
         layout[name] = (total, size, shape)
         total += size
-    return {"specs": specs, "names": tuple(names), "shapes": tuple(shapes),
-            "layout": layout, "total": total, "dims": dims}
+    return {"specs": specs, "layout": layout, "total": total, "dims": dims}
 
 
 def param_count(kind: str, cfg: FADNetConfig) -> int:
@@ -206,7 +182,7 @@ class ModelParams:
 
     @property
     def names(self) -> tuple[str, ...]:
-        return self._plan["names"]
+        return tuple(self._plan["layout"])
 
     def __getitem__(self, name: str) -> np.ndarray:
         off, size, shape = self._plan["layout"][name]
@@ -222,7 +198,7 @@ def init_params(kind: str, cfg: FADNetConfig, seed: int) -> np.ndarray:
     plan = _plan(kind, cfg)
     rng = np.random.default_rng(seed)
     chunks = []
-    for name, shape in zip(plan["names"], plan["shapes"]):
+    for name, (_, _, shape) in plan["layout"].items():
         if name == "head.accum.w":
             chunks.append(np.full(shape, 1.0 / N_BLOCKS))
         elif name.endswith(".b"):
@@ -438,9 +414,9 @@ def save_checkpoint(path, kind: str, cfg: FADNetConfig, params) -> None:
     manifest = {
         "format_version": CHECKPOINT_VERSION,
         "model_kind": kind,
-        "config": cfg.to_dict(),
+        "config": asdict(cfg),
         "params": [{"name": n, "shape": list(s)}
-                   for n, s in zip(mp._plan["names"], mp._plan["shapes"])],
+                   for n, (_, _, s) in mp._plan["layout"].items()],
     }
     blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
     buf = np.ascontiguousarray(mp.flat, dtype="<f8").tobytes()
@@ -468,14 +444,15 @@ def load_checkpoint(path):
     listed = manifest.get("params")
     if not isinstance(listed, list):
         raise ValueError(f"checkpoint {path}: manifest has no parameter list")
-    for i, (name, shape) in enumerate(zip(plan["names"], plan["shapes"])):
+    layout = plan["layout"]
+    for i, (name, (_, _, shape)) in enumerate(layout.items()):
         entry = listed[i] if i < len(listed) else None
         if entry != {"name": name, "shape": list(shape)}:
             raise ValueError(f"checkpoint {path}: parameter {name!r} with shape "
                              f"{list(shape)} expected at manifest entry {i}, found {entry!r}")
-    if len(listed) > len(plan["names"]):
+    if len(listed) > len(layout):
         raise ValueError(f"checkpoint {path}: unexpected parameter "
-                         f"{listed[len(plan['names'])]!r} after the {kind} layout")
+                         f"{listed[len(layout)]!r} after the {kind} layout")
     flat = np.frombuffer(raw[4 + hlen:], dtype="<f8").astype(np.float64)
     expected = plan["total"]
     if flat.shape != (expected,):

@@ -41,6 +41,11 @@ STRATEGIES = ("dfl", "sfl", "cll")
 
 METRICS_HEADER = ("round", "sim_time_s", "train_loss", "test_rmse", "strategy")
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 class NanGradientError(RuntimeError):
     """Raised when training produces a non-finite loss, silo parameters or
@@ -49,8 +54,9 @@ class NanGradientError(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Training hyperparameters; defaults follow the reference setup
-    (batch 32, learning rate 1e-3, Adam, one local step, 3000 rounds)."""
+    """Training hyperparameters, each one config key of ``dflsim run`` with
+    the default given here; the defaults follow the reference setup.  Adam's
+    beta1, beta2 and epsilon are the fixed ``ADAM_*`` constants."""
 
     strategy: str = "dfl"
     rounds: int = 3000
@@ -62,9 +68,6 @@ class TrainConfig:
     eval_interval: int = 10
     eval_mask: tuple[int, ...] | None = None
     workers: int = 1  # accepted and validated; silo steps always run serially
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     server_latency_s: float = 0.05
     server_bandwidth_Bps: float = 2.5e7
     server_compute_s: float = 0.05
@@ -232,11 +235,11 @@ def _gradient_step(silos: Silos, i: int, cfg: TrainConfig, loss_grad_fn) -> floa
         theta -= cfg.learning_rate * grad
     else:
         m, v = silos.adam_m[i], silos.adam_v[i]
-        m[:] = cfg.adam_beta1 * m + (1 - cfg.adam_beta1) * grad
-        v[:] = cfg.adam_beta2 * v + (1 - cfg.adam_beta2) * grad ** 2
-        m_hat = m / (1 - cfg.adam_beta1 ** silos.t)
-        v_hat = v / (1 - cfg.adam_beta2 ** silos.t)
-        theta -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+        m[:] = ADAM_BETA1 * m + (1 - ADAM_BETA1) * grad
+        v[:] = ADAM_BETA2 * v + (1 - ADAM_BETA2) * grad ** 2
+        m_hat = m / (1 - ADAM_BETA1 ** silos.t)
+        v_hat = v / (1 - ADAM_BETA2 ** silos.t)
+        theta -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     if not math.isfinite(loss) or not np.all(np.isfinite(theta)):
         raise NanGradientError(
             f"non-finite loss or parameters at silo {i}, iteration k={silos.k} "

@@ -34,9 +34,28 @@ class TestRun:
         assert "'strategy'" in capsys.readouterr().err
 
     def test_unknown_field_rejected(self, tmp_path, capsys):
-        cfg_path = write_config(tmp_path, {"strategy": "cll", "epochs": 5})
-        assert cli.main(["run", str(cfg_path)]) == 1
-        assert "epochs" in capsys.readouterr().err
+        for field in ("epochs", "adam_beta1"):
+            cfg_path = write_config(tmp_path, {"strategy": "cll", field: 5})
+            assert cli.main(["run", str(cfg_path)]) == 1
+            assert field in capsys.readouterr().err
+
+    def test_resolved_config_keys_and_defaults(self, tmp_path):
+        # the accepted keys and their defaults; out_dir is set by --out
+        cfg_path = write_config(tmp_path, {"strategy": "cll", "rounds": 1})
+        assert cli.main(["run", str(cfg_path), "--out", str(tmp_path / "out"),
+                         "--quiet"]) == 0
+        resolved = json.loads((tmp_path / "out" / "resolved_config.json").read_text())
+        assert resolved.pop("out_dir") == str(tmp_path / "out")
+        assert resolved == {
+            "batch_size": 32, "cll_compute_s": 0.1, "data_source": "linesteer",
+            "eval_interval": 10, "eval_mask": None, "external_path": None,
+            "feature_dim": 64, "input_channels": 1, "input_height": 32, "input_width": 32,
+            "learning_rate": 0.001, "local_steps": 1, "model_kind": "fadnet",
+            "optimizer": "adam", "rounds": 1, "sample_count": 2000, "seed": 0,
+            "server_bandwidth_Bps": 25000000.0, "server_compute_s": 0.05,
+            "server_latency_s": 0.05, "skew": 0.8, "strategy": "cll", "topology": "gaia11",
+            "train_fraction": 0.8, "widths": [8, 16, 32], "workers": 1}
+        assert cli.load_config(write_config(tmp_path, {}))["rounds"] == 3000
 
     def test_missing_topology_file_rejected(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, {"strategy": "dfl", "topology": "nope.json"})
@@ -153,8 +172,8 @@ class TestRun:
         assert "external_path" in capsys.readouterr().err
 
     @pytest.mark.parametrize("case", ["not_json", "shape_2d", "no_shape_key", "shape_not_list",
-                                      "missing_sample", "sample_is_dir", "wrong_sample_size",
-                                      "no_angle"])
+                                      "shape_fractional", "missing_sample", "sample_is_dir",
+                                      "sample_outside_dir", "wrong_sample_size", "no_angle"])
     def test_malformed_external_dataset_names_field(self, tmp_path, capsys, case):
         ext = tmp_path / "ext"
         D.save_external(ext, D.generate_linesteer(10, 8, 8, seed=0))
@@ -166,6 +185,8 @@ class TestRun:
             (ext / "shape.json").write_text(json.dumps({"format_version": 1}))
         elif case == "shape_not_list":
             (ext / "shape.json").write_text(json.dumps({"shape": 8}))
+        elif case == "shape_fractional":
+            (ext / "shape.json").write_text(json.dumps({"shape": [8.5, 8, 1]}))
         elif case == "no_angle":
             with open(ext / "labels.csv", "a") as f:
                 f.write("sample_000003.bin\n")
@@ -174,6 +195,11 @@ class TestRun:
         elif case == "sample_is_dir":
             (ext / "sample_000003.bin").unlink()
             (ext / "sample_000003.bin").mkdir()
+        elif case == "sample_outside_dir":
+            D.save_external(tmp_path / "other", D.generate_linesteer(10, 8, 8, seed=1))
+            labels = (ext / "labels.csv").read_text()
+            (ext / "labels.csv").write_text(
+                labels.replace("sample_000005.bin", "../other/sample_000005.bin"))
         else:
             np.zeros(5, dtype="<f8").tofile(ext / "sample_000003.bin")
         cfg_path = write_config(tmp_path, {

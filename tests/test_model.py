@@ -246,6 +246,19 @@ class TestParamsAndCheckpoint:
         with pytest.raises(ValueError, match=named):
             M.load_checkpoint(path)
 
+    @pytest.mark.parametrize("value", [8.7, True])
+    def test_checkpoint_config_needs_whole_numbers(self, tmp_path, value):
+        path = tmp_path / "model.ckpt"
+        M.save_checkpoint(path, "fadnet", SMALL_CFG, M.init_params("fadnet", SMALL_CFG, 9))
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack("<I", raw[:4])
+        manifest = json.loads(raw[4:4 + hlen])
+        manifest["config"]["input_height"] = value
+        blob = json.dumps(manifest).encode()
+        path.write_bytes(struct.pack("<I", len(blob)) + blob + raw[4 + hlen:])
+        with pytest.raises(ValueError, match="'input_height': expected an integer"):
+            M.load_checkpoint(path)
+
     def test_checkpoint_bad_header(self, tmp_path):
         path = tmp_path / "model.ckpt"
         path.write_bytes(b"\x01")
