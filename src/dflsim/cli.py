@@ -221,6 +221,7 @@ def execute(cfg: dict) -> P.MetricsLog:
     _check_against_topology(cfg, graph.n, train.count)
     plan = D.partition_noniid(train, graph.n, cfg["skew"], cfg["seed"])
     shards = plan.shards(train)
+    del train  # the shards hold copies of every training sample
     if cfg["strategy"] == "sfl":
         return P.run_sfl(graph, cfg["model_kind"], model_cfg, shards, test, train_cfg)
 

@@ -18,6 +18,10 @@ import numpy as np
 ANGLE_RANGE = np.pi / 4
 NOISE_SIGMA = 0.05
 
+# generate_linesteer renders its lines in blocks of samples whose
+# temporaries hold at most this many bytes (one sample at least).
+RENDER_BLOCK_BYTES = 512 << 10
+
 
 def whole_number(value) -> int:
     """A whole number: an integer, an integral float or an integer string.
@@ -95,12 +99,18 @@ def generate_linesteer(count: int, height: int, width: int, seed: int) -> Datase
         raise ValueError(f"degenerate image size {height}x{width}; need >= 8")
     rng = np.random.default_rng(seed)
     angles = rng.uniform(-ANGLE_RANGE, ANGLE_RANGE, count)
-    noise = rng.normal(0.0, NOISE_SIGMA, (count, height, width, 1))
+    images = rng.normal(0.0, NOISE_SIGMA, (count, height, width, 1))
     ys = np.arange(height) - (height - 1) / 2.0
     xs = np.arange(width) - (width - 1) / 2.0
-    dist = np.abs(-np.sin(angles)[:, None, None] * xs[None, None, :]
-                  + np.cos(angles)[:, None, None] * ys[None, :, None])
-    images = np.maximum(0.0, 1.0 - dist)[..., None] + noise
+    neg_sin, cos = -np.sin(angles), np.cos(angles)
+    # the lines are added onto the noise a block of samples at a time; the
+    # sum is the same either way round, so the bits do not depend on blocks
+    per_block = max(1, RENDER_BLOCK_BYTES // (height * width * 8))
+    for s0 in range(0, count, per_block):
+        s1 = min(s0 + per_block, count)
+        dist = np.abs(neg_sin[s0:s1, None, None] * xs[None, None, :]
+                      + cos[s0:s1, None, None] * ys[None, :, None])
+        images[s0:s1, ..., 0] += np.maximum(0.0, 1.0 - dist)
     return Dataset(inputs=images, targets=angles / ANGLE_RANGE)
 
 

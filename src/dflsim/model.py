@@ -59,6 +59,8 @@ class FADNetConfig:
         field a whole number, except ``widths``, a list of them."""
         values = {}
         for f in fields(cls):
+            if f.name not in d:
+                raise ValueError(f"model config {f.name!r}: missing")
             try:
                 values[f.name] = (tuple(map(whole_number, d[f.name])) if f.name == "widths"
                                   else whole_number(d[f.name]))
@@ -273,7 +275,7 @@ def _run(name: str, mp: ModelParams, x, caches: dict | None, specs):
         layer_params.append(mp[f"{name}.W"])
         if spec.bias:
             layer_params.append(mp[f"{name}.b"])
-    out, cache = T.forward(spec, layer_params, x)
+    out, cache = T.forward(spec, layer_params, x, keep_cache=caches is not None)
     if caches is not None:
         caches[name] = cache
     return out
@@ -285,8 +287,10 @@ def _forward(kind: str, cfg: FADNetConfig, mp: ModelParams, x: np.ndarray,
 
     Given a ``caches`` dict, each layer stores its backward cache there under
     its layer name, and the product head stores its inputs under "head";
-    ``_backward_full`` reads them.  With None no cache is kept, so each
-    layer's workspace is freed once the next layer has run.
+    ``_backward_full`` reads them.  With None no cache is kept: each layer
+    runs its forward without one (convolutions then build their patch
+    matrices a block of samples at a time), and each activation is freed
+    as soon as no later layer reads it.
     """
     specs = _plan(kind, cfg)["specs"]
     if x.shape[1:] != (cfg.input_height, cfg.input_width, cfg.input_channels):
@@ -294,9 +298,11 @@ def _forward(kind: str, cfg: FADNetConfig, mp: ModelParams, x: np.ndarray,
             f"batch shape {x.shape[1:]} != config input "
             f"({cfg.input_height}, {cfg.input_width}, {cfg.input_channels})")
 
-    h0 = _run("norm", mp, x, None, specs)  # backward never reaches the input
-    s1 = _run("stem.conv", mp, h0, caches, specs)
-    cur = _run("stem.pool", mp, s1, caches, specs)
+    # one name for the running activation, so that without caches each
+    # full-batch stem output is freed as soon as the next layer has read it
+    cur = _run("norm", mp, x, None, specs)  # backward never reaches the input
+    cur = _run("stem.conv", mp, cur, caches, specs)
+    cur = _run("stem.pool", mp, cur, caches, specs)
 
     block_outputs = []
     for h in range(1, N_BLOCKS + 1):
@@ -438,6 +444,9 @@ def load_checkpoint(path):
     if manifest.get("format_version") != CHECKPOINT_VERSION:
         raise ValueError(f"checkpoint {path}: unsupported format_version "
                          f"{manifest.get('format_version')}")
+    for key, typ in (("model_kind", str), ("config", dict)):
+        if not isinstance(manifest.get(key), typ):
+            raise ValueError(f"checkpoint {path}: manifest has no {key!r} {typ.__name__}")
     kind = manifest["model_kind"]
     cfg = FADNetConfig.from_dict(manifest["config"])
     plan = _plan(kind, cfg)

@@ -10,8 +10,9 @@ input into a zero-bordered buffer and makes one copy of a (b, oh, ow, k, k, c)
 window view of it, so every copied run is a window row of k*c elements.  With
 one input channel that run is only k long, and the copy goes in
 (k, k, c, b, oh, ow) order instead, along output rows; the product then
-takes the transposed buffer (see _transposed_patches for when).  col2im adds
-each window position's slice of the patch gradient onto the input in turn.
+takes the transposed buffer (see _transposed_patches for when).  col2im
+copies the patch gradient once into (k*k, b, oh, ow, c) order and adds each
+window position's contiguous block onto the input in turn.
 
 Max pooling takes a running ``np.maximum`` over the k*k strided views of its
 input; on ties the first window position in row-major order wins, both for
@@ -21,6 +22,13 @@ window and scatters all windows' gradients with one ``np.bincount``; where
 windows overlap (kernel > stride) the entries go in window-position order.
 Either way every input element sums its terms from +0.0 in the order a loop
 over window positions would, so the bits match that loop.
+
+``forward(..., keep_cache=False)`` is the inference path: every kind
+returns None in place of its cache, relu builds no mask, and conv2d never
+holds the whole patch matrix.  It builds the matrix for one block of whole
+samples at a time (see EVAL_BLOCK_BYTES) and writes each block's product
+into its rows of a preallocated output.  The output has the bits of the
+one-shot product; the bitwise kernel and model tests pin that.
 
 ``backward(..., input_grad=False)`` tells conv2d that the caller will
 discard the input gradient: it skips computing it and returns None in its
@@ -38,6 +46,17 @@ from numpy.lib.stride_tricks import as_strided
 KINDS = ("input_norm", "conv2d", "maxpool2d", "relu", "fc", "gap", "residual_add")
 
 NORM_EPS = 1e-6
+
+# A conv2d forward without a cache works through the batch in blocks of
+# whole samples, each holding about EVAL_BLOCK_BYTES to twice that of patch
+# matrix (512 KiB ran a batch-256 toy predict faster than 1-4 MiB).  A
+# block's product also has more than SMALL_GEMM_MNK multiply-adds: OpenBLAS
+# computes products of at most 1e6 (M*N*K) with a separate small-matrix
+# kernel that rounds differently for some shapes (2 to 4 output channels,
+# or 3x3 kernels over 64 or more input channels), so a smaller block could
+# change the bits of the one-shot product.
+EVAL_BLOCK_BYTES = 512 << 10
+SMALL_GEMM_MNK = 10 ** 6
 
 
 class ShapeError(ValueError):
@@ -151,9 +170,11 @@ def _col2im(gcols: np.ndarray, geom: tuple, kernel: int, stride: int, padding: i
     from +0.0 in window-position order."""
     b, h, w, c, oh, ow = geom
     gxp = np.zeros((b, h + 2 * padding, w + 2 * padding, c), dtype=np.float64)
-    g5 = gcols.reshape(b, oh, ow, kernel * kernel, c)
+    # one copy in (k*k, b, oh, ow, c) order, so each add reads a contiguous block
+    g5 = np.ascontiguousarray(
+        gcols.reshape(b, oh, ow, kernel * kernel, c).transpose(3, 0, 1, 2, 4))
     for i, view in enumerate(_windows(gxp, kernel, stride, oh, ow)):
-        view += g5[:, :, :, i, :]
+        view += g5[i]
     return gxp[:, padding:h + padding, padding:w + padding, :]
 
 
@@ -172,8 +193,18 @@ def _pool_index(shape: tuple, k: int, s: int, oh: int, ow: int):
     return origins, offsets
 
 
-def forward(spec: LayerSpec, params: list[np.ndarray], x):
-    """Run the layer; returns (output, cache) with cache bound to this call."""
+def _eval_block_samples(spec: LayerSpec, oh: int, ow: int) -> int:
+    """Fewest samples in one block of conv2d without a cache: enough to fill
+    EVAL_BLOCK_BYTES of patch matrix, and to lift the block's product above
+    SMALL_GEMM_MNK multiply-adds."""
+    rows, k = oh * ow, spec.kernel ** 2 * spec.in_channels
+    return max(EVAL_BLOCK_BYTES // (rows * k * 8),
+               SMALL_GEMM_MNK // (rows * k * spec.out_channels) + 1)
+
+
+def forward(spec: LayerSpec, params: list[np.ndarray], x, keep_cache: bool = True):
+    """Run the layer; returns (output, cache) with cache bound to this call,
+    or (output, None) when ``keep_cache`` is false."""
     kind = spec.kind
 
     if kind == "input_norm":
@@ -185,23 +216,31 @@ def forward(spec: LayerSpec, params: list[np.ndarray], x):
         centered = flat - mu
         sigma = np.sqrt((centered ** 2).mean(axis=1, keepdims=True))
         y = (centered / (sigma + NORM_EPS)).reshape(x.shape)
-        return y, (spec, x.shape, centered, sigma)
+        cache = (spec, x.shape, centered, sigma)
 
-    if kind == "conv2d":
+    elif kind == "conv2d":
         wgt = params[0]
         if x.ndim != 4 or x.shape[3] != spec.in_channels:
             raise ShapeError(f"conv2d expects NHWC with C={spec.in_channels}, got {x.shape}")
-        cols, geom = _im2col(x, spec.kernel, spec.stride, spec.padding,
-                             _transposed_patches(spec))
+        b, h, w, _ = x.shape
+        oh, ow = conv_output_hw(h, w, spec.kernel, spec.stride, spec.padding)
+        rows = oh * ow
+        # backward needs the whole patch matrix; without a cache it is built
+        # in blocks of whole samples that differ in size by at most one
+        n_blocks = 1 if keep_cache else max(1, b // _eval_block_samples(spec, oh, ow))
+        transposed = _transposed_patches(spec)
         wmat = wgt.reshape(-1, spec.out_channels)
-        out = cols @ wmat
+        out = np.empty((b * rows, spec.out_channels))
+        for i in range(n_blocks):
+            s0, s1 = i * b // n_blocks, (i + 1) * b // n_blocks
+            cols, geom = _im2col(x[s0:s1], spec.kernel, spec.stride, spec.padding, transposed)
+            np.matmul(cols, wmat, out=out[s0 * rows:s1 * rows])
         if spec.bias:
             out += params[1]
-        b, _, _, _, oh, ow = geom
         y = out.reshape(b, oh, ow, spec.out_channels)
-        return y, (spec, cols, geom, wmat)
+        cache = (spec, cols, geom, wmat)
 
-    if kind == "maxpool2d":
+    elif kind == "maxpool2d":
         if x.ndim != 4:
             raise ShapeError(f"maxpool2d expects NHWC, got shape {x.shape}")
         oh, ow = conv_output_hw(x.shape[1], x.shape[2], spec.kernel, spec.stride, 0)
@@ -211,32 +250,37 @@ def forward(spec: LayerSpec, params: list[np.ndarray], x):
             # np.maximum returns its second operand when the two compare
             # equal, so the earlier window position keeps the signed zero
             np.maximum(view, y, out=y)
-        return y, (spec, x, y)
+        cache = (spec, x, y)
 
-    if kind == "relu":
-        return np.maximum(x, 0.0), (spec, x > 0)
+    elif kind == "relu":
+        y = np.maximum(x, 0.0)
+        cache = (spec, x > 0) if keep_cache else None
 
-    if kind == "fc":
+    elif kind == "fc":
         wgt = params[0]
         if x.ndim != 2 or x.shape[1] != spec.in_features:
             raise ShapeError(f"fc expects (batch, {spec.in_features}), got {x.shape}")
         y = x @ wgt
         if spec.bias:
             y += params[1]
-        return y, (spec, x, wgt)
+        cache = (spec, x, wgt)
 
-    if kind == "gap":
+    elif kind == "gap":
         if x.ndim != 4:
             raise ShapeError(f"gap expects NHWC, got shape {x.shape}")
-        return x.mean(axis=(1, 2)), (spec, x.shape)
+        y = x.mean(axis=(1, 2))
+        cache = (spec, x.shape)
 
-    if kind == "residual_add":
+    elif kind == "residual_add":
         a, b = x
         if a.shape != b.shape:
             raise ShapeError(f"residual_add shape mismatch: {a.shape} vs {b.shape}")
-        return a + b, (spec, a.shape)
+        y = a + b
+        cache = (spec, a.shape)
 
-    raise ShapeError(f"unknown layer kind {kind!r}")
+    else:
+        raise ShapeError(f"unknown layer kind {kind!r}")
+    return y, cache if keep_cache else None
 
 
 def backward(spec: LayerSpec, cache, grad_out, input_grad: bool = True):
@@ -275,7 +319,10 @@ def backward(spec: LayerSpec, cache, grad_out, input_grad: bool = True):
         gw = (cols.T @ gmat).reshape(spec.kernel, spec.kernel, spec.in_channels, spec.out_channels)
         grads = [gw]
         if spec.bias:
-            grads.append(gmat.sum(axis=0))
+            # einsum gives the bits of sum(axis=0), and faster, from two
+            # channels on; with one channel its bits differ
+            grads.append(np.einsum("ij->j", gmat) if spec.out_channels >= 2
+                         else gmat.sum(axis=0))
         if not input_grad:
             return None, grads
         gx = _col2im(gmat @ wmat.T, geom, spec.kernel, spec.stride, spec.padding)

@@ -23,7 +23,29 @@ class TestRenderLine:
         assert np.allclose(img, D.render_line(9, 9, np.pi / 4)[::-1, :], atol=1e-12)
 
 
+def one_shot_linesteer(count, height, width, seed):
+    """generate_linesteer's images as one full-size expression: the line
+    images plus the noise drawn after the angles."""
+    rng = np.random.default_rng(seed)
+    angles = rng.uniform(-D.ANGLE_RANGE, D.ANGLE_RANGE, count)
+    noise = rng.normal(0.0, D.NOISE_SIGMA, (count, height, width, 1))
+    ys = np.arange(height) - (height - 1) / 2.0
+    xs = np.arange(width) - (width - 1) / 2.0
+    dist = np.abs(-np.sin(angles)[:, None, None] * xs[None, None, :]
+                  + np.cos(angles)[:, None, None] * ys[None, :, None])
+    return np.maximum(0.0, 1.0 - dist)[..., None] + noise
+
+
 class TestGenerateLinesteer:
+    @pytest.mark.parametrize("count,height,width,block", [
+        (1, 16, 16, 3), (7, 16, 16, 3), (10, 9, 13, 4), (133, 32, 32, None),
+    ])
+    def test_blocks_match_one_shot_formula(self, count, height, width, block, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(D, "RENDER_BLOCK_BYTES", block * height * width * 8)
+        ds = D.generate_linesteer(count, height, width, seed=count)
+        assert ds.inputs.tobytes() == one_shot_linesteer(count, height, width, count).tobytes()
+
     def test_targets_encode_rendered_angle(self):
         # recover each image's angle by correlation against noise-free
         # renders over a fine grid; it must match target * (pi/4)

@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dflsim import model as M
+from dflsim import tensor as T
 from fdcheck import find_smooth_seed, model_grad_check
 
 SMALL_CFG = M.FADNetConfig(input_height=8, input_width=8, input_channels=1,
@@ -16,6 +18,14 @@ SMALL_CFG = M.FADNetConfig(input_height=8, input_width=8, input_channels=1,
 # stem 80; blocks 1240 + 3632 + 14432; tail fc 8256; projections 3584; blend 3
 TOY_FADNET_PARAMS = 31227
 TOY_BACKBONE_PARAMS = 19513
+
+NARROW_CFG = M.FADNetConfig(widths=(2, 3, 4))
+
+
+def stem_block(cfg):
+    """Fewest samples in one block of the stem conv run without a cache."""
+    spec = M._plan("fadnet", cfg)["specs"]["stem.conv"]
+    return T._eval_block_samples(spec, cfg.input_height, cfg.input_width)
 
 
 def toy_batch(n=3, seed=0, cfg=M.TOY_CONFIG):
@@ -137,14 +147,35 @@ class TestForward:
 
     @pytest.mark.parametrize("kind", M.MODEL_KINDS)
     def test_cache_free_forward_matches_training_forward(self, kind):
-        batch = toy_batch(n=4, seed=6)
-        mp = M.ModelParams(kind, M.TOY_CONFIG, M.init_params(kind, M.TOY_CONFIG, 2))
-        caches = {}
-        train_preds = M._forward(kind, M.TOY_CONFIG, mp, batch.inputs, caches)
-        eval_preds = M._forward(kind, M.TOY_CONFIG, mp, batch.inputs)
-        assert caches
-        assert np.array_equal(train_preds, eval_preds)
-        assert np.array_equal(M.predict(kind, M.TOY_CONFIG, mp, batch.inputs), eval_preds)
+        # without caches the convolutions run in blocks of samples: batch
+        # sizes on both sides of one and two stem blocks, and evaluation's 256
+        for cfg in (M.TOY_CONFIG, NARROW_CFG):
+            mp = M.ModelParams(kind, cfg, M.init_params(kind, cfg, 2))
+            block = stem_block(cfg)
+            for n in (1, 4, block - 1, block, block + 1, 2 * block + 1, 256):
+                inputs = toy_batch(n=n, seed=n, cfg=cfg).inputs
+                caches = {}
+                train_preds = M._forward(kind, cfg, mp, inputs, caches)
+                eval_preds = M._forward(kind, cfg, mp, inputs)
+                assert caches
+                assert np.array_equal(train_preds, eval_preds)
+                assert np.array_equal(np.signbit(train_preds), np.signbit(eval_preds))
+                assert np.array_equal(M.predict(kind, cfg, mp, inputs), eval_preds)
+
+    def test_predict_peak_memory(self):
+        # a batch-256 predict holding the stem's whole (262144 x 9) patch
+        # matrix peaked near 38 MB; built in blocks, the stem output (16.8 MB)
+        # and its pooled copy (4.2 MB) set the peak, about 21 MB
+        inputs = toy_batch(n=256, seed=8).inputs
+        theta = M.init_params("fadnet", M.TOY_CONFIG, 1)
+        M.predict("fadnet", M.TOY_CONFIG, theta, inputs)  # warm the plan cache
+        tracemalloc.start()
+        try:
+            M.predict("fadnet", M.TOY_CONFIG, theta, inputs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30e6
 
     def test_shape_mismatch_rejected(self):
         theta = M.init_params("fadnet", M.TOY_CONFIG, 0)
@@ -229,10 +260,13 @@ class TestParamsAndCheckpoint:
             M.load_checkpoint(path)
 
     @pytest.mark.parametrize("tamper,named", [
-        (lambda ps: ps[1].update(shape=[5]), "'stem.conv.b'"),
-        (lambda ps: ps[0].update(name="stem.conv.V"), "'stem.conv.W'"),
-        (lambda ps: ps.pop(), "'head.accum.w'"),
-        (lambda ps: ps.append({"name": "extra.W", "shape": [0]}), "'extra.W'"),
+        (lambda m: m["params"][1].update(shape=[5]), "'stem.conv.b'"),
+        (lambda m: m["params"][0].update(name="stem.conv.V"), "'stem.conv.W'"),
+        (lambda m: m["params"].pop(), "'head.accum.w'"),
+        (lambda m: m["params"].append({"name": "extra.W", "shape": [0]}), "'extra.W'"),
+        (lambda m: m.pop("model_kind"), "'model_kind'"),
+        (lambda m: m.pop("config"), "'config'"),
+        (lambda m: m["config"].pop("feature_dim"), "'feature_dim': missing"),
     ])
     def test_checkpoint_manifest_checked_against_plan(self, tmp_path, tamper, named):
         path = tmp_path / "model.ckpt"
@@ -240,7 +274,7 @@ class TestParamsAndCheckpoint:
         raw = path.read_bytes()
         (hlen,) = struct.unpack("<I", raw[:4])
         manifest = json.loads(raw[4:4 + hlen])
-        tamper(manifest["params"])
+        tamper(manifest)
         blob = json.dumps(manifest).encode()
         path.write_bytes(struct.pack("<I", len(blob)) + blob + raw[4 + hlen:])
         with pytest.raises(ValueError, match=named):

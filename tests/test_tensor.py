@@ -316,6 +316,34 @@ class TestKernelEquivalence:
         for g, g_ref in zip(grads, grads_ref):
             assert_same_bits(g, g_ref)
 
+    @pytest.mark.parametrize("geom", toy_conv_geometries() + EXTRA_CONV_GEOMETRIES,
+                             ids=lambda g: f"k{g[0].kernel}s{g[0].stride}p{g[0].padding}"
+                                           f"c{g[0].in_channels}o{g[0].out_channels}"
+                                           f"b{int(g[0].bias)}_{g[1]}x{g[2]}")
+    def test_blocked_conv_matches_cached_forward(self, geom):
+        spec, h, w = geom
+        oh, ow = T.conv_output_hw(h, w, spec.kernel, spec.stride, spec.padding)
+        block = T._eval_block_samples(spec, oh, ow)
+        rng = np.random.default_rng(h * 10 + w)
+        params = [rng.standard_normal(shape) for shape in T.param_shapes(spec)]
+        # one block, two equal blocks, and two blocks one sample apart
+        for batch in (block - 1, 2 * block, 2 * block + 1):
+            x = rng.standard_normal((batch, h, w, spec.in_channels))
+            y_ref, _ = T.forward(spec, params, x)
+            y, cache = T.forward(spec, params, x, keep_cache=False)
+            assert cache is None
+            assert_same_bits(y, y_ref)
+
+    def test_no_cache_kept(self):
+        rng = np.random.default_rng(3)
+        for spec in (T.LayerSpec("relu"), T.LayerSpec("input_norm"),
+                     T.LayerSpec("maxpool2d", kernel=2, stride=2)):
+            x = rng.standard_normal((2, 4, 4, 3))
+            y_ref, _ = T.forward(spec, [], x)
+            y, cache = T.forward(spec, [], x, keep_cache=False)
+            assert cache is None
+            assert_same_bits(y, y_ref)
+
     def test_transposed_patches_cover_the_stem(self):
         # the bitwise conv test above runs both patch layouts
         geoms = toy_conv_geometries() + EXTRA_CONV_GEOMETRIES
