@@ -33,7 +33,8 @@ def whole_number(value) -> int:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Images (count, H, W, C) with normalized steering targets in [-1, 1]."""
+    """Images (count, H, W, C) with normalized steering targets in [-1, 1]:
+    a dataset, a silo's shard or one mini-batch of it."""
 
     inputs: np.ndarray
     targets: np.ndarray
@@ -64,7 +65,6 @@ class PartitionPlan:
 
     n_silos: int
     assignment: np.ndarray
-    skew: float
 
     def __post_init__(self):
         counts = np.bincount(self.assignment, minlength=self.n_silos)
@@ -150,7 +150,7 @@ def partition_noniid(ds: Dataset, n_silos: int, skew: float, seed: int) -> Parti
         moved = int(np.flatnonzero(assignment == donor)[0])
         assignment[moved] = empty
         counts = np.bincount(assignment, minlength=n_silos)
-    return PartitionPlan(n_silos=n_silos, assignment=assignment, skew=skew)
+    return PartitionPlan(n_silos=n_silos, assignment=assignment)
 
 
 def train_test_split(ds: Dataset, fraction: float, seed: int) -> tuple[Dataset, Dataset]:

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .data import whole_number
+from .data import Dataset, whole_number
 
 MODEL_KINDS = ("fadnet", "backbone_only")
 
@@ -77,27 +77,6 @@ PAPER_SCALE_CONFIG = FADNetConfig(
     input_height=200, input_width=200, input_channels=3,
     widths=(32, 64, 128), feature_dim=6272,
 )
-
-
-@dataclass(frozen=True)
-class Batch:
-    """A batch of images and normalized steering targets in [-1, 1]."""
-
-    inputs: np.ndarray
-    targets: np.ndarray
-
-    def __post_init__(self):
-        if self.inputs.ndim != 4 or self.inputs.shape[0] < 1:
-            raise ValueError(f"inputs must be a nonempty NHWC tensor, got {self.inputs.shape}")
-        if self.targets.shape != (self.inputs.shape[0],):
-            raise ValueError(
-                f"targets shape {self.targets.shape} != batch size ({self.inputs.shape[0]},)")
-        if not np.all(np.isfinite(self.inputs)):
-            raise ValueError("batch inputs contain non-finite values")
-
-    @property
-    def size(self) -> int:
-        return self.inputs.shape[0]
 
 
 # --------------------------------------------------------------------------
@@ -389,7 +368,7 @@ def predict(kind: str, cfg: FADNetConfig, params, inputs: np.ndarray) -> np.ndar
     return _forward(kind, cfg, _coerce_params(kind, cfg, params), inputs)
 
 
-def loss_and_grad(kind: str, cfg: FADNetConfig, params, batch: Batch):
+def loss_and_grad(kind: str, cfg: FADNetConfig, params, batch: Dataset):
     """Mean squared error over the batch and its exact gradient with respect
     to the flat parameter vector."""
     mp = _coerce_params(kind, cfg, params)
@@ -397,7 +376,7 @@ def loss_and_grad(kind: str, cfg: FADNetConfig, params, batch: Batch):
     preds = _forward(kind, cfg, mp, batch.inputs, caches)
     residual = preds - batch.targets
     loss = float(np.mean(residual ** 2))
-    gpred = 2.0 * residual / batch.size
+    gpred = 2.0 * residual / batch.count
     return loss, _backward_full(kind, cfg, mp, caches, gpred)
 
 

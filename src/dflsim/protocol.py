@@ -41,6 +41,11 @@ STRATEGIES = ("dfl", "sfl", "cll")
 
 METRICS_HEADER = ("round", "sim_time_s", "train_loss", "test_rmse", "strategy")
 
+# evaluate() predicts the test set this many samples at a time.  The test
+# RMSE bits depend on it and on the numpy/OpenBLAS build: a product over
+# few samples may take a small-matrix kernel that rounds differently.
+EVAL_BATCH = 256
+
 # Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -215,11 +220,13 @@ def broadcast_mean(theta: np.ndarray) -> np.ndarray:
 
 
 def evaluate(model_kind: str, model_cfg: M.FADNetConfig, theta: np.ndarray,
-             test: Dataset, batch_size: int = 256) -> float:
-    """Test RMSE of one parameter vector, batched in fixed index order."""
+             test: Dataset) -> float:
+    """Test RMSE of one parameter vector, predicted EVAL_BATCH samples at a
+    time in fixed index order; the bits depend on that batch and on the
+    numpy/OpenBLAS build."""
     preds = np.empty(test.count)
-    for start in range(0, test.count, batch_size):
-        stop = min(start + batch_size, test.count)
+    for start in range(0, test.count, EVAL_BATCH):
+        stop = min(start + EVAL_BATCH, test.count)
         preds[start:stop] = M.predict(model_kind, model_cfg, theta,
                                       test.inputs[start:stop])
     return M.rmse(preds, test.targets)
@@ -229,8 +236,7 @@ def _gradient_step(silos: Silos, i: int, cfg: TrainConfig, loss_grad_fn) -> floa
     """One mini-batch step of silo i on its own row of the state."""
     shard, theta = silos.shards[i], silos.theta[i]
     idx = silos.rngs[i].integers(0, shard.count, size=cfg.batch_size)
-    batch = M.Batch(inputs=shard.inputs[idx], targets=shard.targets[idx])
-    loss, grad = loss_grad_fn(theta, batch)
+    loss, grad = loss_grad_fn(theta, shard.subset(idx))
     if cfg.optimizer == "sgd":
         theta -= cfg.learning_rate * grad
     else:
@@ -281,8 +287,7 @@ def _probe_loss(silos: Silos, cfg: TrainConfig, loss_grad_fn) -> float:
     losses = []
     for shard, theta in zip(silos.shards, silos.theta):
         n = min(cfg.batch_size, shard.count)
-        batch = M.Batch(inputs=shard.inputs[:n], targets=shard.targets[:n])
-        loss, _ = loss_grad_fn(theta, batch)
+        loss, _ = loss_grad_fn(theta, shard.subset(range(n)))
         losses.append(loss)
     return float(np.mean(losses))
 

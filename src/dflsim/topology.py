@@ -1,22 +1,25 @@
 """Silo connectivity graphs, link delays, tour-based overlays, and mixing weights.
 
 A connectivity graph lists silos (with per-update compute times) and directed
-communication links (latency + bandwidth).  The overlay used for weight
-exchange is a Hamiltonian cycle found by Christofides' algorithm on the
-symmetrized, shortest-path-completed delay metric; the consensus matrix over
-that overlay uses Metropolis-Hastings weights, which are symmetric and doubly
-stochastic on any overlay with symmetric neighbor sets.
+communication links (latency + bandwidth), all finite.  The overlay used for
+weight exchange is a Hamiltonian cycle found by Christofides' algorithm on the
+symmetrized, shortest-path-completed delay metric, which needs every silo to
+reach every other over directed links; the consensus matrix over that overlay
+uses Metropolis-Hastings weights, which are symmetric and doubly stochastic on
+any overlay with symmetric neighbor sets.
 """
 from __future__ import annotations
 
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
+
+from .data import whole_number
 
 BUNDLED_TOPOLOGIES = ("gaia11", "nws22")
 
@@ -62,11 +65,10 @@ class DelayParams:
 @dataclass(frozen=True)
 class ConnectivityGraph:
     """Validated silo graph. ``links`` holds directed entries (undirected
-    inputs are mirrored on load)."""
+    files are mirrored on load)."""
 
     silos: tuple[SiloRecord, ...]
     links: tuple[LinkRecord, ...]
-    undirected: bool = True
     _link_map: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -97,14 +99,15 @@ class Overlay:
     Tour overlays carry the Hamiltonian cycle order, both directed
     orientations of each tour edge, and for every directed edge the
     real-link path it expands to (identity for direct links).
-    ``metric_weight`` is the tour weight in the symmetrized closure metric.
+    ``in_neighbors[i]`` lists the silos that send to i, which are also the
+    silos i sends to.  ``metric_weight`` is the tour weight in the
+    symmetrized closure metric; a 2-silo tour counts its one edge once.
     """
 
     parent: ConnectivityGraph | None
     tour: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
     in_neighbors: tuple[tuple[int, ...], ...]
-    out_neighbors: tuple[tuple[int, ...], ...]
     paths: dict
     metric_weight: float
 
@@ -134,8 +137,9 @@ def _validate_graph(g: ConnectivityGraph) -> None:
     if len(ids) < 2:
         raise TopologyError(f"need at least 2 silos, got {len(ids)}")
     for s in g.silos:
-        if s.compute_time_s < 0:
-            raise TopologyError(f"silo {s.id}: compute_time_s must be >= 0, got {s.compute_time_s}")
+        if not (math.isfinite(s.compute_time_s) and s.compute_time_s >= 0):
+            raise TopologyError(f"silo {s.id}: compute_time_s must be finite and >= 0, "
+                                f"got {s.compute_time_s}")
     seen = set()
     for l in g.links:
         if l.src == l.dst:
@@ -145,10 +149,12 @@ def _validate_graph(g: ConnectivityGraph) -> None:
         if (l.src, l.dst) in seen:
             raise TopologyError(f"duplicate link {l.src}->{l.dst}")
         seen.add((l.src, l.dst))
-        if l.latency_s < 0:
-            raise TopologyError(f"link {l.src}->{l.dst}: latency_s must be >= 0, got {l.latency_s}")
-        if l.bandwidth_Bps <= 0:
-            raise TopologyError(f"link {l.src}->{l.dst}: bandwidth_Bps must be > 0, got {l.bandwidth_Bps}")
+        if not (math.isfinite(l.latency_s) and l.latency_s >= 0):
+            raise TopologyError(f"link {l.src}->{l.dst}: latency_s must be finite and >= 0, "
+                                f"got {l.latency_s}")
+        if not (math.isfinite(l.bandwidth_Bps) and l.bandwidth_Bps > 0):
+            raise TopologyError(f"link {l.src}->{l.dst}: bandwidth_Bps must be finite and > 0, "
+                                f"got {l.bandwidth_Bps}")
     # connectivity in the undirected sense
     n = len(ids)
     adj = [set() for _ in range(n)]
@@ -178,8 +184,9 @@ def fixture_path(name: str) -> Path:
 def load_topology(path) -> ConnectivityGraph:
     """Load and validate a topology JSON file.
 
-    Undirected files store each link once; both directed orientations are
-    materialized here.
+    Silo ids and link endpoints are whole numbers and ``undirected`` is a JSON
+    boolean.  Undirected files store each link once; both directed
+    orientations are materialized here.
     """
     path = Path(path)
     try:
@@ -193,22 +200,31 @@ def load_topology(path) -> ConnectivityGraph:
     for key in ("silos", "links", "undirected"):
         if key not in raw:
             raise TopologyError(f"topology file {path}: missing key {key!r}")
-    try:
-        silos = tuple(SiloRecord(int(s["id"]), float(s["compute_time_s"])) for s in raw["silos"])
-        entries = [
-            LinkRecord(int(l["src"]), int(l["dst"]), float(l["latency_s"]), float(l["bandwidth_Bps"]))
-            for l in raw["links"]
-        ]
-    except (KeyError, TypeError, ValueError) as e:
-        raise TopologyError(f"topology file {path}: malformed record ({e})") from e
-    undirected = bool(raw["undirected"])
-    if undirected:
-        mirrored = []
-        for l in entries:
-            mirrored.append(l)
-            mirrored.append(LinkRecord(l.dst, l.src, l.latency_s, l.bandwidth_Bps))
-        entries = mirrored
-    return ConnectivityGraph(silos=silos, links=tuple(entries), undirected=undirected)
+    if not isinstance(raw["undirected"], bool):
+        raise TopologyError(f"topology file {path}: 'undirected' must be true or false, "
+                            f"got {raw['undirected']!r}")
+
+    def records(key: str, cls, parsers) -> list:
+        """One ``cls`` per entry of ``raw[key]``, its fields parsed in order."""
+        if not isinstance(raw[key], list):
+            raise TopologyError(f"topology file {path}: {key!r} must be a list")
+        out = []
+        for k, rec in enumerate(raw[key]):
+            values = []
+            for f, parse in zip(fields(cls), parsers):
+                try:
+                    values.append(parse(rec[f.name]))
+                except (KeyError, TypeError, ValueError) as e:
+                    raise TopologyError(f"topology file {path}: {key}[{k}] field {f.name!r}: "
+                                        f"{'missing' if isinstance(e, KeyError) else e}") from e
+            out.append(cls(*values))
+        return out
+
+    silos = records("silos", SiloRecord, (whole_number, float))
+    links = records("links", LinkRecord, (whole_number, whole_number, float, float))
+    if raw["undirected"]:
+        links = [m for l in links for m in (l, LinkRecord(l.dst, l.src, l.latency_s, l.bandwidth_Bps))]
+    return ConnectivityGraph(silos=tuple(silos), links=tuple(links))
 
 
 def link_delay(g: ConnectivityGraph, i: int, j: int, p: DelayParams) -> float:
@@ -236,7 +252,8 @@ def symmetrized_weights(g: ConnectivityGraph, p: DelayParams) -> tuple[np.ndarra
     Per-link delays are symmetrized by averaging the two directions, then the
     graph is completed by shortest paths (which guarantees the triangle
     inequality).  Returns the weight matrix and, for every ordered pair, the
-    node sequence of the underlying real-link path.
+    node sequence of the underlying real-link path.  Raises TopologyError
+    when some silo cannot reach another over directed links.
     """
     n = g.n
     w = np.full((n, n), np.inf)
@@ -247,18 +264,22 @@ def symmetrized_weights(g: ConnectivityGraph, p: DelayParams) -> tuple[np.ndarra
         else:
             sym = link_delay(g, l.src, l.dst, p)
         w[l.src, l.dst] = min(w[l.src, l.dst], sym)
-    # Floyd-Warshall with path reconstruction; strict improvement keeps the
-    # result deterministic under ties.
-    nxt = [[j if math.isfinite(w[i][j]) and i != j else -1 for j in range(n)] for i in range(n)]
+    # Floyd-Warshall with path reconstruction, one whole-matrix step per k;
+    # strict improvement keeps the result deterministic under ties.  Row and
+    # column k cannot improve in step k (w[k, k] is 0), so each step reads
+    # the same values an in-place i, j loop would.
+    nxt = np.where(np.isfinite(w), np.arange(n), -1)
+    np.fill_diagonal(nxt, -1)
     for k in range(n):
-        for i in range(n):
-            if w[i, k] == np.inf:
-                continue
-            for j in range(n):
-                cand = w[i, k] + w[k, j]
-                if cand < w[i, j]:
-                    w[i, j] = cand
-                    nxt[i][j] = nxt[i][k]
+        cand = w[:, k, None] + w[k]
+        better = cand < w
+        w = np.where(better, cand, w)
+        nxt = np.where(better, nxt[:, k, None], nxt)
+    if np.isinf(w).any():
+        i, j = np.argwhere(np.isinf(w))[0].tolist()
+        raise TopologyError(f"silo {j} cannot be reached from silo {i} over directed links; "
+                            "an overlay needs every silo to reach every other")
+    nxt = nxt.tolist()
     paths = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
@@ -275,29 +296,16 @@ def symmetrized_weights(g: ConnectivityGraph, p: DelayParams) -> tuple[np.ndarra
 
 
 def _overlay_from_tour(g: ConnectivityGraph, tour: list[int], paths, weight: float) -> Overlay:
-    n = g.n
     tour = _canonical_tour(tour)
-    edges = []
-    for a, b in zip(tour, tour[1:] + tour[:1]):
-        edges.append((a, b))
-        edges.append((b, a))
-    if n == 2:
-        edges = [(0, 1), (1, 0)]
-    edges = tuple(sorted(set(edges)))
-    ins: list[set] = [set() for _ in range(n)]
-    outs: list[set] = [set() for _ in range(n)]
-    for a, b in edges:
-        outs[a].add(b)
-        ins[b].add(a)
-    expand = {(a, b): paths[a][b] for a, b in edges}
+    edges = tuple(sorted({e for a, b in zip(tour, tour[1:] + tour[:1]) for e in ((a, b), (b, a))}))
     return Overlay(
         parent=g,
         tour=tuple(tour),
         edges=edges,
-        in_neighbors=tuple(tuple(sorted(s)) for s in ins),
-        out_neighbors=tuple(tuple(sorted(s)) for s in outs),
-        paths=expand,
-        metric_weight=float(weight),
+        in_neighbors=tuple(tuple(a for a, b in edges if b == i) for i in range(g.n)),
+        paths={(a, b): paths[a][b] for a, b in edges},
+        # a 2-silo tour runs its one edge out and back; it weighs that edge once
+        metric_weight=float(weight / 2 if g.n == 2 else weight),
     )
 
 
@@ -407,21 +415,15 @@ def build_overlay_christofides(g: ConnectivityGraph, p: DelayParams) -> Overlay:
 
     Runs on the symmetrized shortest-path delay metric; the cycle spans every
     silo and both directed orientations of each tour edge enter the overlay.
-    For 2 silos the single bidirectional link is returned as a degenerate
-    cycle.  The 1.5x approximation bound, which needs that metric, holds only
-    while the spanning tree has at most EXACT_MATCHING_LIMIT odd-degree
-    vertices, which are then matched exactly; above that limit they are
-    matched greedily and the tour carries no bound.  The bundled nws22
-    topology sits exactly at the limit.
+    For 2 silos the single bidirectional link is a degenerate cycle.  The
+    1.5x approximation bound, which needs that metric, holds only while the
+    spanning tree has at most EXACT_MATCHING_LIMIT odd-degree vertices, which
+    are then matched exactly; above that limit they are matched greedily and
+    the tour carries no bound.  The bundled nws22 topology sits exactly at
+    the limit.
     """
     n = g.n
     w, paths = symmetrized_weights(g, p)
-    if n == 2:
-        return _overlay_from_tour(g, [0, 1], paths, _tour_weight(w, [0, 1]) / 2.0)
-    if n == 3:
-        tour = [0, 1, 2]
-        return _overlay_from_tour(g, tour, paths, _tour_weight(w, tour))
-
     mst = _minimum_spanning_tree(w)
     degree = [0] * n
     for a, b in mst:
@@ -433,47 +435,29 @@ def build_overlay_christofides(g: ConnectivityGraph, p: DelayParams) -> Overlay:
     else:
         matching = _greedy_matching(odd, w)
 
-    circuit = _eulerian_circuit(n, mst + matching)
-    seen = set()
-    tour = []
-    for v in circuit:
-        if v not in seen:
-            seen.add(v)
-            tour.append(v)
+    # shortcut the Euler circuit: keep each silo's first visit
+    tour = list(dict.fromkeys(_eulerian_circuit(n, mst + matching)))
     return _overlay_from_tour(g, tour, paths, _tour_weight(w, tour))
-
-
-@lru_cache(maxsize=6)
-def _perm_table(n: int) -> np.ndarray:
-    # cached only for n <= 10; the table would be gigabytes at n = 12
-    return np.array(list(itertools.permutations(range(1, n))), dtype=np.int64)
-
-
-def _batched_perms(n: int, batch: int = 200_000):
-    if n <= 10:
-        yield _perm_table(n)
-        return
-    it = itertools.permutations(range(1, n))
-    while chunk := list(itertools.islice(it, batch)):
-        yield np.array(chunk, dtype=np.int64)
 
 
 def brute_force_tsp(g: ConnectivityGraph, p: DelayParams) -> Overlay:
     """Exact minimum-weight Hamiltonian cycle by exhaustive enumeration.
 
     Shares the symmetrized-closure weights with the Christofides builder so
-    the two are directly comparable.  Rejected above 12 silos; near that
-    limit the enumeration streams in bounded-memory batches.
+    the two are directly comparable.  Rejected above 12 silos; the tours from
+    silo 0 stream in bounded-memory batches, and the first cheapest in
+    lexicographic order wins.
     """
     n = g.n
     if n > BRUTE_FORCE_LIMIT:
         raise TopologyError(f"brute_force_tsp limited to {BRUTE_FORCE_LIMIT} silos, got {n}")
     w, paths = symmetrized_weights(g, p)
-    if n == 2:
-        return _overlay_from_tour(g, [0, 1], paths, _tour_weight(w, [0, 1]) / 2.0)
     best_cost = math.inf
     best_tour = None
-    for perms in _batched_perms(n):
+    # the tours from silo 0, flattened so np.fromiter reads plain integers
+    flat = itertools.chain.from_iterable(itertools.permutations(range(1, n)))
+    while len(perms := np.fromiter(itertools.islice(flat, 200_000 * (n - 1)), np.int64)):
+        perms = perms.reshape(-1, n - 1)
         costs = w[0, perms[:, 0]] + w[perms[:, -1], 0]
         for k in range(perms.shape[1] - 1):
             costs = costs + w[perms[:, k], perms[:, k + 1]]
@@ -500,12 +484,13 @@ def consensus_matrix(o: Overlay) -> ConsensusMatrix:
     doubly stochastic with positive diagonal.
     """
     n = o.n
-    if tuple(map(tuple, o.in_neighbors)) != tuple(map(tuple, o.out_neighbors)):
+    nbrs = o.in_neighbors
+    if any(i not in nbrs[j] for i in range(n) for j in nbrs[i]):
         raise TopologyError("consensus matrix requires symmetric neighbor sets")
-    deg = [len(nb) for nb in o.in_neighbors]
+    deg = [len(nb) for nb in nbrs]
     a = np.zeros((n, n))
     for i in range(n):
-        for j in o.in_neighbors[i]:
+        for j in nbrs[i]:
             a[i, j] = 1.0 / (1.0 + max(deg[i], deg[j]))
         a[i, i] = 1.0 - a[i].sum()
     return ConsensusMatrix(a=a)

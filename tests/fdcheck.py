@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from dflsim import model as M
+from dflsim.data import Dataset
 from dflsim import tensor as T
 
 FD_STEP = 1e-5
@@ -156,7 +157,7 @@ def model_grad_check(kind: str, cfg: M.FADNetConfig, seed: int, batch_size: int 
     x = rng.standard_normal((batch_size, cfg.input_height, cfg.input_width,
                              cfg.input_channels))
     targets = rng.uniform(-1.0, 1.0, batch_size)
-    batch = M.Batch(inputs=x, targets=targets)
+    batch = Dataset(inputs=x, targets=targets)
     flat = M.init_params(kind, cfg, seed)
 
     _, analytic = M.loss_and_grad(kind, cfg, flat, batch)

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,19 @@ def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return path
+
+
+def run_cli_child(args, timeout, **env):
+    """``python -m dflsim.cli`` in a child with BLAS at 1 thread, the
+    package from this checkout, and an address-space cap of 2 GiB."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", **env,
+               PYTHONPATH=os.pathsep.join([src] + ([os.environ["PYTHONPATH"]]
+                                                   if os.environ.get("PYTHONPATH") else [])))
+    cap = 2 << 30
+    return subprocess.run(
+        [sys.executable, "-m", "dflsim.cli", *args], env=env, capture_output=True, text=True,
+        timeout=timeout, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
 
 
 FAST = {"sample_count": 120, "rounds": 3, "eval_interval": 1, "batch_size": 4,
@@ -138,14 +152,8 @@ class TestRun:
         # the kernels overflow on the way (in matmul, in the server mean);
         # numpy's warnings must not reach stderr ahead of the abort message
         cfg_path = write_config(tmp_path, {**FAST, **payload})
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONWARNINGS="default",
-                   PYTHONPATH=os.pathsep.join([src] + ([os.environ["PYTHONPATH"]]
-                                                       if os.environ.get("PYTHONPATH") else [])))
-        proc = subprocess.run(
-            [sys.executable, "-m", "dflsim.cli", "run", str(cfg_path),
-             "--out", str(tmp_path / "out"), "--quiet"],
-            env=env, capture_output=True, text=True, timeout=120)
+        proc = run_cli_child(["run", str(cfg_path), "--out", str(tmp_path / "out"), "--quiet"],
+                             timeout=120, PYTHONWARNINGS="default")
         assert proc.returncode == 2
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("runtime abort: "), proc.stderr
@@ -313,6 +321,54 @@ class TestSampleAndSiloChecks:
         cfg_path = write_config(tmp_path, {"strategy": "cll", **dict(FAST, sample_count=1)})
         assert cli.main(["run", str(cfg_path), "--quiet"]) == 1
         assert "config field 'sample_count': split 0.8 of 1 samples" in capsys.readouterr().err
+
+
+class TestTopologyFile:
+    """A custom topology file is checked value by value when it is loaded."""
+
+    @pytest.mark.parametrize("strategy", ["dfl", "sfl"])
+    @pytest.mark.parametrize("section, k, key, value, named", [
+        ("links", 0, "latency_s", "nan", "link {src}->{dst}: latency_s must be finite"),
+        ("silos", 3, "compute_time_s", "nan", "silo 3: compute_time_s must be finite"),
+        ("links", 2, "bandwidth_Bps", "inf", "link {src}->{dst}: bandwidth_Bps must be finite"),
+        ("silos", 1, "id", 1.7, "silos[1] field 'id': expected an integer, got 1.7"),
+        ("links", 4, "dst", True, "links[4] field 'dst': expected an integer, got True"),
+        (None, None, "undirected", "false", "'undirected' must be true or false, got 'false'"),
+    ], ids=["nan-latency", "nan-compute", "inf-bandwidth", "fractional-id", "boolean-dst",
+            "string-undirected"])
+    def test_bad_value_names_record_and_field(self, tmp_path, capsys, strategy, section, k,
+                                              key, value, named):
+        topo = json.loads(tp.fixture_path("gaia11").read_text())
+        record = topo if section is None else topo[section][k]
+        record[key] = value
+        (tmp_path / "topo.json").write_text(json.dumps(topo))
+        cfg_path = write_config(tmp_path, {**FAST, "strategy": strategy,
+                                           "topology": str(tmp_path / "topo.json")})
+        assert cli.main(["run", str(cfg_path), "--out", str(tmp_path / "out"),
+                         "--quiet"]) == 1
+        assert named.format(**record) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_one_way_link_fails_dfl_and_runs_sfl(self, tmp_path):
+        # links 0<->1 and 1->2 only: connected, but silo 2 reaches no one;
+        # a missing reachability check rebuilds relay paths without end, so
+        # this runs in a child under a time and memory cap
+        topo = {"silos": [{"id": i, "compute_time_s": 0.1} for i in range(3)],
+                "links": [{"src": a, "dst": b, "latency_s": 0.05, "bandwidth_Bps": 1e7}
+                          for a, b in ((0, 1), (1, 0), (1, 2))],
+                "undirected": False}
+        (tmp_path / "topo.json").write_text(json.dumps(topo))
+        rcs = {}
+        for strategy in ("dfl", "sfl"):
+            cfg_path = write_config(tmp_path, {**FAST, "strategy": strategy, "rounds": 1,
+                                               "topology": str(tmp_path / "topo.json")},
+                                    name=f"{strategy}.json")
+            proc = run_cli_child(["run", str(cfg_path), "--out", str(tmp_path / strategy),
+                                  "--quiet"], timeout=60)
+            rcs[strategy] = proc.returncode
+            if strategy == "dfl":
+                assert "silo 0 cannot be reached from silo 2" in proc.stderr
+        assert rcs == {"dfl": 1, "sfl": 0}
 
 
 class TestCompare:

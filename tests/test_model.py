@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dflsim import model as M
+from dflsim.data import Dataset
 from dflsim import tensor as T
 from fdcheck import find_smooth_seed, model_grad_check
 
@@ -30,7 +31,7 @@ def stem_block(cfg):
 
 def toy_batch(n=3, seed=0, cfg=M.TOY_CONFIG):
     rng = np.random.default_rng(seed)
-    return M.Batch(
+    return Dataset(
         inputs=rng.standard_normal((n, cfg.input_height, cfg.input_width,
                                     cfg.input_channels)),
         targets=rng.uniform(-1, 1, n))
@@ -134,7 +135,7 @@ class TestForward:
         theta = M.init_params("fadnet", M.TOY_CONFIG, 0)
         preds = M.predict("fadnet", M.TOY_CONFIG, theta, batch.inputs)
         perm = np.array([4, 2, 0, 1, 3])
-        shuffled = M.Batch(inputs=batch.inputs[perm], targets=batch.targets[perm])
+        shuffled = Dataset(inputs=batch.inputs[perm], targets=batch.targets[perm])
         assert np.allclose(M.predict("fadnet", M.TOY_CONFIG, theta, shuffled.inputs),
                            preds[perm], atol=1e-12)
 
@@ -179,7 +180,7 @@ class TestForward:
 
     def test_shape_mismatch_rejected(self):
         theta = M.init_params("fadnet", M.TOY_CONFIG, 0)
-        bad = M.Batch(inputs=np.zeros((1, 16, 16, 1)), targets=np.zeros(1))
+        bad = Dataset(inputs=np.zeros((1, 16, 16, 1)), targets=np.zeros(1))
         with pytest.raises(ValueError, match="config input"):
             M.predict("fadnet", M.TOY_CONFIG, theta, bad.inputs)
 
@@ -198,7 +199,7 @@ class TestLossAndGrad:
         # minimum, so the head gradient and thus every gradient is zero
         cfg = SMALL_CFG
         zeros = np.zeros(M.param_count("fadnet", cfg))
-        batch = M.Batch(inputs=np.random.default_rng(0).standard_normal((2, 8, 8, 1)),
+        batch = Dataset(inputs=np.random.default_rng(0).standard_normal((2, 8, 8, 1)),
                         targets=np.zeros(2))
         loss, grad = M.loss_and_grad("fadnet", cfg, zeros, batch)
         assert loss == 0.0
@@ -210,14 +211,14 @@ class TestLossAndGrad:
         theta = np.zeros(M.param_count("backbone_only", cfg))
         mp = M.ModelParams("backbone_only", cfg, theta)
         mp["tail.fc.b"][:] = 1.0
-        batch = M.Batch(inputs=np.random.default_rng(1).standard_normal((1, 8, 8, 1)),
+        batch = Dataset(inputs=np.random.default_rng(1).standard_normal((1, 8, 8, 1)),
                         targets=np.zeros(1))
         loss, _ = M.loss_and_grad("backbone_only", cfg, theta, batch)
         assert loss == 1.0
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
-            M.Batch(inputs=np.zeros((0, 8, 8, 1)), targets=np.zeros(0))
+            Dataset(inputs=np.zeros((0, 8, 8, 1)), targets=np.zeros(0))
 
     @pytest.mark.parametrize("kind", ["fadnet", "backbone_only"])
     def test_full_model_gradient_vs_finite_differences(self, kind):

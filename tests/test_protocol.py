@@ -255,7 +255,7 @@ class TestRunnersDegenerate:
         cfg = P.TrainConfig(strategy="dfl", rounds=5, eval_interval=2, seed=11,
                             batch_size=8)
         overlay = tp.Overlay(parent=None, tour=(0,), edges=(), in_neighbors=((),),
-                             out_neighbors=((),), paths={}, metric_weight=0.0)
+                             paths={}, metric_weight=0.0)
         a = tp.ConsensusMatrix(a=np.ones((1, 1)))
         dfl = P.run_dfl(overlay, a, "fadnet", SMALL_CFG, [ds], test, cfg)
         cll = P.run_cll("fadnet", SMALL_CFG, ds, test, cfg)
@@ -298,8 +298,7 @@ class TestRunners:
         test = tiny_shard(count=10, seed=5)
         g = tp.ConnectivityGraph(
             silos=(tp.SiloRecord(0, 0.1), tp.SiloRecord(1, 0.1), tp.SiloRecord(2, 0.1)),
-            links=tuple(tp.LinkRecord(a, b, 0.01, 1e8) for a in range(3) for b in range(3) if a != b),
-            undirected=False)
+            links=tuple(tp.LinkRecord(a, b, 0.01, 1e8) for a in range(3) for b in range(3) if a != b))
         cfg = P.TrainConfig(strategy="sfl", rounds=3, eval_interval=1, seed=1, batch_size=4)
         log = P.run_sfl(g, "fadnet", SMALL_CFG, [shard, shard, shard], test, cfg)
         # after the final broadcast every silo holds the aggregate exactly

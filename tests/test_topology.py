@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -102,7 +103,6 @@ def two_silo_graph(tc=0.0, latency=0.0, bandwidth=1e6):
         silos=(tp.SiloRecord(0, tc), tp.SiloRecord(1, 0.0)),
         links=(tp.LinkRecord(0, 1, latency, bandwidth),
                tp.LinkRecord(1, 0, latency, bandwidth)),
-        undirected=False,
     )
 
 
@@ -127,8 +127,7 @@ class TestLinkDelay:
         g2 = tp.ConnectivityGraph(
             silos=(tp.SiloRecord(0, 0.0), tp.SiloRecord(1, 0.0), tp.SiloRecord(2, 0.0)),
             links=(tp.LinkRecord(0, 1, 0.1, 1e6), tp.LinkRecord(1, 0, 0.1, 1e6),
-                   tp.LinkRecord(1, 2, 0.1, 1e6), tp.LinkRecord(2, 1, 0.1, 1e6)),
-            undirected=False)
+                   tp.LinkRecord(1, 2, 0.1, 1e6), tp.LinkRecord(2, 1, 0.1, 1e6)))
         with pytest.raises(tp.TopologyError, match="no link"):
             tp.link_delay(g2, 0, 2, tp.DelayParams(1.0, 1))
 
@@ -152,6 +151,105 @@ class TestLinkDelay:
         assert tp.link_delay(g3, 0, 1, tp.DelayParams(lo, s)) < d_lo
 
 
+def manual_ring(latencies):
+    """Ring of len(latencies) silos; directed delay of edge (i, i+1) and its
+    reverse equals latencies[i] (compute 0, negligible transfer)."""
+    n = len(latencies)
+    silos = tuple(tp.SiloRecord(i, 0.0) for i in range(n))
+    links = []
+    for i, lat in enumerate(latencies):
+        j = (i + 1) % n
+        links.append(tp.LinkRecord(i, j, lat, 1e30))
+        links.append(tp.LinkRecord(j, i, lat, 1e30))
+    return tp.ConnectivityGraph(silos=silos, links=tuple(links))
+
+
+def reference_symmetrized_weights(g, p):
+    """The in-place triple-loop Floyd-Warshall that the whole-matrix steps
+    of ``tp.symmetrized_weights`` replaced, kept as the reference."""
+    n = g.n
+    w = np.full((n, n), np.inf)
+    np.fill_diagonal(w, 0.0)
+    for l in g.links:
+        if g.has_link(l.dst, l.src):
+            sym = 0.5 * (tp.link_delay(g, l.src, l.dst, p) + tp.link_delay(g, l.dst, l.src, p))
+        else:
+            sym = tp.link_delay(g, l.src, l.dst, p)
+        w[l.src, l.dst] = min(w[l.src, l.dst], sym)
+    nxt = [[j if math.isfinite(w[i][j]) and i != j else -1 for j in range(n)] for i in range(n)]
+    for k in range(n):
+        for i in range(n):
+            if w[i, k] == np.inf:
+                continue
+            for j in range(n):
+                cand = w[i, k] + w[k, j]
+                if cand < w[i, j]:
+                    w[i, j] = cand
+                    nxt[i][j] = nxt[i][k]
+    paths = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            seq = [i]
+            while seq[-1] != j:
+                seq.append(nxt[seq[-1]][j])
+            paths[i][j] = tuple(seq)
+    return w, paths
+
+
+def one_way_graph():
+    """Links 0<->1 and 1->2 only: connected, but silo 2 reaches no one."""
+    return tp.ConnectivityGraph(
+        silos=tuple(tp.SiloRecord(i, 0.1) for i in range(3)),
+        links=(tp.LinkRecord(0, 1, 0.1, 1e6), tp.LinkRecord(1, 0, 0.1, 1e6),
+               tp.LinkRecord(1, 2, 0.1, 1e6)))
+
+
+class TestSymmetrizedWeights:
+    # sparse random graphs need 5 silos
+    @pytest.mark.parametrize("n, sparse", [(n, sparse) for n in [*range(2, 13), 16, 22]
+                                           for sparse in (False, True) if n >= 5 or not sparse])
+    def test_matches_triple_loop_bitwise(self, n, sparse):
+        p = tp.DelayParams(1e6, 1)
+        for seed in range(4):
+            g = random_metric_graph(n, seed=100 * n + seed, sparse=sparse)
+            w, paths = tp.symmetrized_weights(g, p)
+            ref_w, ref_paths = reference_symmetrized_weights(g, p)
+            assert w.tobytes() == ref_w.tobytes()
+            assert paths == ref_paths
+
+    @pytest.mark.parametrize("graph", [
+        uniform_complete_graph(6), manual_ring([0.5] * 6), manual_ring([0.25, 0.5, 0.25, 0.5]),
+    ], ids=["uniform6", "ring6", "ring4"])
+    def test_ties_keep_the_first_path(self, graph):
+        # equal-length alternatives everywhere: strict < keeps the first path
+        # found, in the order of the intermediate silo k
+        w, paths = tp.symmetrized_weights(graph, TINY_DELAY)
+        ref_w, ref_paths = reference_symmetrized_weights(graph, TINY_DELAY)
+        assert w.tobytes() == ref_w.tobytes()
+        assert paths == ref_paths
+
+    @pytest.mark.parametrize("fixture", ["gaia11", "nws22"])
+    def test_fixtures_match_triple_loop(self, fixture, request):
+        g = request.getfixturevalue(fixture)
+        p = tp.DelayParams(8.0 * 31227, 1)
+        w, paths = tp.symmetrized_weights(g, p)
+        ref_w, ref_paths = reference_symmetrized_weights(g, p)
+        assert w.tobytes() == ref_w.tobytes()
+        assert paths == ref_paths
+
+    @pytest.mark.parametrize("build", [tp.symmetrized_weights, tp.build_overlay_christofides,
+                                       tp.brute_force_tsp])
+    def test_unreachable_silo_named(self, build):
+        with pytest.raises(tp.TopologyError, match="silo 0 cannot be reached from silo 2"):
+            build(one_way_graph(), TINY_DELAY)
+
+    def test_sparse_random_graph_needs_five_silos(self):
+        for n in (2, 3, 4):
+            with pytest.raises(ValueError, match="n\\+3"):
+                random_metric_graph(n, seed=0, sparse=True)
+        assert random_metric_graph(5, seed=0, sparse=True).n == 5
+
+
 class TestChristofides:
     def test_uniform_complete_four_silos(self):
         g = uniform_complete_graph(4)
@@ -171,6 +269,18 @@ class TestChristofides:
         assert o.edges == ((0, 1), (1, 0))
         assert o.in_neighbors == ((1,), (0,))
 
+    @pytest.mark.parametrize("build", [tp.build_overlay_christofides, tp.brute_force_tsp])
+    def test_two_silos_weigh_the_link_once(self, build):
+        # unequal compute makes the two directions differ; the tour runs the
+        # link out and back and weighs it once, at its symmetrized delay
+        g = two_silo_graph(tc=0.3, latency=0.1)
+        p = tp.DelayParams(1e6, 1)
+        w, _ = tp.symmetrized_weights(g, p)
+        o = build(g, p)
+        assert o.tour == (0, 1) and o.edges == ((0, 1), (1, 0))
+        assert o.metric_weight == w[0, 1] == 0.5 * (tp.link_delay(g, 0, 1, p)
+                                                     + tp.link_delay(g, 1, 0, p))
+
     def test_seeded_instance_within_bound(self):
         g = random_metric_graph(8, seed=42)
         p = tp.DelayParams(1_000_000, 1)
@@ -189,7 +299,6 @@ class TestChristofides:
         assert len(o.edges) == 2 * n
         for i in range(n):
             assert len(o.in_neighbors[i]) == 2 or n == 2
-            assert o.in_neighbors[i] == o.out_neighbors[i]
         # every expanded path walks real links of the parent graph
         for (a, b), path in o.paths.items():
             assert path[0] == a and path[-1] == b
@@ -242,7 +351,7 @@ class TestBruteForce:
         for (a, b), lat in {(0, 1): 1.0, (1, 2): 2.0, (0, 2): 3.0}.items():
             links.append(tp.LinkRecord(a, b, lat, 1e30))
             links.append(tp.LinkRecord(b, a, lat, 1e30))
-        g = tp.ConnectivityGraph(silos=silos, links=tuple(links), undirected=False)
+        g = tp.ConnectivityGraph(silos=silos, links=tuple(links))
         o = tp.brute_force_tsp(g, TINY_DELAY)
         assert o.metric_weight == pytest.approx(6.0)
 
@@ -250,19 +359,6 @@ class TestBruteForce:
         g = uniform_complete_graph(13)
         with pytest.raises(tp.TopologyError, match="12"):
             tp.brute_force_tsp(g, TINY_DELAY)
-
-
-def manual_ring(latencies):
-    """Ring of len(latencies) silos; directed delay of edge (i, i+1) and its
-    reverse equals latencies[i] (compute 0, negligible transfer)."""
-    n = len(latencies)
-    silos = tuple(tp.SiloRecord(i, 0.0) for i in range(n))
-    links = []
-    for i, lat in enumerate(latencies):
-        j = (i + 1) % n
-        links.append(tp.LinkRecord(i, j, lat, 1e30))
-        links.append(tp.LinkRecord(j, i, lat, 1e30))
-    return tp.ConnectivityGraph(silos=silos, links=tuple(links), undirected=False)
 
 
 class TestCycleTime:
@@ -320,10 +416,10 @@ class TestConsensusMatrix:
         assert mods[-2] < 1.0
 
     def test_asymmetric_neighbors_rejected(self):
+        # a one-way ring: 0 hears from 2, but 2 does not hear from 0
         bad = tp.Overlay(parent=None, tour=(0, 1, 2),
                          edges=((0, 1), (1, 2), (2, 0)),
                          in_neighbors=((2,), (0,), (1,)),
-                         out_neighbors=((1,), (2,), (0,)),
                          paths={}, metric_weight=0.0)
         with pytest.raises(tp.TopologyError, match="symmetric"):
             tp.consensus_matrix(bad)
