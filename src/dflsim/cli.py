@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -28,24 +27,10 @@ class ConfigError(ValueError):
     """Config validation failure; the message names the offending field."""
 
 
-_int = D.whole_number
-
-
-def _float(value) -> float:
-    """A finite number or numeric string; booleans, NaN and infinities are
-    rejected."""
-    if isinstance(value, bool):
-        raise ValueError(f"expected a number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"must be finite, got {value!r}")
-    return value
-
-
 def _parse_field(key: str, parse, value):
     try:
         return parse(value)
-    except (TypeError, ValueError, OverflowError) as e:
+    except (TypeError, ValueError) as e:
         raise ConfigError(f"config field {key!r}: {e}") from e
 
 
@@ -54,9 +39,9 @@ def _parser(default):
     list fields (a tuple, or None for eval_mask) are checked entry by entry
     in validate_config."""
     if isinstance(default, int):
-        return _int
+        return D.whole_number
     if isinstance(default, float):
-        return _float
+        return D.finite_number
     if isinstance(default, str):
         return str
     return list
@@ -68,9 +53,9 @@ _CONFIG_FIELDS: dict = {
     "model_kind": ("fadnet", str),
     "topology": ("gaia11", str),
     "data_source": ("linesteer", str),
-    "sample_count": (2000, _int),
-    "skew": (0.8, _float),
-    "train_fraction": (0.8, _float),
+    "sample_count": (2000, D.whole_number),
+    "skew": (0.8, D.finite_number),
+    "train_fraction": (0.8, D.finite_number),
     "external_path": (None, str),
     "out_dir": (None, str),
     **{f.name: (f.default, _parser(f.default))
@@ -119,11 +104,11 @@ def validate_config(cfg: dict) -> dict:
                           f"{list(DATA_SOURCES)}, got {cfg['data_source']!r}")
     if not isinstance(cfg["widths"], (list, tuple)) or len(cfg["widths"]) != 3:
         raise ConfigError(f"config field 'widths': need 3 block widths, got {cfg['widths']!r}")
-    cfg["widths"] = [_parse_field("widths", _int, w) for w in cfg["widths"]]
+    cfg["widths"] = [_parse_field("widths", D.whole_number, w) for w in cfg["widths"]]
     if cfg["eval_mask"] is not None:
         if not isinstance(cfg["eval_mask"], (list, tuple)):
             raise ConfigError(f"config field 'eval_mask': need a list, got {cfg['eval_mask']!r}")
-        cfg["eval_mask"] = [_parse_field("eval_mask", _int, v) for v in cfg["eval_mask"]]
+        cfg["eval_mask"] = [_parse_field("eval_mask", D.whole_number, v) for v in cfg["eval_mask"]]
         if any(v not in (0, 1) for v in cfg["eval_mask"]):
             raise ConfigError("config field 'eval_mask': entries must be 0 or 1")
     if not 0.0 <= cfg["skew"] <= 1.0:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,6 +32,20 @@ def whole_number(value) -> int:
     return int(value)
 
 
+def finite_number(value) -> float:
+    """A finite number or numeric string.  Booleans, NaN, infinities and
+    integers too large for a float are rejected."""
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError as e:
+        raise ValueError(f"must be finite ({e})") from e
+    if not math.isfinite(number):
+        raise ValueError(f"must be finite, got {value!r}")
+    return number
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Images (count, H, W, C) with normalized steering targets in [-1, 1]:
@@ -45,8 +60,8 @@ class Dataset:
         if self.targets.shape != (self.inputs.shape[0],):
             raise ValueError(f"targets shape {self.targets.shape} does not match "
                              f"count {self.inputs.shape[0]}")
-        if np.any(np.abs(self.targets) > 1.0 + 1e-12):
-            raise ValueError("targets must lie in [-1, 1]")
+        if not np.all(np.abs(self.targets) <= 1.0 + 1e-12):  # NaN fails too
+            raise ValueError("targets must be finite and lie in [-1, 1]")
         if not np.all(np.isfinite(self.inputs)):
             raise ValueError("inputs contain non-finite values")
 
@@ -186,7 +201,7 @@ def load_external(dir_path) -> Dataset:
     Layout: ``labels.csv`` (header ``file,angle``), ``shape.json`` (per-sample
     shape manifest, whole numbers only), and one raw little-endian float64
     buffer per sample, named by a plain file name inside the directory.
-    Angles outside [-1, 1] are clamped with a warning.
+    Angles must be finite; those outside [-1, 1] are clamped with a warning.
     """
     d = Path(dir_path)
     manifest_path = d / "shape.json"
@@ -216,10 +231,10 @@ def load_external(dir_path) -> Dataset:
                              f"got {reader.fieldnames}")
         for row in reader:
             try:
-                rows.append((row["file"], float(row["angle"])))
+                rows.append((row["file"], finite_number(row["angle"])))
             except (TypeError, ValueError) as e:
                 raise ValueError(f"{d}: labels.csv line {reader.line_num}: "
-                                 f"need a file name and an angle ({e})") from e
+                                 f"need a file name and a finite angle ({e})") from e
     if not rows:
         raise ValueError(f"{d}: no samples listed in labels.csv")
 

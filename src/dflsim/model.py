@@ -9,9 +9,12 @@ elementwise product between that blended feature and the fc-reduced backbone
 feature.  The "backbone_only" ablation keeps the stem and blocks but maps the
 flattened backbone output straight to the scalar prediction.
 
-Parameters live in one flat float64 vector; the layout (names, shapes,
-offsets) is a pure function of the model kind and config.  A checkpoint
-stores that layout in its manifest and is loaded only if it matches.
+Parameters live in one flat float64 vector.  The layer plan is the one table
+that names them: each layer's weight, then its bias, in layer order, then the
+fadnet blend vector ``head.accum.w``.  ``param_views`` gives each its shaped
+view.  ``init_params`` goes by layer kind: He-scaled conv kernels, fc weights
+0.3/sqrt(fan_in), zero biases and a uniform 1/n blend.  A checkpoint stores
+the names and shapes in its manifest and is loaded only if they match.
 """
 from __future__ import annotations
 
@@ -20,6 +23,7 @@ import math
 import struct
 from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -129,72 +133,64 @@ def _plan(kind: str, cfg: FADNetConfig) -> dict:
     else:
         specs["tail.fc"] = T.LayerSpec("fc", in_features=flat_dim, out_features=1)
 
-    # parameters are stored in layer order, weight before bias
-    shapes = {f"{layer}.{sfx}": shape for layer, spec in specs.items()
-              for sfx, shape in zip("Wb", T.param_shapes(spec))}
+    # the one table of parameter names and shapes, in storage order: each
+    # layer's weight before its bias, layers in plan order, then the blend
+    params = {layer: dict(zip((f"{layer}.W", f"{layer}.b"), T.param_shapes(spec)))
+              for layer, spec in specs.items()}
     if kind == "fadnet":
-        shapes["head.accum.w"] = (N_BLOCKS,)
+        params["head.accum"] = {"head.accum.w": (N_BLOCKS,)}
 
     layout: dict[str, tuple[int, int, tuple[int, ...]]] = {}
     total = 0
-    for name, shape in shapes.items():
+    for name, shape in (item for shapes in params.values() for item in shapes.items()):
         size = math.prod(shape)
         layout[name] = (total, size, shape)
         total += size
-    return {"specs": specs, "layout": layout, "total": total, "dims": dims}
+    return {"specs": specs, "params": params, "layout": layout, "total": total, "dims": dims}
 
 
 def param_count(kind: str, cfg: FADNetConfig) -> int:
     return _plan(kind, cfg)["total"]
 
 
-class ModelParams:
-    """Named views over one flat float64 parameter vector."""
+def _checked_flat(plan: dict, flat) -> np.ndarray:
+    flat = np.asarray(flat, dtype=np.float64)
+    if flat.shape != (plan["total"],):
+        raise ValueError(f"expected {plan['total']} parameters, got shape {flat.shape}")
+    return flat
 
-    def __init__(self, kind: str, cfg: FADNetConfig, flat: np.ndarray):
-        plan = _plan(kind, cfg)
-        flat = np.asarray(flat, dtype=np.float64)
-        if flat.shape != (plan["total"],):
-            raise ValueError(f"expected {plan['total']} parameters, got shape {flat.shape}")
-        self.kind = kind
-        self.cfg = cfg
-        self.flat = flat
-        self._plan = plan
 
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(self._plan["layout"])
+def _views(plan: dict, flat) -> dict[str, np.ndarray]:
+    flat = _checked_flat(plan, flat)
+    return {name: flat[off:off + size].reshape(shape)
+            for name, (off, size, shape) in plan["layout"].items()}
 
-    def __getitem__(self, name: str) -> np.ndarray:
-        off, size, shape = self._plan["layout"][name]
-        return self.flat[off:off + size].reshape(shape)
+
+def param_views(kind: str, cfg: FADNetConfig, flat) -> dict[str, np.ndarray]:
+    """Each parameter's shaped view into the flat vector, by name."""
+    return _views(_plan(kind, cfg), flat)
 
 
 def init_params(kind: str, cfg: FADNetConfig, seed: int) -> np.ndarray:
-    """Seeded initial parameters as a flat vector.
-
-    Conv kernels use He scaling, fc/projection weights 1/sqrt(fan_in),
-    biases zero, and the branch-blend vector starts uniform (1/n each).
-    """
+    """Seeded initial parameters as a flat vector (rules in the module docstring)."""
     plan = _plan(kind, cfg)
     rng = np.random.default_rng(seed)
     chunks = []
-    for name, (_, _, shape) in plan["layout"].items():
-        if name == "head.accum.w":
-            chunks.append(np.full(shape, 1.0 / N_BLOCKS))
-        elif name.endswith(".b"):
-            chunks.append(np.zeros(shape))
-        elif name.endswith("conv1.W") or name.endswith("conv2.W") or name.endswith("shortcut.W") \
-                or name == "stem.conv.W":
-            fan_in = int(np.prod(shape[:3]))
-            chunks.append(rng.standard_normal(shape) * np.sqrt(2.0 / fan_in))
-        else:
-            # fc / projection weights damped below 1/sqrt(fan_in): the
-            # residual adds roughly double activation variance per block, and
-            # the product head squares feature scale, so undamped heads start
-            # with predictions far outside the [-1, 1] target range.
-            fan_in = shape[0]
-            chunks.append(rng.standard_normal(shape) * (0.3 * np.sqrt(1.0 / fan_in)))
+    for layer, shapes in plan["params"].items():
+        spec = plan["specs"].get(layer)  # None for the branch blend
+        for i, shape in enumerate(shapes.values()):
+            if spec is None:
+                chunks.append(np.full(shape, 1.0 / N_BLOCKS))
+            elif i > 0:  # the bias
+                chunks.append(np.zeros(shape))
+            elif spec.kind == "conv2d":  # fan-in k * k * c_in
+                chunks.append(rng.standard_normal(shape) * np.sqrt(2.0 / math.prod(shape[:3])))
+            else:
+                # fc weights damped below 1/sqrt(fan_in): the residual adds
+                # roughly double activation variance per block, and the product
+                # head squares feature scale, so undamped heads start with
+                # predictions far outside the [-1, 1] target range.
+                chunks.append(rng.standard_normal(shape) * (0.3 * np.sqrt(1.0 / shape[0])))
     return np.concatenate([c.ravel() for c in chunks])
 
 
@@ -241,28 +237,18 @@ def aggregation(f_s, f_c):
 # Forward / backward
 
 
-def _coerce_params(kind: str, cfg: FADNetConfig, params) -> ModelParams:
-    if isinstance(params, ModelParams):
-        return params
-    return ModelParams(kind, cfg, params)
-
-
-def _run(name: str, mp: ModelParams, x, caches: dict | None, specs):
-    spec = specs[name]
-    layer_params = []
-    if spec.kind in ("conv2d", "fc"):
-        layer_params.append(mp[f"{name}.W"])
-        if spec.bias:
-            layer_params.append(mp[f"{name}.b"])
-    out, cache = T.forward(spec, layer_params, x, keep_cache=caches is not None)
+def _run(name: str, plan: dict, views: dict, x, caches: dict | None):
+    layer_params = [views[p] for p in plan["params"][name]]
+    out, cache = T.forward(plan["specs"][name], layer_params, x, keep_cache=caches is not None)
     if caches is not None:
         caches[name] = cache
     return out
 
 
-def _forward(kind: str, cfg: FADNetConfig, mp: ModelParams, x: np.ndarray,
+def _forward(kind: str, cfg: FADNetConfig, params, x: np.ndarray,
              caches: dict | None = None) -> np.ndarray:
-    """Run the whole network and return its predictions.
+    """Run the whole network on the flat parameter vector ``params`` and
+    return its predictions.
 
     Given a ``caches`` dict, each layer stores its backward cache there under
     its layer name, and the product head stores its inputs under "head";
@@ -271,7 +257,8 @@ def _forward(kind: str, cfg: FADNetConfig, mp: ModelParams, x: np.ndarray,
     matrices a block of samples at a time), and each activation is freed
     as soon as no later layer reads it.
     """
-    specs = _plan(kind, cfg)["specs"]
+    plan = _plan(kind, cfg)
+    views = _views(plan, params)
     if x.shape[1:] != (cfg.input_height, cfg.input_width, cfg.input_channels):
         raise T.ShapeError(
             f"batch shape {x.shape[1:]} != config input "
@@ -279,29 +266,29 @@ def _forward(kind: str, cfg: FADNetConfig, mp: ModelParams, x: np.ndarray,
 
     # one name for the running activation, so that without caches each
     # full-batch stem output is freed as soon as the next layer has read it
-    cur = _run("norm", mp, x, None, specs)  # backward never reaches the input
-    cur = _run("stem.conv", mp, cur, caches, specs)
-    cur = _run("stem.pool", mp, cur, caches, specs)
+    cur = _run("norm", plan, views, x, None)  # backward never reaches the input
+    cur = _run("stem.conv", plan, views, cur, caches)
+    cur = _run("stem.pool", plan, views, cur, caches)
 
     block_outputs = []
     for h in range(1, N_BLOCKS + 1):
-        t1 = _run(f"block{h}.conv1", mp, cur, caches, specs)
-        r1 = _run(f"block{h}.relu", mp, t1, caches, specs)
-        t2 = _run(f"block{h}.conv2", mp, r1, caches, specs)
-        sc = _run(f"block{h}.shortcut", mp, cur, caches, specs)
-        cur = _run(f"block{h}.add", mp, (t2, sc), caches, specs)
+        t1 = _run(f"block{h}.conv1", plan, views, cur, caches)
+        r1 = _run(f"block{h}.relu", plan, views, t1, caches)
+        t2 = _run(f"block{h}.conv2", plan, views, r1, caches)
+        sc = _run(f"block{h}.shortcut", plan, views, cur, caches)
+        cur = _run(f"block{h}.add", plan, views, (t2, sc), caches)
         block_outputs.append(cur)
 
-    tail = _run("tail.fc", mp, cur.reshape(x.shape[0], -1), caches, specs)
+    tail = _run("tail.fc", plan, views, cur.reshape(x.shape[0], -1), caches)
 
     if kind == "backbone_only":
         return tail[:, 0]
 
     branch_feats = []
     for h in range(1, N_BLOCKS + 1):
-        g = _run(f"branch{h}.gap", mp, block_outputs[h - 1], caches, specs)
-        branch_feats.append(_run(f"branch{h}.proj", mp, g, caches, specs))
-    w = mp["head.accum.w"]
+        g = _run(f"branch{h}.gap", plan, views, block_outputs[h - 1], caches)
+        branch_feats.append(_run(f"branch{h}.proj", plan, views, g, caches))
+    w = views["head.accum.w"]
     f_c = accumulation(branch_feats, w)
     preds = aggregation(tail, f_c)
     if caches is not None:
@@ -309,75 +296,69 @@ def _forward(kind: str, cfg: FADNetConfig, mp: ModelParams, x: np.ndarray,
     return preds
 
 
-def _back(name: str, mp: ModelParams, caches, grad_out, grads: ModelParams, specs,
-          input_grad: bool = True):
+def _back(name: str, plan: dict, caches, grad_out, grads: dict, input_grad: bool = True):
     """Backward through one layer; its parameter gradients are added into
     their views of ``grads``."""
-    gx, gparams = T.backward(specs[name], caches[name], grad_out, input_grad=input_grad)
-    for suffix, g in zip(("W", "b"), gparams):
-        view = grads[f"{name}.{suffix}"]
-        view += g
+    gx, gparams = T.backward(plan["specs"][name], caches[name], grad_out, input_grad=input_grad)
+    for p, g in zip(plan["params"][name], gparams):
+        grads[p] += g
     return gx
 
 
-def _backward_full(kind: str, cfg: FADNetConfig, mp: ModelParams, caches: dict,
-                   gpred: np.ndarray) -> np.ndarray:
+def _backward_full(kind: str, cfg: FADNetConfig, caches: dict, gpred: np.ndarray) -> np.ndarray:
     """The flat parameter gradient, one zeroed vector filled layer by layer."""
     plan = _plan(kind, cfg)
-    specs = plan["specs"]
-    grads = ModelParams(kind, cfg, np.zeros(plan["total"]))
-    d = cfg.feature_dim
+    flat = np.zeros(plan["total"])
+    grads = _views(plan, flat)
 
     if kind == "fadnet":
         tail, f_c, branch_feats, w = caches["head"]
-        gtail = gpred[:, None] * f_c / d
-        gfc = gpred[:, None] * tail / d
+        gtail = gpred[:, None] * f_c / cfg.feature_dim
+        gfc = gpred[:, None] * tail / cfg.feature_dim
         grads["head.accum.w"][:] = [float((gfc * f).sum()) for f in branch_feats]
         gblocks_from_branches = []
         for h in range(1, N_BLOCKS + 1):
             gfh = gfc * w[h - 1]
-            ggap = _back(f"branch{h}.proj", mp, caches, gfh, grads, specs)
-            gblocks_from_branches.append(
-                _back(f"branch{h}.gap", mp, caches, ggap, grads, specs))
+            ggap = _back(f"branch{h}.proj", plan, caches, gfh, grads)
+            gblocks_from_branches.append(_back(f"branch{h}.gap", plan, caches, ggap, grads))
     else:
         gtail = np.zeros((gpred.shape[0], 1))
         gtail[:, 0] = gpred
         gblocks_from_branches = [0.0] * N_BLOCKS
 
-    gflat = _back("tail.fc", mp, caches, gtail, grads, specs)
+    gflat = _back("tail.fc", plan, caches, gtail, grads)
     gcur = gflat.reshape(gpred.shape[0], *plan["dims"][-1])
 
     for h in range(N_BLOCKS, 0, -1):
         gcur = gcur + gblocks_from_branches[h - 1]
-        gt2, gsc = _back(f"block{h}.add", mp, caches, gcur, grads, specs)
-        gr1 = _back(f"block{h}.conv2", mp, caches, gt2, grads, specs)
-        gt1 = _back(f"block{h}.relu", mp, caches, gr1, grads, specs)
-        gin_main = _back(f"block{h}.conv1", mp, caches, gt1, grads, specs)
-        gin_sc = _back(f"block{h}.shortcut", mp, caches, gsc, grads, specs)
+        gt2, gsc = _back(f"block{h}.add", plan, caches, gcur, grads)
+        gr1 = _back(f"block{h}.conv2", plan, caches, gt2, grads)
+        gt1 = _back(f"block{h}.relu", plan, caches, gr1, grads)
+        gin_main = _back(f"block{h}.conv1", plan, caches, gt1, grads)
+        gin_sc = _back(f"block{h}.shortcut", plan, caches, gsc, grads)
         gcur = gin_main + gin_sc
 
-    gs1 = _back("stem.pool", mp, caches, gcur, grads, specs)
+    gs1 = _back("stem.pool", plan, caches, gcur, grads)
     # the input has no parameters upstream: neither the stem conv's input
     # gradient nor the input_norm backward would be used
-    _back("stem.conv", mp, caches, gs1, grads, specs, input_grad=False)
-    return grads.flat
+    _back("stem.conv", plan, caches, gs1, grads, input_grad=False)
+    return flat
 
 
 def predict(kind: str, cfg: FADNetConfig, params, inputs: np.ndarray) -> np.ndarray:
     """Predictions for a batch of inputs; keeps no backward caches."""
-    return _forward(kind, cfg, _coerce_params(kind, cfg, params), inputs)
+    return _forward(kind, cfg, params, inputs)
 
 
 def loss_and_grad(kind: str, cfg: FADNetConfig, params, batch: Dataset):
     """Mean squared error over the batch and its exact gradient with respect
     to the flat parameter vector."""
-    mp = _coerce_params(kind, cfg, params)
     caches: dict = {}
-    preds = _forward(kind, cfg, mp, batch.inputs, caches)
+    preds = _forward(kind, cfg, params, batch.inputs, caches)
     residual = preds - batch.targets
     loss = float(np.mean(residual ** 2))
     gpred = 2.0 * residual / batch.count
-    return loss, _backward_full(kind, cfg, mp, caches, gpred)
+    return loss, _backward_full(kind, cfg, caches, gpred)
 
 
 def rmse(predictions, targets) -> float:
@@ -393,18 +374,24 @@ def rmse(predictions, targets) -> float:
 # Checkpoint I/O: length-prefixed JSON manifest + raw little-endian float64
 
 
+def _manifest_params(plan: dict) -> list[dict]:
+    """A checkpoint manifest's parameter list: names and shapes in storage order."""
+    return [{"name": n, "shape": list(shape)} for n, (_, _, shape) in plan["layout"].items()]
+
+
 def save_checkpoint(path, kind: str, cfg: FADNetConfig, params) -> None:
-    """Write a single-file checkpoint; round-trips bit-exactly."""
-    mp = _coerce_params(kind, cfg, params)
+    """Write a single-file checkpoint of the flat parameter vector;
+    round-trips bit-exactly."""
+    plan = _plan(kind, cfg)
+    flat = _checked_flat(plan, params)
     manifest = {
         "format_version": CHECKPOINT_VERSION,
         "model_kind": kind,
         "config": asdict(cfg),
-        "params": [{"name": n, "shape": list(s)}
-                   for n, (_, _, s) in mp._plan["layout"].items()],
+        "params": _manifest_params(plan),
     }
     blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
-    buf = np.ascontiguousarray(mp.flat, dtype="<f8").tobytes()
+    buf = np.ascontiguousarray(flat, dtype="<f8").tobytes()
     with open(path, "wb") as f:
         f.write(struct.pack("<I", len(blob)))
         f.write(blob)
@@ -423,27 +410,18 @@ def load_checkpoint(path):
     if manifest.get("format_version") != CHECKPOINT_VERSION:
         raise ValueError(f"checkpoint {path}: unsupported format_version "
                          f"{manifest.get('format_version')}")
-    for key, typ in (("model_kind", str), ("config", dict)):
+    for key, typ in (("model_kind", str), ("config", dict), ("params", list)):
         if not isinstance(manifest.get(key), typ):
             raise ValueError(f"checkpoint {path}: manifest has no {key!r} {typ.__name__}")
     kind = manifest["model_kind"]
     cfg = FADNetConfig.from_dict(manifest["config"])
     plan = _plan(kind, cfg)
-    listed = manifest.get("params")
-    if not isinstance(listed, list):
-        raise ValueError(f"checkpoint {path}: manifest has no parameter list")
-    layout = plan["layout"]
-    for i, (name, (_, _, shape)) in enumerate(layout.items()):
-        entry = listed[i] if i < len(listed) else None
-        if entry != {"name": name, "shape": list(shape)}:
-            raise ValueError(f"checkpoint {path}: parameter {name!r} with shape "
-                             f"{list(shape)} expected at manifest entry {i}, found {entry!r}")
-    if len(listed) > len(layout):
-        raise ValueError(f"checkpoint {path}: unexpected parameter "
-                         f"{listed[len(layout)]!r} after the {kind} layout")
+    for i, (entry, want) in enumerate(zip_longest(manifest["params"], _manifest_params(plan))):
+        if entry != want:
+            raise ValueError(f"checkpoint {path}: manifest entry {i} is {entry!r}, "
+                             f"where the {kind} layout has {want!r}")
     flat = np.frombuffer(raw[4 + hlen:], dtype="<f8").astype(np.float64)
-    expected = plan["total"]
-    if flat.shape != (expected,):
-        raise ValueError(f"checkpoint {path}: expected {expected} parameters, "
+    if flat.shape != (plan["total"],):
+        raise ValueError(f"checkpoint {path}: expected {plan['total']} parameters, "
                          f"got {flat.size}")
     return kind, cfg, flat

@@ -102,18 +102,15 @@ def conv_output_hw(h: int, w: int, kernel: int, stride: int, padding: int) -> tu
 
 
 def param_shapes(spec: LayerSpec) -> list[tuple[int, ...]]:
-    """Shapes of the layer's parameter tensors, in storage order."""
+    """Shapes of the layer's parameter tensors, in storage order: the weight,
+    then the bias (one entry per output) if the layer has one."""
     if spec.kind == "conv2d":
-        shapes = [(spec.kernel, spec.kernel, spec.in_channels, spec.out_channels)]
-        if spec.bias:
-            shapes.append((spec.out_channels,))
-        return shapes
-    if spec.kind == "fc":
-        shapes = [(spec.in_features, spec.out_features)]
-        if spec.bias:
-            shapes.append((spec.out_features,))
-        return shapes
-    return []
+        weight = (spec.kernel, spec.kernel, spec.in_channels, spec.out_channels)
+    elif spec.kind == "fc":
+        weight = (spec.in_features, spec.out_features)
+    else:
+        return []
+    return [weight, weight[-1:]] if spec.bias else [weight]
 
 
 def _windows(x: np.ndarray, k: int, s: int, oh: int, ow: int) -> list[np.ndarray]:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import whole_number
+from .data import finite_number, whole_number
 
 BUNDLED_TOPOLOGIES = ("gaia11", "nws22")
 
@@ -220,8 +220,9 @@ def load_topology(path) -> ConnectivityGraph:
             out.append(cls(*values))
         return out
 
-    silos = records("silos", SiloRecord, (whole_number, float))
-    links = records("links", LinkRecord, (whole_number, whole_number, float, float))
+    silos = records("silos", SiloRecord, (whole_number, finite_number))
+    links = records("links", LinkRecord,
+                    (whole_number, whole_number, finite_number, finite_number))
     if raw["undirected"]:
         links = [m for l in links for m in (l, LinkRecord(l.dst, l.src, l.latency_s, l.bandwidth_Bps))]
     return ConnectivityGraph(silos=tuple(silos), links=tuple(links))
@@ -251,9 +252,12 @@ def symmetrized_weights(g: ConnectivityGraph, p: DelayParams) -> tuple[np.ndarra
 
     Per-link delays are symmetrized by averaging the two directions, then the
     graph is completed by shortest paths (which guarantees the triangle
-    inequality).  Returns the weight matrix and, for every ordered pair, the
-    node sequence of the underlying real-link path.  Raises TopologyError
-    when some silo cannot reach another over directed links.
+    inequality).  Over one-way links the two directions' path delays differ,
+    so they are averaged once more; the mean keeps the triangle inequality
+    up to rounding.  Returns the weight matrix and, for every ordered pair,
+    the node sequence of the underlying real-link path (directed, so its
+    delay may differ from the weight).  Raises TopologyError when some silo
+    cannot reach another over directed links.
     """
     n = g.n
     w = np.full((n, n), np.inf)
@@ -279,6 +283,9 @@ def symmetrized_weights(g: ConnectivityGraph, p: DelayParams) -> tuple[np.ndarra
         i, j = np.argwhere(np.isinf(w))[0].tolist()
         raise TopologyError(f"silo {j} cannot be reached from silo {i} over directed links; "
                             "an overlay needs every silo to reach every other")
+    # one-way links leave the shortest-path delays unequal by direction;
+    # averaging makes the metric symmetric and is the identity where it is
+    w = 0.5 * (w + w.T)
     nxt = nxt.tolist()
     paths = [[None] * n for _ in range(n)]
     for i in range(n):

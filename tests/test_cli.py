@@ -181,7 +181,8 @@ class TestRun:
 
     @pytest.mark.parametrize("case", ["not_json", "shape_2d", "no_shape_key", "shape_not_list",
                                       "shape_fractional", "missing_sample", "sample_is_dir",
-                                      "sample_outside_dir", "wrong_sample_size", "no_angle"])
+                                      "sample_outside_dir", "wrong_sample_size", "no_angle",
+                                      "nan_angle", "inf_angle"])
     def test_malformed_external_dataset_names_field(self, tmp_path, capsys, case):
         ext = tmp_path / "ext"
         D.save_external(ext, D.generate_linesteer(10, 8, 8, seed=0))
@@ -198,6 +199,11 @@ class TestRun:
         elif case == "no_angle":
             with open(ext / "labels.csv", "a") as f:
                 f.write("sample_000003.bin\n")
+        elif case in ("nan_angle", "inf_angle"):
+            labels = (ext / "labels.csv").read_text().splitlines()
+            name = labels[4].split(",")[0]
+            labels[4] = f"{name},{case[:3]}"
+            (ext / "labels.csv").write_text("\n".join(labels) + "\n")
         elif case == "missing_sample":
             (ext / "sample_000003.bin").unlink()
         elif case == "sample_is_dir":
@@ -215,7 +221,10 @@ class TestRun:
             "external_path": str(ext), **FAST})
         assert cli.main(["run", str(cfg_path), "--out", str(tmp_path / "out"),
                          "--quiet"]) == 1
-        assert "config field 'external_path':" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config field 'external_path':" in err
+        if case in ("nan_angle", "inf_angle"):
+            assert "labels.csv line 5: need a file name and a finite angle" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["run", "compare"])
@@ -230,7 +239,7 @@ class TestRun:
         assert not (tmp_path / "out").exists()
 
 
-INT_FIELDS = [key for key, (_, parse) in cli._CONFIG_FIELDS.items() if parse is cli._int]
+INT_FIELDS = [key for key, (_, parse) in cli._CONFIG_FIELDS.items() if parse is D.whole_number]
 
 
 class TestFieldTypes:
@@ -283,8 +292,8 @@ class TestFieldTypes:
         assert not (tmp_path / "out").exists()
 
     def test_whole_numbers_accepted(self):
-        assert cli._int(3.0) == 3 and cli._int("4") == 4
-        assert cli._float(2) == 2.0 and cli._float("1e-3") == 1e-3
+        assert D.whole_number(3.0) == 3 and D.whole_number("4") == 4
+        assert D.finite_number(2) == 2.0 and D.finite_number("1e-3") == 1e-3
 
 
 class TestSampleAndSiloChecks:
@@ -328,14 +337,19 @@ class TestTopologyFile:
 
     @pytest.mark.parametrize("strategy", ["dfl", "sfl"])
     @pytest.mark.parametrize("section, k, key, value, named", [
-        ("links", 0, "latency_s", "nan", "link {src}->{dst}: latency_s must be finite"),
-        ("silos", 3, "compute_time_s", "nan", "silo 3: compute_time_s must be finite"),
-        ("links", 2, "bandwidth_Bps", "inf", "link {src}->{dst}: bandwidth_Bps must be finite"),
+        ("links", 0, "latency_s", "nan", "links[0] field 'latency_s': must be finite"),
+        ("silos", 3, "compute_time_s", "nan", "silos[3] field 'compute_time_s': must be finite"),
+        ("links", 2, "bandwidth_Bps", "inf", "links[2] field 'bandwidth_Bps': must be finite"),
         ("silos", 1, "id", 1.7, "silos[1] field 'id': expected an integer, got 1.7"),
         ("links", 4, "dst", True, "links[4] field 'dst': expected an integer, got True"),
         (None, None, "undirected", "false", "'undirected' must be true or false, got 'false'"),
+        ("links", 1, "latency_s", True, "links[1] field 'latency_s': expected a number, got True"),
+        ("silos", 2, "compute_time_s", True,
+         "silos[2] field 'compute_time_s': expected a number, got True"),
+        ("links", 3, "bandwidth_Bps", False,
+         "links[3] field 'bandwidth_Bps': expected a number, got False"),
     ], ids=["nan-latency", "nan-compute", "inf-bandwidth", "fractional-id", "boolean-dst",
-            "string-undirected"])
+            "string-undirected", "boolean-latency", "boolean-compute", "boolean-bandwidth"])
     def test_bad_value_names_record_and_field(self, tmp_path, capsys, strategy, section, k,
                                               key, value, named):
         topo = json.loads(tp.fixture_path("gaia11").read_text())

@@ -228,3 +228,11 @@ class TestExternal:
         (tmp_path / "ext" / "sample_000001.bin").unlink()
         with pytest.raises(ValueError, match="unreadable"):
             D.load_external(tmp_path / "ext")
+
+
+class TestDatasetChecks:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.5])
+    def test_targets_must_be_finite_and_in_range(self, bad):
+        with pytest.raises(ValueError, match="finite and lie in"):
+            D.Dataset(inputs=np.zeros((2, 8, 8, 1)), targets=np.array([0.5, bad]))
+

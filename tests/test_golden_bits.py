@@ -1,4 +1,5 @@
-"""Golden bits: tiny dfl, sfl and cll runs must write exactly the committed
+"""Golden bits: tiny dfl, sfl and cll runs (and one cll run of the
+``backbone_only`` ablation) must write exactly the committed
 ``metrics.csv`` and ``final_model.ckpt``.
 
 Each run is a ``dflsim run`` subprocess with BLAS at one thread.  The bits
@@ -31,6 +32,8 @@ GOLDEN = {
             "c260ee41eb184a5ea595bc4c09ccb521", "773dcd0af4cfd37d8dbd0cc1d24fb0d6"),
     "cll": ({"strategy": "cll"},
             "adf307c9b18d77b8abe45fdc2ee3910c", "866f502de9a70224ffa5b8f750858862"),
+    "cll-backbone_only": ({"strategy": "cll", "model_kind": "backbone_only"},
+                          "ff76363a6cae7ed3d7a096ef59942e01", "f4d8833e82532fed8003d82a73666132"),
 }
 
 

@@ -151,17 +151,17 @@ class TestForward:
         # without caches the convolutions run in blocks of samples: batch
         # sizes on both sides of one and two stem blocks, and evaluation's 256
         for cfg in (M.TOY_CONFIG, NARROW_CFG):
-            mp = M.ModelParams(kind, cfg, M.init_params(kind, cfg, 2))
+            theta = M.init_params(kind, cfg, 2)
             block = stem_block(cfg)
             for n in (1, 4, block - 1, block, block + 1, 2 * block + 1, 256):
                 inputs = toy_batch(n=n, seed=n, cfg=cfg).inputs
                 caches = {}
-                train_preds = M._forward(kind, cfg, mp, inputs, caches)
-                eval_preds = M._forward(kind, cfg, mp, inputs)
+                train_preds = M._forward(kind, cfg, theta, inputs, caches)
+                eval_preds = M._forward(kind, cfg, theta, inputs)
                 assert caches
                 assert np.array_equal(train_preds, eval_preds)
                 assert np.array_equal(np.signbit(train_preds), np.signbit(eval_preds))
-                assert np.array_equal(M.predict(kind, cfg, mp, inputs), eval_preds)
+                assert np.array_equal(M.predict(kind, cfg, theta, inputs), eval_preds)
 
     def test_predict_peak_memory(self):
         # a batch-256 predict holding the stem's whole (262144 x 9) patch
@@ -209,8 +209,7 @@ class TestLossAndGrad:
         # backbone with only the tail bias set: prediction is exactly 1.0
         cfg = SMALL_CFG
         theta = np.zeros(M.param_count("backbone_only", cfg))
-        mp = M.ModelParams("backbone_only", cfg, theta)
-        mp["tail.fc.b"][:] = 1.0
+        M.param_views("backbone_only", cfg, theta)["tail.fc.b"][:] = 1.0
         batch = Dataset(inputs=np.random.default_rng(1).standard_normal((1, 8, 8, 1)),
                         targets=np.zeros(1))
         loss, _ = M.loss_and_grad("backbone_only", cfg, theta, batch)
@@ -232,15 +231,57 @@ class TestParamsAndCheckpoint:
     def test_flatten_unflatten_roundtrip_bit_exact(self, seed):
         flat = np.random.default_rng(seed).standard_normal(
             M.param_count("fadnet", SMALL_CFG))
-        again = M.ModelParams("fadnet", SMALL_CFG, flat).flat
+        views = M.param_views("fadnet", SMALL_CFG, flat)
+        again = np.concatenate([v.ravel() for v in views.values()])
         assert again.tobytes() == flat.tobytes()
 
     def test_named_views_cover_vector(self):
-        mp = M.ModelParams("fadnet", SMALL_CFG,
-                           np.arange(M.param_count("fadnet", SMALL_CFG), dtype=np.float64))
-        total = sum(mp[name].size for name in mp.names)
-        assert total == mp.flat.size
-        assert mp["head.accum.w"].shape == (3,)
+        flat = np.arange(M.param_count("fadnet", SMALL_CFG), dtype=np.float64)
+        views = M.param_views("fadnet", SMALL_CFG, flat)
+        total = sum(v.size for v in views.values())
+        assert total == flat.size
+        assert all(np.shares_memory(v, flat) for v in views.values())
+        assert views["head.accum.w"].shape == (3,)
+
+    def test_plan_names_each_layers_parameters_in_storage_order(self):
+        plan = M._plan("fadnet", SMALL_CFG)
+        assert list(plan["params"]["block1.conv1"]) == ["block1.conv1.W", "block1.conv1.b"]
+        assert list(plan["params"]["branch1.proj"]) == ["branch1.proj.W"]  # no bias
+        assert list(plan["params"]["block1.relu"]) == []
+        names = [n for shapes in plan["params"].values() for n in shapes]
+        assert names == list(plan["layout"]) and names[-1] == "head.accum.w"
+        assert "head.accum" not in M._plan("backbone_only", SMALL_CFG)["params"]
+
+    @pytest.mark.parametrize("kind", M.MODEL_KINDS)
+    def test_init_goes_by_layer_kind(self, kind):
+        views = M.param_views(kind, SMALL_CFG, M.init_params(kind, SMALL_CFG, 4))
+        for name, v in views.items():
+            if name.endswith(".b"):
+                assert np.all(v == 0.0), name
+            elif name != "head.accum.w":
+                assert np.all(v != 0.0), name
+        if kind == "fadnet":
+            assert np.all(views["head.accum.w"] == 1.0 / M.N_BLOCKS)
+        # He scaling for conv kernels: std sqrt(2 / fan_in), fan_in = 3 * 3 * 3
+        assert np.std(views["block2.conv2.W"]) == pytest.approx(np.sqrt(2.0 / 27), rel=0.3)
+
+    @pytest.mark.parametrize("call", ["param_views", "predict", "loss_and_grad",
+                                      "save_checkpoint"])
+    @pytest.mark.parametrize("kind", M.MODEL_KINDS)
+    def test_vector_one_short_rejected(self, tmp_path, kind, call):
+        n = M.param_count(kind, SMALL_CFG)
+        short = M.init_params(kind, SMALL_CFG, 0)[:-1]
+        batch = toy_batch(n=2, cfg=SMALL_CFG)
+        calls = {
+            "param_views": lambda: M.param_views(kind, SMALL_CFG, short),
+            "predict": lambda: M.predict(kind, SMALL_CFG, short, batch.inputs),
+            "loss_and_grad": lambda: M.loss_and_grad(kind, SMALL_CFG, short, batch),
+            "save_checkpoint": lambda: M.save_checkpoint(tmp_path / "m.ckpt", kind,
+                                                         SMALL_CFG, short),
+        }
+        with pytest.raises(ValueError, match=f"expected {n} parameters"):
+            calls[call]()
+        assert not (tmp_path / "m.ckpt").exists()
 
     def test_checkpoint_roundtrip_bit_exact(self, tmp_path):
         theta = M.init_params("fadnet", SMALL_CFG, 9)

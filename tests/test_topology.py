@@ -243,6 +243,20 @@ class TestSymmetrizedWeights:
         with pytest.raises(tp.TopologyError, match="silo 0 cannot be reached from silo 2"):
             build(one_way_graph(), TINY_DELAY)
 
+    @pytest.mark.parametrize("build", [tp.build_overlay_christofides, tp.brute_force_tsp])
+    def test_directed_ring_gets_a_symmetric_metric(self, build):
+        # links i -> i+1 only, delay 1: the shortest paths are 1 forward and
+        # 3 back, so every pair weighs their mean 2 and any tour weighs 8
+        # (the forward ring's 4 under the one-way delays)
+        g = tp.ConnectivityGraph(silos=tuple(tp.SiloRecord(i, 0.0) for i in range(4)),
+                                 links=tuple(tp.LinkRecord(i, (i + 1) % 4, 1.0, 1e30)
+                                             for i in range(4)))
+        w, paths = tp.symmetrized_weights(g, TINY_DELAY)
+        assert w[0, 1] == w[1, 0] == 2.0
+        assert np.array_equal(w, w.T)
+        assert paths[0][1] == (0, 1) and paths[1][0] == (1, 2, 3, 0)
+        assert build(g, TINY_DELAY).metric_weight == 8.0
+
     def test_sparse_random_graph_needs_five_silos(self):
         for n in (2, 3, 4):
             with pytest.raises(ValueError, match="n\\+3"):
