@@ -5,7 +5,8 @@
 ``resolved_config.json`` into the output directory.  ``dflsim compare
 <config.json>...`` runs several configs that share model/data settings and
 emits a side-by-side summary.  Exit status: 0 ok, 1 config validation
-failure, 2 runtime abort.
+failure, 2 runtime abort (a non-finite loss, parameters or test RMSE, or
+running out of memory), each with one line on stderr.
 """
 from __future__ import annotations
 
@@ -304,6 +305,10 @@ def main(argv=None) -> int:
         return 1
     except P.NanGradientError as e:
         print(f"runtime abort: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:
+        print(f"runtime abort: out of memory{f' ({e})' if str(e) else ''}; a smaller "
+              f"batch_size, sample_count or model needs less", file=sys.stderr)
         return 2
 
 

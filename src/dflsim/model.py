@@ -146,7 +146,10 @@ def _plan(kind: str, cfg: FADNetConfig) -> dict:
         size = math.prod(shape)
         layout[name] = (total, size, shape)
         total += size
-    return {"specs": specs, "params": params, "layout": layout, "total": total, "dims": dims}
+    # each layer's (offset, size, shape) triples, in storage order
+    slots = {layer: tuple(layout[name] for name in shapes) for layer, shapes in params.items()}
+    return {"specs": specs, "params": params, "layout": layout, "slots": slots,
+            "total": total, "dims": dims}
 
 
 def param_count(kind: str, cfg: FADNetConfig) -> int:
@@ -160,15 +163,17 @@ def _checked_flat(plan: dict, flat) -> np.ndarray:
     return flat
 
 
-def _views(plan: dict, flat) -> dict[str, np.ndarray]:
-    flat = _checked_flat(plan, flat)
-    return {name: flat[off:off + size].reshape(shape)
-            for name, (off, size, shape) in plan["layout"].items()}
+def _layer_views(plan: dict, layer: str, flat: np.ndarray) -> list[np.ndarray]:
+    """The shaped views of one layer's parameters (or gradients) in ``flat``."""
+    return [flat[off:off + size].reshape(shape) for off, size, shape in plan["slots"][layer]]
 
 
 def param_views(kind: str, cfg: FADNetConfig, flat) -> dict[str, np.ndarray]:
     """Each parameter's shaped view into the flat vector, by name."""
-    return _views(_plan(kind, cfg), flat)
+    plan = _plan(kind, cfg)
+    flat = _checked_flat(plan, flat)
+    return {name: flat[off:off + size].reshape(shape)
+            for name, (off, size, shape) in plan["layout"].items()}
 
 
 def init_params(kind: str, cfg: FADNetConfig, seed: int) -> np.ndarray:
@@ -228,18 +233,19 @@ def aggregation(f_s, f_c):
     if a.shape != b.shape:
         raise ValueError(f"feature shape mismatch: {a.shape} vs {b.shape}")
     prod = a * b
+    # np.mean of float64 is this sum divided by the count, bit for bit
     if a.ndim == 1:
-        return float(prod.mean())
-    return prod.mean(axis=1)
+        return float(np.add.reduce(prod) / prod.size)
+    return np.add.reduce(prod, axis=1) / prod.shape[1]
 
 
 # --------------------------------------------------------------------------
 # Forward / backward
 
 
-def _run(name: str, plan: dict, views: dict, x, caches: dict | None):
-    layer_params = [views[p] for p in plan["params"][name]]
-    out, cache = T.forward(plan["specs"][name], layer_params, x, keep_cache=caches is not None)
+def _run(name: str, plan: dict, flat: np.ndarray, x, caches: dict | None):
+    out, cache = T.forward(plan["specs"][name], _layer_views(plan, name, flat), x,
+                           keep_cache=caches is not None)
     if caches is not None:
         caches[name] = cache
     return out
@@ -258,7 +264,7 @@ def _forward(kind: str, cfg: FADNetConfig, params, x: np.ndarray,
     as soon as no later layer reads it.
     """
     plan = _plan(kind, cfg)
-    views = _views(plan, params)
+    flat = _checked_flat(plan, params)
     if x.shape[1:] != (cfg.input_height, cfg.input_width, cfg.input_channels):
         raise T.ShapeError(
             f"batch shape {x.shape[1:]} != config input "
@@ -266,29 +272,29 @@ def _forward(kind: str, cfg: FADNetConfig, params, x: np.ndarray,
 
     # one name for the running activation, so that without caches each
     # full-batch stem output is freed as soon as the next layer has read it
-    cur = _run("norm", plan, views, x, None)  # backward never reaches the input
-    cur = _run("stem.conv", plan, views, cur, caches)
-    cur = _run("stem.pool", plan, views, cur, caches)
+    cur = _run("norm", plan, flat, x, None)  # backward never reaches the input
+    cur = _run("stem.conv", plan, flat, cur, caches)
+    cur = _run("stem.pool", plan, flat, cur, caches)
 
     block_outputs = []
     for h in range(1, N_BLOCKS + 1):
-        t1 = _run(f"block{h}.conv1", plan, views, cur, caches)
-        r1 = _run(f"block{h}.relu", plan, views, t1, caches)
-        t2 = _run(f"block{h}.conv2", plan, views, r1, caches)
-        sc = _run(f"block{h}.shortcut", plan, views, cur, caches)
-        cur = _run(f"block{h}.add", plan, views, (t2, sc), caches)
+        t1 = _run(f"block{h}.conv1", plan, flat, cur, caches)
+        r1 = _run(f"block{h}.relu", plan, flat, t1, caches)
+        t2 = _run(f"block{h}.conv2", plan, flat, r1, caches)
+        sc = _run(f"block{h}.shortcut", plan, flat, cur, caches)
+        cur = _run(f"block{h}.add", plan, flat, (t2, sc), caches)
         block_outputs.append(cur)
 
-    tail = _run("tail.fc", plan, views, cur.reshape(x.shape[0], -1), caches)
+    tail = _run("tail.fc", plan, flat, cur.reshape(x.shape[0], -1), caches)
 
     if kind == "backbone_only":
         return tail[:, 0]
 
     branch_feats = []
     for h in range(1, N_BLOCKS + 1):
-        g = _run(f"branch{h}.gap", plan, views, block_outputs[h - 1], caches)
-        branch_feats.append(_run(f"branch{h}.proj", plan, views, g, caches))
-    w = views["head.accum.w"]
+        g = _run(f"branch{h}.gap", plan, flat, block_outputs[h - 1], caches)
+        branch_feats.append(_run(f"branch{h}.proj", plan, flat, g, caches))
+    (w,) = _layer_views(plan, "head.accum", flat)
     f_c = accumulation(branch_feats, w)
     preds = aggregation(tail, f_c)
     if caches is not None:
@@ -296,26 +302,26 @@ def _forward(kind: str, cfg: FADNetConfig, params, x: np.ndarray,
     return preds
 
 
-def _back(name: str, plan: dict, caches, grad_out, grads: dict, input_grad: bool = True):
+def _back(name: str, plan: dict, caches, grad_out, grads: np.ndarray, input_grad: bool = True):
     """Backward through one layer; its parameter gradients are added into
-    their views of ``grads``."""
+    their views of the flat gradient ``grads``."""
     gx, gparams = T.backward(plan["specs"][name], caches[name], grad_out, input_grad=input_grad)
-    for p, g in zip(plan["params"][name], gparams):
-        grads[p] += g
+    for view, g in zip(_layer_views(plan, name, grads), gparams):
+        view += g
     return gx
 
 
 def _backward_full(kind: str, cfg: FADNetConfig, caches: dict, gpred: np.ndarray) -> np.ndarray:
     """The flat parameter gradient, one zeroed vector filled layer by layer."""
     plan = _plan(kind, cfg)
-    flat = np.zeros(plan["total"])
-    grads = _views(plan, flat)
+    grads = np.zeros(plan["total"])
 
     if kind == "fadnet":
         tail, f_c, branch_feats, w = caches["head"]
         gtail = gpred[:, None] * f_c / cfg.feature_dim
         gfc = gpred[:, None] * tail / cfg.feature_dim
-        grads["head.accum.w"][:] = [float((gfc * f).sum()) for f in branch_feats]
+        _layer_views(plan, "head.accum", grads)[0][:] = [
+            float(np.add.reduce(gfc * f, axis=None)) for f in branch_feats]
         gblocks_from_branches = []
         for h in range(1, N_BLOCKS + 1):
             gfh = gfc * w[h - 1]
@@ -342,7 +348,7 @@ def _backward_full(kind: str, cfg: FADNetConfig, caches: dict, gpred: np.ndarray
     # the input has no parameters upstream: neither the stem conv's input
     # gradient nor the input_norm backward would be used
     _back("stem.conv", plan, caches, gs1, grads, input_grad=False)
-    return flat
+    return grads
 
 
 def predict(kind: str, cfg: FADNetConfig, params, inputs: np.ndarray) -> np.ndarray:
@@ -356,7 +362,7 @@ def loss_and_grad(kind: str, cfg: FADNetConfig, params, batch: Dataset):
     caches: dict = {}
     preds = _forward(kind, cfg, params, batch.inputs, caches)
     residual = preds - batch.targets
-    loss = float(np.mean(residual ** 2))
+    loss = float(np.add.reduce(residual ** 2) / batch.count)
     gpred = 2.0 * residual / batch.count
     return loss, _backward_full(kind, cfg, caches, gpred)
 

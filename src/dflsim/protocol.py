@@ -110,13 +110,16 @@ class TrainConfig:
 class Silos:
     """n silos stepping in lockstep.  Row i of ``theta`` and of the Adam
     moments is silo i, which samples ``shards[i]`` with ``rngs[i]``; ``k`` is
-    the iteration counter and ``t`` the Adam step, shared by all silos."""
+    the iteration counter and ``t`` the Adam step, shared by all silos.
+    ``adam_work`` is two rows of scratch for the Adam update, shared by the
+    silos, which step one after another."""
 
     theta: np.ndarray
     shards: list[Dataset]
     rngs: list[np.random.Generator]
     adam_m: np.ndarray | None = None
     adam_v: np.ndarray | None = None
+    adam_work: np.ndarray | None = None
     k: int = 0
     t: int = 0
 
@@ -132,6 +135,7 @@ class Silos:
         if cfg.optimizer == "adam":
             silos.adam_m = np.zeros_like(theta)
             silos.adam_v = np.zeros_like(theta)
+            silos.adam_work = np.empty((2, theta.shape[1]))
         return silos
 
 
@@ -232,6 +236,34 @@ def evaluate(model_kind: str, model_cfg: M.FADNetConfig, theta: np.ndarray,
     return M.rmse(preds, test.targets)
 
 
+def adam_update(theta: np.ndarray, m: np.ndarray, v: np.ndarray, grad: np.ndarray,
+                t: int, lr: float, work: np.ndarray) -> None:
+    """Adam step ``t`` in place on ``theta`` and its moments ``m`` and ``v``,
+    with the bits of
+
+        m = B1 * m + (1 - B1) * grad
+        v = B2 * v + (1 - B2) * grad ** 2
+        theta -= lr * (m / (1 - B1 ** t)) / (sqrt(v / (1 - B2 ** t)) + EPS)
+
+    evaluated in that order.  ``work`` is two rows of scratch as long as
+    ``theta``; ``grad`` is only read."""
+    a, b = work
+    np.multiply(m, ADAM_BETA1, out=m)
+    np.multiply(grad, 1 - ADAM_BETA1, out=a)
+    m += a
+    np.multiply(v, ADAM_BETA2, out=v)
+    np.square(grad, out=a)
+    a *= 1 - ADAM_BETA2
+    v += a
+    np.divide(m, 1 - ADAM_BETA1 ** t, out=a)
+    a *= lr
+    np.divide(v, 1 - ADAM_BETA2 ** t, out=b)
+    np.sqrt(b, out=b)
+    b += ADAM_EPS
+    a /= b
+    theta -= a
+
+
 def _gradient_step(silos: Silos, i: int, cfg: TrainConfig, loss_grad_fn) -> float:
     """One mini-batch step of silo i on its own row of the state."""
     shard, theta = silos.shards[i], silos.theta[i]
@@ -240,12 +272,8 @@ def _gradient_step(silos: Silos, i: int, cfg: TrainConfig, loss_grad_fn) -> floa
     if cfg.optimizer == "sgd":
         theta -= cfg.learning_rate * grad
     else:
-        m, v = silos.adam_m[i], silos.adam_v[i]
-        m[:] = ADAM_BETA1 * m + (1 - ADAM_BETA1) * grad
-        v[:] = ADAM_BETA2 * v + (1 - ADAM_BETA2) * grad ** 2
-        m_hat = m / (1 - ADAM_BETA1 ** silos.t)
-        v_hat = v / (1 - ADAM_BETA2 ** silos.t)
-        theta -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        adam_update(theta, silos.adam_m[i], silos.adam_v[i], grad, silos.t,
+                    cfg.learning_rate, silos.adam_work)
     if not math.isfinite(loss) or not np.all(np.isfinite(theta)):
         raise NanGradientError(
             f"non-finite loss or parameters at silo {i}, iteration k={silos.k} "
@@ -292,10 +320,10 @@ def _probe_loss(silos: Silos, cfg: TrainConfig, loss_grad_fn) -> float:
     return float(np.mean(losses))
 
 
-def _eval_rounds(cfg: TrainConfig):
-    marks = {0, cfg.rounds}
-    marks.update(range(0, cfg.rounds + 1, cfg.eval_interval))
-    return marks
+def is_eval_round(rnd: int, cfg: TrainConfig) -> bool:
+    """Whether round ``rnd`` writes a metrics row: every ``eval_interval``-th
+    round from 0, and the last."""
+    return rnd % cfg.eval_interval == 0 or rnd == cfg.rounds
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -314,7 +342,6 @@ def _train(strategy: str, shards: list[Dataset], layout, mode: str, first_k: int
     round_duration = simnet.simulate_round(layout, delay, mode)
     clock = simnet.Clock()
     log = MetricsLog()
-    eval_at = _eval_rounds(cfg)
 
     def record(rnd: int, train_loss: float) -> None:
         test_rmse = evaluate(model_kind, model_cfg, evaluated(silos.theta), test)
@@ -328,7 +355,7 @@ def _train(strategy: str, shards: list[Dataset], layout, mode: str, first_k: int
         losses = [dpasgd_update(silos, mix, loss_grad_fn, cfg)
                   for _ in range(cfg.local_steps + 1)]
         clock.advance(round_duration)
-        if rnd in eval_at:
+        if is_eval_round(rnd, cfg):
             record(rnd, float(np.mean([l for l in losses if l is not None])))
     log.final_params = evaluated(silos.theta)
     return log

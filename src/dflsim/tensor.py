@@ -11,8 +11,17 @@ window view of it, so every copied run is a window row of k*c elements.  With
 one input channel that run is only k long, and the copy goes in
 (k, k, c, b, oh, ow) order instead, along output rows; the product then
 takes the transposed buffer (see _transposed_patches for when).  col2im
-copies the patch gradient once into (k*k, b, oh, ow, c) order and adds each
-window position's contiguous block onto the input in turn.
+adds the patch gradient onto the input window position by window position.
+With stride 1 it first copies the gradient into (k*k, b, oh, ow, c) order,
+so that each add reads a contiguous block; with a larger stride the windows
+go in groups that touch disjoint elements, one add per group.
+
+The index arithmetic of a windowed layer (output shape, window slices, the
+im2col view's shape and strides, the pooling scatter index) is worked out
+once per layer spec and input shape and cached (``_geometry``); none of it
+grows faster than the batch.  Every buffer that does grow with the batch
+(padded inputs, patch matrices, gradients) is allocated per call and freed
+with it, so nothing batch-sized outlives the call that made it.
 
 Max pooling takes a running ``np.maximum`` over the k*k strided views of its
 input; on ties the first window position in row-major order wins, both for
@@ -39,9 +48,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 KINDS = ("input_norm", "conv2d", "maxpool2d", "relu", "fc", "gap", "residual_add")
 
@@ -113,19 +122,80 @@ def param_shapes(spec: LayerSpec) -> list[tuple[int, ...]]:
     return [weight, weight[-1:]] if spec.bias else [weight]
 
 
-def _windows(x: np.ndarray, k: int, s: int, oh: int, ow: int) -> list[np.ndarray]:
-    """The k*k strided views of NHWC x, one per offset inside a k x k window
-    in row-major order; view a*k+b holds element (a, b) of every one of the
-    oh x ow windows taken at stride s."""
-    return [x[:, a:a + oh * s:s, b:b + ow * s:s, :] for a in range(k) for b in range(k)]
+class _Geometry(NamedTuple):
+    """Index arithmetic of one conv2d or maxpool2d layer on one input shape."""
+
+    out_shape: tuple      # (b, oh, ow, output channels)
+    padded: tuple         # the zero-bordered input's shape (the input's own if unpadded)
+    interior: tuple       # index of the input inside the padded buffer
+    windows: tuple        # k*k index tuples, one per window position (see _geometry)
+    view_shape: tuple     # the (b, oh, ow, k, k, c) im2col view of the padded buffer
+    view_strides: tuple   # ... and its byte strides
+    phases: tuple | None  # col2im buffer as (b, rows/s, s, cols/s, s, c); conv stride > 1
+    groups: tuple | None  # (target, source) index pairs of the col2im adds; conv stride > 1
+    pool_index: tuple | None  # (offsets, base, starts) of the max-pool scatter
 
 
-def _window_view(x: np.ndarray, k: int, s: int, oh: int, ow: int) -> np.ndarray:
-    """Read-only (b, oh, ow, k, k, c) view of NHWC x: element [n, i, j, a, bb, ch]
-    is x[n, i*s + a, j*s + bb, ch]."""
-    sb, sh, sw, sc = x.strides
-    return as_strided(x, (x.shape[0], oh, ow, k, k, x.shape[3]),
-                      (sb, s * sh, s * sw, sh, sw, sc), writeable=False)
+@lru_cache(maxsize=128)
+def _geometry(spec: LayerSpec, shape: tuple) -> _Geometry:
+    """The geometry of ``spec`` on an NHWC input of ``shape``, worked out once.
+
+    ``windows[a*k + bb]`` indexes the strided view of the padded input that
+    holds element (a, bb) of every one of the oh x ow windows, in row-major
+    window-position order.  Element [n, i, j, a, bb, ch] of the im2col view
+    is padded[n, i*s + a, j*s + bb, ch].
+
+    A conv with stride s > 1 scatters its patch gradient in ``groups``.
+    Write a window offset as a = qa*s + ra (and bb = qb*s + rb).  Windows
+    that share (qa, qb) but differ in (ra, rb) touch disjoint elements, so
+    each such group is one add: a view of the patch gradient (dims b, i, a,
+    j, bb, c) onto the buffer reshaped to ``phases``, which splits each row
+    index into (row // s, row % s) and each column index likewise.  An
+    element only ever gets terms from one (ra, rb), and the groups go in
+    row-major (qa, qb) order, so each element still sums its terms in
+    window-position order.
+
+    For max pooling, the flat index in the input of window position p of
+    output element [n, i, j, ch] is ``offsets[p] + base[i, j, ch] +
+    starts[n]``.  Nothing cached here is larger than one sample's output
+    plus one integer per sample.
+    """
+    b, h, w, c = shape
+    k, s, p = spec.kernel, spec.stride, spec.padding
+    oh, ow = conv_output_hw(h, w, k, s, p)
+    hp, wp = h + 2 * p, w + 2 * p
+    windows = tuple((slice(None), slice(a, a + oh * s, s), slice(bb, bb + ow * s, s))
+                    for a in range(k) for bb in range(k))
+    sw = c * 8  # float64 bytes
+    sh = wp * sw
+    phases = groups = pool_index = None
+    if spec.kind == "conv2d" and s > 1:
+        # rounded up to whole phases; the extra rows and columns are cut off
+        phases = (b, -(-hp // s), s, -(-wp // s), s, c)
+        q = range(-(-k // s))
+        groups = tuple(
+            ((slice(None), slice(qa, qa + oh), slice(0, min(s, k - qa * s)),
+              slice(qb, qb + ow), slice(0, min(s, k - qb * s))),
+             (slice(None), slice(None), slice(qa * s, qa * s + s),
+              slice(None), slice(qb * s, qb * s + s)))
+            for qa in q for qb in q)
+    if spec.kind == "maxpool2d":
+        offsets = ((np.arange(k)[:, None] * w + np.arange(k)) * c).ravel()
+        base = ((s * np.arange(oh)[:, None] * w + s * np.arange(ow)) * c)[..., None] + np.arange(c)
+        starts = (np.arange(b) * (h * w * c)).reshape(b, 1, 1, 1)
+        for arr in (offsets, base, starts):
+            arr.flags.writeable = False
+        pool_index = (offsets, base, starts)
+    return _Geometry(
+        out_shape=(b, oh, ow, spec.out_channels if spec.kind == "conv2d" else c),
+        padded=(b, hp, wp, c),
+        interior=(slice(None), slice(p, p + h), slice(p, p + w)),
+        windows=windows,
+        view_shape=(b, oh, ow, k, k, c),
+        view_strides=(hp * sh, s * sh, s * sw, sh, sw, 8),
+        phases=phases,
+        groups=groups,
+        pool_index=pool_index)
 
 
 def _transposed_patches(spec: LayerSpec) -> bool:
@@ -142,52 +212,47 @@ def _transposed_patches(spec: LayerSpec) -> bool:
     return spec.in_channels == 1 and spec.out_channels % 8 == 0
 
 
-def _im2col(x: np.ndarray, kernel: int, stride: int, padding: int, transposed: bool):
-    """The (b*oh*ow, k*k*c) patch matrix, columns in (a, bb, channel) order,
-    built with one copy of a window view of the zero-bordered input; with
-    ``transposed`` it is the transpose of a C-ordered (K, N) buffer."""
-    b, h, w, c = x.shape
-    oh, ow = conv_output_hw(h, w, kernel, stride, padding)
-    if padding:
-        xp = np.zeros((b, h + 2 * padding, w + 2 * padding, c))
-        xp[:, padding:padding + h, padding:padding + w, :] = x
+def _im2col(x: np.ndarray, geo: _Geometry, transposed: bool) -> np.ndarray:
+    """The (b*oh*ow, k*k*c) patch matrix of x, whose geometry is ``geo``,
+    columns in (a, bb, channel) order, built with one copy of a window view
+    of the zero-bordered input; with ``transposed`` it is the transpose of a
+    C-ordered (K, N) buffer."""
+    if geo.padded != x.shape:
+        xp = np.zeros(geo.padded)
+        xp[geo.interior] = x
     else:
-        xp = x
-    win = _window_view(xp, kernel, stride, oh, ow)
-    n, kk = b * oh * ow, kernel * kernel * c
-    geom = (b, h, w, c, oh, ow)
+        xp = np.ascontiguousarray(x, dtype=np.float64)
+    # the window view is built on the contiguous buffer directly, which
+    # costs far less per call than numpy's as_strided
+    win = np.ndarray(geo.view_shape, np.float64, xp, 0, geo.view_strides)
+    b, oh, ow, k, _, c = geo.view_shape
+    n, kk = b * oh * ow, k * k * c
     if transposed:
-        return np.ascontiguousarray(win.transpose(3, 4, 5, 0, 1, 2)).reshape(kk, n).T, geom
-    return win.reshape(n, kk), geom
+        return np.ascontiguousarray(win.transpose(3, 4, 5, 0, 1, 2)).reshape(kk, n).T
+    return win.reshape(n, kk)
 
 
-def _col2im(gcols: np.ndarray, geom: tuple, kernel: int, stride: int, padding: int) -> np.ndarray:
+def _col2im(gcols: np.ndarray, geo: _Geometry) -> np.ndarray:
     """Adjoint of _im2col: each window position's slice of the patch gradient
     is added onto the input in turn, so every input element sums its terms
-    from +0.0 in window-position order."""
-    b, h, w, c, oh, ow = geom
-    gxp = np.zeros((b, h + 2 * padding, w + 2 * padding, c), dtype=np.float64)
-    # one copy in (k*k, b, oh, ow, c) order, so each add reads a contiguous block
-    g5 = np.ascontiguousarray(
-        gcols.reshape(b, oh, ow, kernel * kernel, c).transpose(3, 0, 1, 2, 4))
-    for i, view in enumerate(_windows(gxp, kernel, stride, oh, ow)):
-        view += g5[i]
-    return gxp[:, padding:h + padding, padding:w + padding, :]
-
-
-@lru_cache(maxsize=16)
-def _pool_index(shape: tuple, k: int, s: int, oh: int, ow: int):
-    """Flat indices into an NHWC array of this shape for its oh x ow windows
-    of k x k at stride s: ``origins`` (b, oh, ow) holds each window's first
-    element (channel 0) and ``offsets`` (k*k,) the distance from there to
-    window position (a, bb), in row-major order.  Both are read-only."""
-    b, h, w, c = shape
-    origins = ((np.arange(b)[:, None, None] * h + s * np.arange(oh)[:, None]) * w
-               + s * np.arange(ow)) * c
-    offsets = ((np.arange(k)[:, None] * w + np.arange(k)) * c).ravel()
-    origins.flags.writeable = False
-    offsets.flags.writeable = False
-    return origins, offsets
+    from +0.0 in window-position order.  With stride > 1 the windows go in
+    groups that touch disjoint elements (see _geometry)."""
+    b, oh, ow, k, _, c = geo.view_shape
+    if geo.groups is None:
+        gxp = np.zeros(geo.padded)
+        # one copy in (k*k, b, oh, ow, c) order, so each add reads a contiguous block
+        g5 = np.ascontiguousarray(gcols.reshape(b, oh, ow, k * k, c).transpose(3, 0, 1, 2, 4))
+        for window, g in zip(geo.windows, g5):
+            view = gxp[window]
+            view += g
+        return gxp[geo.interior]
+    gx6 = np.zeros(geo.phases)
+    g6 = gcols.reshape(b, oh, ow, k, k, c).transpose(0, 1, 3, 2, 4, 5)
+    for target, source in geo.groups:
+        view = gx6[target]
+        view += g6[source]
+    _, nh, s, nw, _, _ = geo.phases
+    return gx6.reshape(b, nh * s, nw * s, c)[geo.interior]
 
 
 def _eval_block_samples(spec: LayerSpec, oh: int, ow: int) -> int:
@@ -209,9 +274,11 @@ def forward(spec: LayerSpec, params: list[np.ndarray], x, keep_cache: bool = Tru
             raise ShapeError(f"input_norm expects NHWC, got shape {x.shape}")
         b = x.shape[0]
         flat = x.reshape(b, -1)
-        mu = flat.mean(axis=1, keepdims=True)
+        n = flat.shape[1]
+        # np.mean of float64 is this sum divided by the count, bit for bit
+        mu = np.add.reduce(flat, axis=1, keepdims=True) / n
         centered = flat - mu
-        sigma = np.sqrt((centered ** 2).mean(axis=1, keepdims=True))
+        sigma = np.sqrt(np.add.reduce(centered ** 2, axis=1, keepdims=True) / n)
         y = (centered / (sigma + NORM_EPS)).reshape(x.shape)
         cache = (spec, x.shape, centered, sigma)
 
@@ -219,8 +286,8 @@ def forward(spec: LayerSpec, params: list[np.ndarray], x, keep_cache: bool = Tru
         wgt = params[0]
         if x.ndim != 4 or x.shape[3] != spec.in_channels:
             raise ShapeError(f"conv2d expects NHWC with C={spec.in_channels}, got {x.shape}")
-        b, h, w, _ = x.shape
-        oh, ow = conv_output_hw(h, w, spec.kernel, spec.stride, spec.padding)
+        geo = _geometry(spec, x.shape)
+        b, oh, ow, _ = geo.out_shape
         rows = oh * ow
         # backward needs the whole patch matrix; without a cache it is built
         # in blocks of whole samples that differ in size by at most one
@@ -230,23 +297,23 @@ def forward(spec: LayerSpec, params: list[np.ndarray], x, keep_cache: bool = Tru
         out = np.empty((b * rows, spec.out_channels))
         for i in range(n_blocks):
             s0, s1 = i * b // n_blocks, (i + 1) * b // n_blocks
-            cols, geom = _im2col(x[s0:s1], spec.kernel, spec.stride, spec.padding, transposed)
+            part = geo if n_blocks == 1 else _geometry(spec, (s1 - s0, *x.shape[1:]))
+            cols = _im2col(x[s0:s1], part, transposed)
             np.matmul(cols, wmat, out=out[s0 * rows:s1 * rows])
         if spec.bias:
             out += params[1]
-        y = out.reshape(b, oh, ow, spec.out_channels)
-        cache = (spec, cols, geom, wmat)
+        y = out.reshape(geo.out_shape)
+        cache = (spec, cols, geo, wmat)
 
     elif kind == "maxpool2d":
         if x.ndim != 4:
             raise ShapeError(f"maxpool2d expects NHWC, got shape {x.shape}")
-        oh, ow = conv_output_hw(x.shape[1], x.shape[2], spec.kernel, spec.stride, 0)
-        views = _windows(x, spec.kernel, spec.stride, oh, ow)
-        y = views[0].copy()
-        for view in views[1:]:
+        first, *rest = _geometry(spec, x.shape).windows
+        y = x[first].copy()
+        for window in rest:
             # np.maximum returns its second operand when the two compare
             # equal, so the earlier window position keeps the signed zero
-            np.maximum(view, y, out=y)
+            np.maximum(x[window], y, out=y)
         cache = (spec, x, y)
 
     elif kind == "relu":
@@ -265,7 +332,7 @@ def forward(spec: LayerSpec, params: list[np.ndarray], x, keep_cache: bool = Tru
     elif kind == "gap":
         if x.ndim != 4:
             raise ShapeError(f"gap expects NHWC, got shape {x.shape}")
-        y = x.mean(axis=(1, 2))
+        y = np.add.reduce(x, axis=(1, 2)) / (x.shape[1] * x.shape[2])
         cache = (spec, x.shape)
 
     elif kind == "residual_add":
@@ -288,7 +355,7 @@ def backward(spec: LayerSpec, cache, grad_out, input_grad: bool = True):
     input_grad=False, conv2d returns None as grad_input without computing
     it; the other kinds ignore the flag.
     """
-    if not isinstance(cache, tuple) or not cache or cache[0] != spec:
+    if not isinstance(cache, tuple) or not cache or (cache[0] is not spec and cache[0] != spec):
         raise ShapeError("stale or mismatched cache for backward")
     kind = spec.kind
 
@@ -300,7 +367,7 @@ def backward(spec: LayerSpec, cache, grad_out, input_grad: bool = True):
         g = grad_out.reshape(b, -1)
         n = g.shape[1]
         denom = sigma + NORM_EPS
-        gc = (g - g.mean(axis=1, keepdims=True)) / denom
+        gc = (g - np.add.reduce(g, axis=1, keepdims=True) / n) / denom
         dot = (g * centered).sum(axis=1, keepdims=True)
         safe_sigma = np.where(sigma > 0.0, sigma, 1.0)
         scale = np.where(sigma > 0.0, dot / (denom ** 2 * n * safe_sigma), 0.0)
@@ -308,10 +375,9 @@ def backward(spec: LayerSpec, cache, grad_out, input_grad: bool = True):
         return gx.reshape(x_shape), []
 
     if kind == "conv2d":
-        _, cols, geom, wmat = cache
-        b, h, w, c, oh, ow = geom
-        if grad_out.shape != (b, oh, ow, spec.out_channels):
-            raise ShapeError(f"grad shape {grad_out.shape} != ({b},{oh},{ow},{spec.out_channels})")
+        _, cols, geo, wmat = cache
+        if grad_out.shape != geo.out_shape:
+            raise ShapeError(f"grad shape {grad_out.shape} != {geo.out_shape}")
         gmat = grad_out.reshape(-1, spec.out_channels)
         gw = (cols.T @ gmat).reshape(spec.kernel, spec.kernel, spec.in_channels, spec.out_channels)
         grads = [gw]
@@ -322,32 +388,31 @@ def backward(spec: LayerSpec, cache, grad_out, input_grad: bool = True):
                          else gmat.sum(axis=0))
         if not input_grad:
             return None, grads
-        gx = _col2im(gmat @ wmat.T, geom, spec.kernel, spec.stride, spec.padding)
+        gx = _col2im(gmat @ wmat.T, geo)
         return gx, grads
 
     if kind == "maxpool2d":
         _, x, y = cache
         if grad_out.shape != y.shape:
             raise ShapeError(f"grad shape {grad_out.shape} != forward shape {y.shape}")
-        _, oh, ow, _ = y.shape
-        k, s = spec.kernel, spec.stride
+        geo = _geometry(spec, x.shape)
         # arg: the first window position (row-major) holding the max
-        arg = np.zeros(y.shape, dtype=np.min_scalar_type(k * k - 1))
+        arg = np.zeros(y.shape, dtype=np.min_scalar_type(len(geo.windows) - 1))
         unrouted = np.ones(y.shape, dtype=bool)
         hit = np.empty(y.shape, dtype=bool)
-        for i, view in enumerate(_windows(x, k, s, oh, ow)):
-            np.equal(view, y, out=hit)
+        for i, window in enumerate(geo.windows):
+            np.equal(x[window], y, out=hit)
             hit &= unrouted
             unrouted ^= hit
             if i:
                 arg += hit.view(np.uint8) * arg.dtype.type(i)
         # scatter every window's gradient onto its routed element at once
-        origins, offsets = _pool_index(x.shape, k, s, oh, ow)
+        offsets, base, starts = geo.pool_index
         idx = offsets.take(arg)
-        idx += origins[..., None]
-        idx += np.arange(y.shape[3])
+        idx += base
+        idx += starts
         idx, weights = idx.ravel(), grad_out.ravel()
-        if k > s:
+        if spec.kernel > spec.stride:
             # overlapping windows: an element must take its terms in
             # window-position order
             order = np.argsort(arg, axis=None, kind="stable")
@@ -377,7 +442,8 @@ def backward(spec: LayerSpec, cache, grad_out, input_grad: bool = True):
         b, h, w, c = x_shape
         if grad_out.shape != (b, c):
             raise ShapeError(f"grad shape {grad_out.shape} != ({b},{c})")
-        gx = np.broadcast_to(grad_out[:, None, None, :] / (h * w), x_shape).copy()
+        gx = np.empty(x_shape)
+        np.divide(grad_out[:, None, None, :], h * w, out=gx)
         return gx, []
 
     if kind == "residual_add":

@@ -39,9 +39,8 @@ def _default_instance(spec: T.LayerSpec, rng: np.random.Generator):
 def _pool_margin(x, k, s) -> float:
     """Smallest gap between the largest and second-largest element of any
     k x k pooling window at stride s."""
-    b, h, w, c = x.shape
-    oh, ow = T.conv_output_hw(h, w, k, s, 0)
-    patches = np.stack(T._windows(x, k, s, oh, ow), axis=3)
+    geo = T._geometry(T.LayerSpec("maxpool2d", kernel=k, stride=s), x.shape)
+    patches = np.stack([x[window] for window in geo.windows], axis=3)
     top2 = np.sort(patches, axis=3)[:, :, :, -2:, :]
     return float((top2[:, :, :, 1, :] - top2[:, :, :, 0, :]).min())
 

@@ -159,6 +159,17 @@ class TestRun:
         assert len(lines) == 1 and lines[0].startswith("runtime abort: "), proc.stderr
         assert reason in lines[0]
 
+    def test_out_of_memory_exits_2(self, tmp_path):
+        # one mini-batch of 10^7 8x8 samples needs 5 GB, past the child's
+        # 2 GiB address-space cap
+        cfg_path = write_config(tmp_path, {**FAST, "strategy": "cll", "batch_size": 10 ** 7})
+        proc = run_cli_child(["run", str(cfg_path), "--out", str(tmp_path / "out"), "--quiet"],
+                             timeout=120)
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("runtime abort: out of memory"), proc.stderr
+        assert "batch_size" in lines[0]
+
     def test_external_data_source(self, tmp_path):
         ds = D.generate_linesteer(40, 8, 8, seed=0)
         D.save_external(tmp_path / "ext", ds)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from dflsim import model as M
 from dflsim.data import Dataset
+from dflsim.protocol import EVAL_BATCH
 from dflsim import tensor as T
 from fdcheck import find_smooth_seed, model_grad_check
 
@@ -177,6 +178,26 @@ class TestForward:
         finally:
             tracemalloc.stop()
         assert peak < 30e6
+
+    @pytest.mark.parametrize("call, n", [("predict", EVAL_BATCH), ("loss_and_grad", 32)])
+    def test_nothing_batch_sized_outlives_the_call(self, call, n):
+        # a buffer kept from one call to the next (a zero-bordered conv input
+        # of the stem is 296 KB at batch 32) would add to the peak RSS of
+        # the evaluation that follows training
+        theta = M.init_params("fadnet", M.TOY_CONFIG, 1)
+        batch = toy_batch(n=n, seed=9)
+        T._geometry.cache_clear()  # the call fills the per-shape caches itself
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            if call == "predict":
+                M.predict("fadnet", M.TOY_CONFIG, theta, batch.inputs)
+            else:
+                M.loss_and_grad("fadnet", M.TOY_CONFIG, theta, batch)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 256 << 10
 
     def test_shape_mismatch_rejected(self):
         theta = M.init_params("fadnet", M.TOY_CONFIG, 0)

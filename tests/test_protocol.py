@@ -119,6 +119,30 @@ class TestDpasgdUpdate:
         assert silos.theta[0, 0] == pytest.approx(-0.5, rel=1e-6)
         assert silos.t == 1
 
+    def test_in_place_adam_matches_textbook_bitwise(self):
+        # zeros, -0.0, subnormals, tiny and huge values among the gradients
+        rng = np.random.default_rng(6)
+        n = 4096
+        special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e-300, 1e150, -1e150])
+        theta = rng.standard_normal(n)
+        m, v = np.zeros(n), np.zeros(n)
+        want_theta, want_m, want_v = theta.copy(), m.copy(), v.copy()
+        work = np.empty((2, n))
+        lr = 1e-3
+        for t in range(1, 6):
+            grad = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 4, n)
+            grad[rng.integers(0, n, 200)] = rng.choice(special, 200)
+            held = grad.copy()
+            P.adam_update(theta, m, v, grad, t, lr, work)
+            assert grad.tobytes() == held.tobytes()  # the gradient is only read
+            want_m = P.ADAM_BETA1 * want_m + (1 - P.ADAM_BETA1) * grad
+            want_v = P.ADAM_BETA2 * want_v + (1 - P.ADAM_BETA2) * grad ** 2
+            m_hat = want_m / (1 - P.ADAM_BETA1 ** t)
+            v_hat = want_v / (1 - P.ADAM_BETA2 ** t)
+            want_theta = want_theta - lr * m_hat / (np.sqrt(v_hat) + P.ADAM_EPS)
+            for got, want in ((theta, want_theta), (m, want_m), (v, want_v)):
+                assert got.tobytes() == want.tobytes(), t
+
     @pytest.mark.parametrize("fixture_name", ["gaia11", "nws22"])
     def test_ring_mix_matches_per_silo_loop_bitwise(self, fixture_name, request):
         graph = request.getfixturevalue(fixture_name)
@@ -387,6 +411,19 @@ class TestRunners:
         cfg = P.TrainConfig(strategy="cll", rounds=2000, eval_interval=2000, seed=0)
         log = P.run_cll("fadnet", M.TOY_CONFIG, ds, ds, cfg)
         assert log.final.train_loss < 1e-3
+
+    @pytest.mark.parametrize("rounds", [1, 2, 3, 7, 10, 11, 30, 31])
+    @pytest.mark.parametrize("eval_interval", [1, 2, 3, 10, 40])
+    def test_eval_rounds_are_every_interval_and_the_last(self, rounds, eval_interval):
+        cfg = P.TrainConfig(rounds=rounds, eval_interval=eval_interval)
+        want = {0, rounds} | set(range(0, rounds + 1, eval_interval))
+        assert {r for r in range(rounds + 1) if P.is_eval_round(r, cfg)} == want
+
+    def test_eval_round_needs_no_enumeration(self):
+        cfg = P.TrainConfig(rounds=10 ** 18, eval_interval=7)
+        assert P.is_eval_round(0, cfg) and P.is_eval_round(10 ** 18, cfg)
+        assert P.is_eval_round(7 * 10 ** 16, cfg)
+        assert not P.is_eval_round(10 ** 18 - 2, cfg)
 
     def test_cll_zero_free_rounds_unsupported(self):
         with pytest.raises(ValueError, match="rounds"):

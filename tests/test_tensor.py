@@ -261,6 +261,9 @@ EXTRA_CONV_GEOMETRIES = [
     (make_conv(kernel=3, stride=1, padding=1, cin=6, cout=1), 8, 5),
     (make_conv(kernel=3, stride=1, padding=2, cin=1, cout=1), 6, 6),
     (make_conv(kernel=1, stride=3, padding=0, cin=2, cout=1), 10, 7),
+    # col2im window groups of 3x3, 3x2, 2x3 and 2x2 phases, and of one phase
+    (make_conv(kernel=5, stride=2, padding=2, cin=2, cout=3), 9, 10),
+    (make_conv(kernel=3, stride=3, padding=1, cin=3, cout=2), 8, 7),
 ]
 
 
