@@ -28,38 +28,19 @@ class ConfigError(ValueError):
     """Config validation failure; the message names the offending field."""
 
 
-def _parse_field(key: str, parse, value):
-    try:
-        return parse(value)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"config field {key!r}: {e}") from e
-
-
-def _parser(default):
-    """The parser of a dataclass field, chosen by its default's type; the
-    list fields (a tuple, or None for eval_mask) are checked entry by entry
-    in validate_config."""
-    if isinstance(default, int):
-        return D.whole_number
-    if isinstance(default, float):
-        return D.finite_number
-    if isinstance(default, str):
-        return str
-    return list
-
-
 # field -> (default, parser): the run-level keys, then every field of
-# TrainConfig and of FADNetConfig with the default declared there.
+# TrainConfig and of FADNetConfig with the default declared there.  A key
+# whose default is None may also be null.
 _CONFIG_FIELDS: dict = {
-    "model_kind": ("fadnet", str),
-    "topology": ("gaia11", str),
-    "data_source": ("linesteer", str),
+    "model_kind": ("fadnet", D.json_string),
+    "topology": ("gaia11", D.json_string),
+    "data_source": ("linesteer", D.json_string),
     "sample_count": (2000, D.whole_number),
     "skew": (0.8, D.finite_number),
     "train_fraction": (0.8, D.finite_number),
-    "external_path": (None, str),
-    "out_dir": (None, str),
-    **{f.name: (f.default, _parser(f.default))
+    "external_path": (None, D.json_string),
+    "out_dir": (None, D.json_string),
+    **{f.name: (f.default, D.field_parser(f.default))
        for cls in (P.TrainConfig, M.FADNetConfig) for f in fields(cls)},
 }
 
@@ -70,8 +51,9 @@ _COMPARE_KEYS = (
 )
 
 
-def load_config(path) -> dict:
-    """Parse, default, and validate an experiment config file."""
+def load_config(path, seed=None) -> dict:
+    """Parse, default, and validate an experiment config file; ``seed``,
+    when given, replaces the file's seed before the checks."""
     path = Path(path)
     try:
         raw = json.loads(path.read_text())
@@ -84,34 +66,28 @@ def load_config(path) -> dict:
     for key in raw:
         if key not in _CONFIG_FIELDS:
             raise ConfigError(f"unknown config field {key!r}")
+    if seed is not None:
+        raw["seed"] = seed
     cfg = {}
     for key, (default, parse) in _CONFIG_FIELDS.items():
         value = raw.get(key, default)
-        if value is not None and parse is not list:
-            value = _parse_field(key, parse, value)
-        cfg[key] = value
+        try:
+            cfg[key] = None if value is None and default is None else parse(value)
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"config field {key!r}: {e}") from e
     return validate_config(cfg)
 
 
 def validate_config(cfg: dict) -> dict:
-    if cfg["strategy"] not in P.STRATEGIES:
-        raise ConfigError(f"config field 'strategy': must be one of "
-                          f"{list(P.STRATEGIES)}, got {cfg['strategy']!r}")
-    if cfg["model_kind"] not in M.MODEL_KINDS:
-        raise ConfigError(f"config field 'model_kind': must be one of "
-                          f"{list(M.MODEL_KINDS)}, got {cfg['model_kind']!r}")
-    if cfg["data_source"] not in DATA_SOURCES:
-        raise ConfigError(f"config field 'data_source': must be one of "
-                          f"{list(DATA_SOURCES)}, got {cfg['data_source']!r}")
-    if not isinstance(cfg["widths"], (list, tuple)) or len(cfg["widths"]) != 3:
-        raise ConfigError(f"config field 'widths': need 3 block widths, got {cfg['widths']!r}")
-    cfg["widths"] = [_parse_field("widths", D.whole_number, w) for w in cfg["widths"]]
-    if cfg["eval_mask"] is not None:
-        if not isinstance(cfg["eval_mask"], (list, tuple)):
-            raise ConfigError(f"config field 'eval_mask': need a list, got {cfg['eval_mask']!r}")
-        cfg["eval_mask"] = [_parse_field("eval_mask", D.whole_number, v) for v in cfg["eval_mask"]]
-        if any(v not in (0, 1) for v in cfg["eval_mask"]):
-            raise ConfigError("config field 'eval_mask': entries must be 0 or 1")
+    for key, names in (("strategy", P.STRATEGIES), ("model_kind", M.MODEL_KINDS),
+                       ("data_source", DATA_SOURCES)):
+        if cfg[key] not in names:
+            raise ConfigError(f"config field {key!r}: must be one of {list(names)}, "
+                              f"got {cfg[key]!r}")
+    if len(cfg["widths"]) != 3:
+        raise ConfigError(f"config field 'widths': need 3 block widths, got {list(cfg['widths'])}")
+    if cfg["eval_mask"] is not None and any(v not in (0, 1) for v in cfg["eval_mask"]):
+        raise ConfigError("config field 'eval_mask': entries must be 0 or 1")
     if not 0.0 <= cfg["skew"] <= 1.0:
         raise ConfigError(f"config field 'skew': must be in [0, 1], got {cfg['skew']}")
     if not 0.0 < cfg["train_fraction"] < 1.0:
@@ -128,10 +104,7 @@ def validate_config(cfg: dict) -> dict:
         raise ConfigError("config field 'input_channels': linesteer data is "
                           "single-channel, set input_channels to 1")
     if cfg["strategy"] in ("dfl", "sfl"):
-        topo = cfg["topology"]
-        if topo not in tp.BUNDLED_TOPOLOGIES and not Path(topo).exists():
-            raise ConfigError(f"config field 'topology': {topo!r} is neither a "
-                              f"bundled name {list(tp.BUNDLED_TOPOLOGIES)} nor an existing file")
+        _topology_path(cfg["topology"])
     if cfg["out_dir"] is None:
         cfg["out_dir"] = f"runs/{cfg['strategy']}"
     # delegate numeric range checks to the dataclass validators
@@ -144,15 +117,18 @@ def validate_config(cfg: dict) -> dict:
 
 
 def _dataclass_config(cls, cfg: dict):
-    """A TrainConfig or FADNetConfig of the config's keys; the list fields
-    (widths, eval_mask) become tuples."""
-    return cls(**{f.name: tuple(cfg[f.name]) if isinstance(cfg[f.name], list) else cfg[f.name]
-                  for f in fields(cls)})
+    """A TrainConfig or FADNetConfig of the config's keys."""
+    return cls(**{f.name: cfg[f.name] for f in fields(cls)})
 
 
-def _resolve_topology_path(name: str):
+def _topology_path(name: str) -> Path:
+    """The file a ``topology`` value names: a bundled fixture or an
+    existing file."""
     if name in tp.BUNDLED_TOPOLOGIES:
         return tp.fixture_path(name)
+    if not Path(name).exists():
+        raise ConfigError(f"config field 'topology': {name!r} is neither a bundled name "
+                          f"{list(tp.BUNDLED_TOPOLOGIES)} nor an existing file")
     return Path(name)
 
 
@@ -203,7 +179,7 @@ def execute(cfg: dict) -> P.MetricsLog:
     if cfg["strategy"] == "cll":
         return P.run_cll(cfg["model_kind"], model_cfg, train, test, train_cfg)
 
-    graph = tp.load_topology(_resolve_topology_path(cfg["topology"]))
+    graph = tp.load_topology(_topology_path(cfg["topology"]))
     _check_against_topology(cfg, graph.n, train.count)
     plan = D.partition_noniid(train, graph.n, cfg["skew"], cfg["seed"])
     shards = plan.shards(train)
@@ -231,12 +207,9 @@ def _write_outputs(cfg: dict, log: P.MetricsLog) -> Path:
 
 
 def run_command(config_path, out=None, seed=None, quiet=False) -> int:
-    cfg = load_config(config_path)
+    cfg = load_config(config_path, seed)
     if out is not None:
         cfg["out_dir"] = str(out)
-    if seed is not None:
-        cfg["seed"] = int(seed)
-        validate_config(cfg)
     log = execute(cfg)
     out_dir = _write_outputs(cfg, log)
     if not quiet:
@@ -249,11 +222,7 @@ def run_command(config_path, out=None, seed=None, quiet=False) -> int:
 def compare_command(config_paths, out=None, seed=None, quiet=False) -> int:
     if len(config_paths) < 2:
         raise ConfigError("compare: need >= 2 configs")
-    cfgs = [load_config(p) for p in config_paths]
-    if seed is not None:
-        for c in cfgs:
-            c["seed"] = int(seed)
-            validate_config(c)
+    cfgs = [load_config(p, seed) for p in config_paths]
     base = cfgs[0]
     for c, path in zip(cfgs[1:], config_paths[1:]):
         diffs = [k for k in _COMPARE_KEYS if c[k] != base[k]]
@@ -300,7 +269,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             return run_command(args.config, args.out, args.seed, args.quiet)
         return compare_command(args.configs, args.out, args.seed, args.quiet)
-    except (ConfigError, tp.TopologyError) as e:
+    except (ConfigError, tp.TopologyError, P.ClockOverflowError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except P.NanGradientError as e:

@@ -46,6 +46,32 @@ def finite_number(value) -> float:
     return number
 
 
+def json_string(value) -> str:
+    """A string; a number, boolean or list is rejected, not converted."""
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, got {value!r}")
+    return value
+
+
+def whole_numbers(value) -> tuple[int, ...]:
+    """A list of whole numbers (see ``whole_number``), as a tuple."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"expected a list of integers, got {value!r}")
+    return tuple(whole_number(v) for v in value)
+
+
+def field_parser(default):
+    """The parser of a config field chosen by the type of its default; a
+    tuple or ``None`` default (an optional list) takes ``whole_numbers``."""
+    if isinstance(default, int):
+        return whole_number
+    if isinstance(default, float):
+        return finite_number
+    if isinstance(default, str):
+        return json_string
+    return whole_numbers
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Images (count, H, W, C) with normalized steering targets in [-1, 1]:
@@ -93,13 +119,19 @@ class PartitionPlan:
         return [ds.subset(self.silo_indices(i)) for i in range(self.n_silos)]
 
 
-def render_line(height: int, width: int, angle: float) -> np.ndarray:
-    """Noise-free image of one line through the center at ``angle``:
-    intensity = max(0, 1 - distance_to_line) per pixel."""
+def render_line(height: int, width: int, angles) -> np.ndarray:
+    """Noise-free images of one line through the center at each of
+    ``angles`` (a scalar gives one image): intensity = max(0, 1 -
+    distance_to_line) per pixel, in an array of shape angles.shape + (H, W)."""
+    angles = np.asarray(angles, dtype=np.float64)[..., None, None]
     ys = np.arange(height) - (height - 1) / 2.0
     xs = np.arange(width) - (width - 1) / 2.0
-    dist = np.abs(-np.sin(angle) * xs[None, :] + np.cos(angle) * ys[:, None])
-    return np.maximum(0.0, 1.0 - dist)
+    # one image-sized buffer, updated in place: a fresh temporary per step
+    # costs a page fault per 4 KiB of every rendered block
+    image = -np.sin(angles) * xs + np.cos(angles) * ys[:, None]
+    np.abs(image, out=image)
+    np.subtract(1.0, image, out=image)
+    return np.maximum(0.0, image, out=image)
 
 
 def generate_linesteer(count: int, height: int, width: int, seed: int) -> Dataset:
@@ -115,17 +147,12 @@ def generate_linesteer(count: int, height: int, width: int, seed: int) -> Datase
     rng = np.random.default_rng(seed)
     angles = rng.uniform(-ANGLE_RANGE, ANGLE_RANGE, count)
     images = rng.normal(0.0, NOISE_SIGMA, (count, height, width, 1))
-    ys = np.arange(height) - (height - 1) / 2.0
-    xs = np.arange(width) - (width - 1) / 2.0
-    neg_sin, cos = -np.sin(angles), np.cos(angles)
     # the lines are added onto the noise a block of samples at a time; the
     # sum is the same either way round, so the bits do not depend on blocks
     per_block = max(1, RENDER_BLOCK_BYTES // (height * width * 8))
     for s0 in range(0, count, per_block):
-        s1 = min(s0 + per_block, count)
-        dist = np.abs(neg_sin[s0:s1, None, None] * xs[None, None, :]
-                      + cos[s0:s1, None, None] * ys[None, :, None])
-        images[s0:s1, ..., 0] += np.maximum(0.0, 1.0 - dist)
+        images[s0:s0 + per_block, ..., 0] += render_line(height, width,
+                                                         angles[s0:s0 + per_block])
     return Dataset(inputs=images, targets=angles / ANGLE_RANGE)
 
 

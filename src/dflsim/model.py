@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .data import Dataset, whole_number
+from .data import Dataset, field_parser
 
 MODEL_KINDS = ("fadnet", "backbone_only")
 
@@ -59,15 +59,14 @@ class FADNetConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FADNetConfig":
-        """The config of a JSON object such as ``asdict`` writes: every
-        field a whole number, except ``widths``, a list of them."""
+        """The config of a JSON object such as ``asdict`` writes, each
+        field parsed as its default's type (``data.field_parser``)."""
         values = {}
         for f in fields(cls):
             if f.name not in d:
                 raise ValueError(f"model config {f.name!r}: missing")
             try:
-                values[f.name] = (tuple(map(whole_number, d[f.name])) if f.name == "widths"
-                                  else whole_number(d[f.name]))
+                values[f.name] = field_parser(f.default)(d[f.name])
             except (TypeError, ValueError) as e:
                 raise ValueError(f"model config {f.name!r}: {e}") from e
         return cls(**values)

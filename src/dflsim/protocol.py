@@ -57,6 +57,11 @@ class NanGradientError(RuntimeError):
     test RMSE."""
 
 
+class ClockOverflowError(ValueError):
+    """Raised before round 1 when ``rounds`` times the round duration is
+    not a finite number of simulated seconds."""
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Training hyperparameters, each one config key of ``dflsim run`` with
@@ -332,14 +337,25 @@ def _train(strategy: str, shards: list[Dataset], layout, mode: str, first_k: int
            test: Dataset, cfg: TrainConfig) -> MetricsLog:
     """The one training loop: each round runs s+1 iterations of
     ``dpasgd_update`` and advances the clock by ``simulate_round`` of
-    ``layout``; evaluated rounds test ``evaluated(theta)``.  numpy's
-    floating-point warnings are off: a non-finite loss, row or test RMSE
-    aborts the run with ``NanGradientError`` instead."""
+    ``layout``; evaluated rounds test ``evaluated(theta)``.  A run whose
+    simulated time, rounds x round duration, is not finite raises
+    ``ClockOverflowError`` before it starts.  numpy's floating-point warnings
+    are off: a non-finite loss, row or test RMSE aborts the run with
+    ``NanGradientError`` instead."""
     loss_grad_fn = _loss_grad_fn(model_kind, model_cfg)
     theta0 = M.init_params(model_kind, model_cfg, cfg.seed)
-    silos = Silos.start(theta0, shards, cfg, k=first_k)
     delay = DelayParams(model_size_bytes=8.0 * theta0.size, local_steps=cfg.local_steps)
     round_duration = simnet.simulate_round(layout, delay, mode)
+    try:
+        total = cfg.rounds * round_duration
+    except OverflowError:  # rounds is an integer past the float range
+        total = math.inf
+    if not math.isfinite(total):
+        raise ClockOverflowError(
+            f"config field 'rounds': {cfg.rounds} rounds of {round_duration!r} s each "
+            f"overflow the simulated clock; fewer rounds or shorter compute, latency "
+            f"or transfer times are needed")
+    silos = Silos.start(theta0, shards, cfg, k=first_k)
     clock = simnet.Clock()
     log = MetricsLog()
 

@@ -230,9 +230,9 @@ def load_topology(path) -> ConnectivityGraph:
 
 def link_delay(g: ConnectivityGraph, i: int, j: int, p: DelayParams) -> float:
     """One-link delay: local compute for ``local_steps`` updates at the
-    source, plus link latency, plus transfer time of the model payload."""
-    l = g.link(i, j)
-    return p.local_steps * g.compute_time(i) + l.latency_s + p.model_size_bytes / l.bandwidth_Bps
+    source, plus link latency, plus transfer time of the model payload; the
+    one-hop path's delay, so the round time sums it the same way."""
+    return path_delay(g, (i, j), p)
 
 
 def path_delay(g: ConnectivityGraph, path: tuple[int, ...], p: DelayParams) -> float:

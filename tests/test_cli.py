@@ -238,6 +238,23 @@ class TestRun:
             assert "labels.csv line 5: need a file name and a finite angle" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("payload", [
+        {"strategy": "cll", "cll_compute_s": 1e308, "local_steps": 2},
+        {"strategy": "sfl", "server_latency_s": 1e308},
+        {"strategy": "sfl", "server_compute_s": 1.7e308},
+        {"strategy": "cll", "rounds": 400, "cll_compute_s": 1e306},
+    ], ids=["cll-inf-round", "sfl-inf-round", "sfl-sum-overflows", "cll-sum-overflows"])
+    def test_simulated_time_overflow_exits_1(self, tmp_path, capsys, payload):
+        # the round duration, or rounds times it, is past the float range:
+        # no run may end with an inf sim_time_s or an overflow in the clock
+        cfg_path = write_config(tmp_path, {**FAST, **payload})
+        assert cli.main(["run", str(cfg_path), "--out", str(tmp_path / "out"),
+                         "--quiet"]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: config field 'rounds': ")
+        assert "overflow the simulated clock" in lines[0]
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["run", "compare"])
     def test_negative_seed_override_rejected(self, tmp_path, capsys, command):
         paths = [write_config(tmp_path, {"strategy": s, **FAST}, name=f"{s}.json")
@@ -301,6 +318,26 @@ class TestFieldTypes:
                          "--quiet"]) == 1
         assert f"{field} must be" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("field", sorted(cli._CONFIG_FIELDS))
+    def test_wrong_json_type_names_field(self, tmp_path, capsys, field):
+        # a boolean for a number key, a number for a string or list key
+        default = cli._CONFIG_FIELDS[field][0]
+        value = True if isinstance(default, (int, float)) else 5
+        cfg_path = write_config(tmp_path, {**FAST, "strategy": "cll", field: value})
+        assert cli.main(["run", str(cfg_path), "--out", str(tmp_path / "out"),
+                         "--quiet"]) == 1
+        assert f"config field '{field}':" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("field", ["rounds", "learning_rate", "topology", "widths"])
+    def test_null_rejected_where_default_is_set(self, tmp_path, capsys, field):
+        # only a key whose default is null (eval_mask, external_path, out_dir)
+        # takes null
+        cfg_path = write_config(tmp_path, {**FAST, "strategy": "cll", field: None})
+        assert cli.main(["run", str(cfg_path), "--out", str(tmp_path / "out"),
+                         "--quiet"]) == 1
+        assert f"config field '{field}':" in capsys.readouterr().err
 
     def test_whole_numbers_accepted(self):
         assert D.whole_number(3.0) == 3 and D.whole_number("4") == 4
