@@ -14,7 +14,6 @@ from .topology import (
     build_overlay_christofides,
     consensus_matrix,
     cycle_time,
-    link_delay,
     load_topology,
 )
 

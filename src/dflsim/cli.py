@@ -100,9 +100,12 @@ def validate_config(cfg: dict) -> dict:
         if not Path(cfg["external_path"]).exists():
             raise ConfigError(f"config field 'external_path': "
                               f"{cfg['external_path']} does not exist")
-    elif cfg["data_source"] == "linesteer" and cfg["input_channels"] != 1:
+    elif cfg["input_channels"] != 1:
         raise ConfigError("config field 'input_channels': linesteer data is "
                           "single-channel, set input_channels to 1")
+    elif cfg["sample_count"] < 1:
+        raise ConfigError(f"config field 'sample_count': must be >= 1, "
+                          f"got {cfg['sample_count']}")
     if cfg["strategy"] in ("dfl", "sfl"):
         _topology_path(cfg["topology"])
     if cfg["out_dir"] is None:
@@ -130,6 +133,15 @@ def _topology_path(name: str) -> Path:
         raise ConfigError(f"config field 'topology': {name!r} is neither a bundled name "
                           f"{list(tp.BUNDLED_TOPOLOGIES)} nor an existing file")
     return Path(name)
+
+
+def _check_out_dir(cfg: dict) -> None:
+    """Reject an ``out_dir`` that is, or lies under, an existing
+    non-directory; checked before any work is done."""
+    out = Path(cfg["out_dir"])
+    for p in (out, *out.parents):
+        if p.exists() and not p.is_dir():
+            raise ConfigError(f"config field 'out_dir': {p} exists and is not a directory")
 
 
 def _build_data(cfg: dict, model_cfg: M.FADNetConfig):
@@ -210,6 +222,7 @@ def run_command(config_path, out=None, seed=None, quiet=False) -> int:
     cfg = load_config(config_path, seed)
     if out is not None:
         cfg["out_dir"] = str(out)
+    _check_out_dir(cfg)
     log = execute(cfg)
     out_dir = _write_outputs(cfg, log)
     if not quiet:
@@ -230,10 +243,12 @@ def compare_command(config_paths, out=None, seed=None, quiet=False) -> int:
             raise ConfigError(f"compare: incompatible data settings in {path}: "
                               f"{diffs} differ from {config_paths[0]}")
     out_base = Path(out) if out is not None else None
-    rows = []
     for path, c in zip(config_paths, cfgs):
         if out_base is not None:
             c["out_dir"] = str(out_base / Path(path).stem)
+        _check_out_dir(c)
+    rows = []
+    for c in cfgs:
         log = execute(c)
         _write_outputs(c, log)
         rows.append((c["strategy"], c["model_kind"], log.final.test_rmse,

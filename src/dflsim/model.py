@@ -86,25 +86,11 @@ PAPER_SCALE_CONFIG = FADNetConfig(
 # Layer plan and parameter layout
 
 
-def _stage_dims(cfg: FADNetConfig) -> list[tuple[int, int, int]]:
-    """(H, W, C) after the stem pool and after each residual block."""
-    h, w = T.conv_output_hw(cfg.input_height, cfg.input_width, 3, 1, 1)
-    h, w = T.conv_output_hw(h, w, 2, 2, 0)  # stem maxpool
-    dims = [(h, w, cfg.widths[0])]
-    for c_out in cfg.widths:
-        h, w = T.conv_output_hw(h, w, 3, 2, 1)
-        dims.append((h, w, c_out))
-    return dims  # dims[0] is the stem output, dims[1..3] the block outputs
-
-
 @lru_cache(maxsize=32)
 def _plan(kind: str, cfg: FADNetConfig) -> dict:
     """Layer specs plus the flat parameter layout for a model kind/config."""
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
-    dims = _stage_dims(cfg)
-    flat_dim = dims[-1][0] * dims[-1][1] * dims[-1][2]
-
     specs: dict[str, T.LayerSpec] = {
         "norm": T.LayerSpec("input_norm"),
         "stem.conv": T.LayerSpec("conv2d", kernel=3, stride=1, padding=1,
@@ -122,6 +108,19 @@ def _plan(kind: str, cfg: FADNetConfig) -> dict:
                                                   in_channels=c_in, out_channels=c_out)
         specs[f"block{h}.add"] = T.LayerSpec("residual_add")
         c_in = c_out
+
+    def out_hw(hw, layer):
+        spec = specs[layer]
+        return T.conv_output_hw(*hw, spec.kernel, spec.stride, spec.padding)
+
+    # (H, W, C) after the stem pool and after each block, whose conv1 sets
+    # its output size
+    hw = out_hw(out_hw((cfg.input_height, cfg.input_width), "stem.conv"), "stem.pool")
+    dims = [(*hw, cfg.widths[0])]
+    for h, c_out in enumerate(cfg.widths, start=1):
+        hw = out_hw(hw, f"block{h}.conv1")
+        dims.append((*hw, c_out))
+    flat_dim = math.prod(dims[-1])
 
     if kind == "fadnet":
         specs["tail.fc"] = T.LayerSpec("fc", in_features=flat_dim, out_features=cfg.feature_dim)

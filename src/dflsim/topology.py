@@ -88,9 +88,6 @@ class ConnectivityGraph:
         except KeyError:
             raise TopologyError(f"no link {i}->{j} in connectivity graph") from None
 
-    def has_link(self, i: int, j: int) -> bool:
-        return (i, j) in self._link_map
-
 
 @dataclass(frozen=True)
 class Overlay:
@@ -100,8 +97,9 @@ class Overlay:
     orientations of each tour edge, and for every directed edge the
     real-link path it expands to (identity for direct links).
     ``in_neighbors[i]`` lists the silos that send to i, which are also the
-    silos i sends to.  ``metric_weight`` is the tour weight in the
-    symmetrized closure metric; a 2-silo tour counts its one edge once.
+    silos i sends to.  ``metric_weight`` is the canonical tour's weight in
+    the symmetrized closure metric, by one formula for every builder; a
+    2-silo tour counts its one edge once.
     """
 
     parent: ConnectivityGraph | None
@@ -228,13 +226,6 @@ def load_topology(path) -> ConnectivityGraph:
     return ConnectivityGraph(silos=tuple(silos), links=tuple(links))
 
 
-def link_delay(g: ConnectivityGraph, i: int, j: int, p: DelayParams) -> float:
-    """One-link delay: local compute for ``local_steps`` updates at the
-    source, plus link latency, plus transfer time of the model payload; the
-    one-hop path's delay, so the round time sums it the same way."""
-    return path_delay(g, (i, j), p)
-
-
 def path_delay(g: ConnectivityGraph, path: tuple[int, ...], p: DelayParams) -> float:
     """Delay of a multi-hop relay path: the source computes once, every hop
     then adds latency and transfer time (relays forward, they do not train)."""
@@ -247,27 +238,25 @@ def path_delay(g: ConnectivityGraph, path: tuple[int, ...], p: DelayParams) -> f
     return total
 
 
-def symmetrized_weights(g: ConnectivityGraph, p: DelayParams) -> tuple[np.ndarray, list]:
+def symmetrized_weights(g: ConnectivityGraph, p: DelayParams) -> tuple[np.ndarray, np.ndarray]:
     """Complete symmetric delay metric over all silo pairs.
 
     Per-link delays are symmetrized by averaging the two directions, then the
     graph is completed by shortest paths (which guarantees the triangle
     inequality).  Over one-way links the two directions' path delays differ,
     so they are averaged once more; the mean keeps the triangle inequality
-    up to rounding.  Returns the weight matrix and, for every ordered pair,
-    the node sequence of the underlying real-link path (directed, so its
-    delay may differ from the weight).  Raises TopologyError when some silo
-    cannot reach another over directed links.
+    up to rounding.  Returns the weight matrix and the next-hop table that
+    ``_path`` walks into real-link paths (directed, so a path's delay may
+    differ from the weight).  Raises TopologyError when some silo cannot
+    reach another over directed links.
     """
     n = g.n
-    w = np.full((n, n), np.inf)
-    np.fill_diagonal(w, 0.0)
+    d = np.full((n, n), np.inf)
+    np.fill_diagonal(d, 0.0)
     for l in g.links:
-        if g.has_link(l.dst, l.src):
-            sym = 0.5 * (link_delay(g, l.src, l.dst, p) + link_delay(g, l.dst, l.src, p))
-        else:
-            sym = link_delay(g, l.src, l.dst, p)
-        w[l.src, l.dst] = min(w[l.src, l.dst], sym)
+        d[l.src, l.dst] = path_delay(g, (l.src, l.dst), p)
+    # a two-way link weighs the mean of its directions, a one-way link its own
+    w = np.where(np.isfinite(d.T), 0.5 * (d + d.T), d)
     # Floyd-Warshall with path reconstruction, one whole-matrix step per k;
     # strict improvement keeps the result deterministic under ties.  Row and
     # column k cannot improve in step k (w[k, k] is 0), so each step reads
@@ -285,24 +274,19 @@ def symmetrized_weights(g: ConnectivityGraph, p: DelayParams) -> tuple[np.ndarra
                             "an overlay needs every silo to reach every other")
     # one-way links leave the shortest-path delays unequal by direction;
     # averaging makes the metric symmetric and is the identity where it is
-    w = 0.5 * (w + w.T)
-    nxt = nxt.tolist()
-    paths = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                paths[i][j] = (i,)
-                continue
-            seq = [i]
-            u = i
-            while u != j:
-                u = nxt[u][j]
-                seq.append(u)
-            paths[i][j] = tuple(seq)
-    return w, paths
+    return 0.5 * (w + w.T), nxt
 
 
-def _overlay_from_tour(g: ConnectivityGraph, tour: list[int], paths, weight: float) -> Overlay:
+def _path(nxt: np.ndarray, i: int, j: int) -> tuple[int, ...]:
+    """The real-link path from silo i to silo j in the next-hop table."""
+    seq = [i]
+    while seq[-1] != j:
+        seq.append(int(nxt[seq[-1], j]))
+    return tuple(seq)
+
+
+def _overlay_from_tour(g: ConnectivityGraph, tour: list[int], w: np.ndarray,
+                       nxt: np.ndarray) -> Overlay:
     tour = _canonical_tour(tour)
     edges = tuple(sorted({e for a, b in zip(tour, tour[1:] + tour[:1]) for e in ((a, b), (b, a))}))
     return Overlay(
@@ -310,9 +294,9 @@ def _overlay_from_tour(g: ConnectivityGraph, tour: list[int], paths, weight: flo
         tour=tuple(tour),
         edges=edges,
         in_neighbors=tuple(tuple(a for a, b in edges if b == i) for i in range(g.n)),
-        paths={(a, b): paths[a][b] for a, b in edges},
+        paths={(a, b): _path(nxt, a, b) for a, b in edges},
         # a 2-silo tour runs its one edge out and back; it weighs that edge once
-        metric_weight=float(weight / 2 if g.n == 2 else weight),
+        metric_weight=_tour_weight(w, tour) / (2 if g.n == 2 else 1),
     )
 
 
@@ -327,8 +311,8 @@ def _canonical_tour(tour) -> list[int]:
     return tour
 
 
-def _tour_weight(w: np.ndarray, tour) -> float:
-    return float(sum(w[a, b] for a, b in zip(tour, list(tour[1:]) + [tour[0]])))
+def _tour_weight(w: np.ndarray, tour: list[int]) -> float:
+    return float(sum(w[a, b] for a, b in zip(tour, tour[1:] + tour[:1])))
 
 
 def _minimum_spanning_tree(w: np.ndarray) -> list[tuple[int, int]]:
@@ -430,7 +414,7 @@ def build_overlay_christofides(g: ConnectivityGraph, p: DelayParams) -> Overlay:
     the limit.
     """
     n = g.n
-    w, paths = symmetrized_weights(g, p)
+    w, nxt = symmetrized_weights(g, p)
     mst = _minimum_spanning_tree(w)
     degree = [0] * n
     for a, b in mst:
@@ -444,21 +428,21 @@ def build_overlay_christofides(g: ConnectivityGraph, p: DelayParams) -> Overlay:
 
     # shortcut the Euler circuit: keep each silo's first visit
     tour = list(dict.fromkeys(_eulerian_circuit(n, mst + matching)))
-    return _overlay_from_tour(g, tour, paths, _tour_weight(w, tour))
+    return _overlay_from_tour(g, tour, w, nxt)
 
 
 def brute_force_tsp(g: ConnectivityGraph, p: DelayParams) -> Overlay:
     """Exact minimum-weight Hamiltonian cycle by exhaustive enumeration.
 
-    Shares the symmetrized-closure weights with the Christofides builder so
-    the two are directly comparable.  Rejected above 12 silos; the tours from
-    silo 0 stream in bounded-memory batches, and the first cheapest in
-    lexicographic order wins.
+    Shares the symmetrized-closure weights and the tour-weight formula with
+    the Christofides builder so the two are directly comparable.  Rejected
+    above 12 silos; the tours from silo 0 stream in bounded-memory batches,
+    and the first cheapest in lexicographic order wins.
     """
     n = g.n
     if n > BRUTE_FORCE_LIMIT:
         raise TopologyError(f"brute_force_tsp limited to {BRUTE_FORCE_LIMIT} silos, got {n}")
-    w, paths = symmetrized_weights(g, p)
+    w, nxt = symmetrized_weights(g, p)
     best_cost = math.inf
     best_tour = None
     # the tours from silo 0, flattened so np.fromiter reads plain integers
@@ -472,7 +456,7 @@ def brute_force_tsp(g: ConnectivityGraph, p: DelayParams) -> Overlay:
         if costs[idx] < best_cost:
             best_cost = float(costs[idx])
             best_tour = [0] + perms[idx].tolist()
-    return _overlay_from_tour(g, best_tour, paths, best_cost)
+    return _overlay_from_tour(g, best_tour, w, nxt)
 
 
 def cycle_time(o: Overlay, p: DelayParams) -> float:

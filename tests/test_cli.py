@@ -380,6 +380,39 @@ class TestSampleAndSiloChecks:
         assert "config field 'sample_count': split 0.8 of 1 samples" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_sample_count_below_one_names_field(self, tmp_path, capsys, count):
+        cfg_path = write_config(tmp_path, {"strategy": "cll", **dict(FAST, sample_count=count)})
+        assert cli.main(["run", str(cfg_path), "--out", str(tmp_path / "out"),
+                         "--quiet"]) == 1
+        assert (f"config field 'sample_count': must be >= 1, got {count}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+
+class TestOutDir:
+    """An output directory that an existing file blocks fails before any work."""
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("case", ["is-a-file", "under-a-file"])
+    def test_blocked_out_dir_names_field(self, tmp_path, capsys, monkeypatch, command, case):
+        monkeypatch.setattr(cli, "execute", lambda cfg: pytest.fail("the run started"))
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept\n")
+        # an existing file given as the config's out_dir, or a directory
+        # below one given with --out
+        in_config = {"out_dir": str(blocker)} if case == "is-a-file" else {}
+        flag = [] if case == "is-a-file" else ["--out", str(blocker / "sub")]
+        paths = [write_config(tmp_path, {"strategy": s, **FAST, **in_config}, name=f"{s}.json")
+                 for s in (["cll"] if command == "run" else ["cll", "sfl"])]
+        before = sorted(tmp_path.rglob("*"))
+        assert cli.main([command, *map(str, paths), *flag, "--quiet"]) == 1
+        assert f"config field 'out_dir': {blocker} exists and is not a directory" \
+            in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
+        assert blocker.read_text() == "kept\n"
+
+
 class TestTopologyFile:
     """A custom topology file is checked value by value when it is loaded."""
 

@@ -241,8 +241,8 @@ def reference_conv(spec, params, x, grad_out):
 def toy_conv_geometries():
     """(spec, height, width) of every conv2d in the TOY_CONFIG fadnet."""
     cfg = M.TOY_CONFIG
-    specs = M._plan("fadnet", cfg)["specs"]
-    dims = M._stage_dims(cfg)
+    plan = M._plan("fadnet", cfg)
+    specs, dims = plan["specs"], plan["dims"]
     geoms = [(specs["stem.conv"], cfg.input_height, cfg.input_width)]
     for h in range(1, M.N_BLOCKS + 1):
         (hi, wi, _), (ho, wo, _) = dims[h - 1], dims[h]

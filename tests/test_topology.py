@@ -29,7 +29,7 @@ class TestLoadTopology:
         g = tp.load_topology(write_topology(tmp_path, simple_payload()))
         assert g.n == 2
         assert len(g.links) == 2
-        assert g.has_link(0, 1) and g.has_link(1, 0)
+        assert {(l.src, l.dst) for l in g.links} == {(0, 1), (1, 0)}
 
     def test_non_contiguous_ids_rejected(self, tmp_path):
         payload = simple_payload()
@@ -110,18 +110,18 @@ class TestLinkDelay:
     def test_bandwidth_term_only(self):
         g = two_silo_graph()
         p = tp.DelayParams(model_size_bytes=1_000_000, local_steps=1)
-        assert tp.link_delay(g, 0, 1, p) == 1.0
+        assert tp.path_delay(g, (0, 1), p) == 1.0
 
     def test_direct_substitution(self):
         # 4-byte params at the published full-scale parameter count
         g = two_silo_graph(tc=0.5, latency=0.1, bandwidth=1e7)
         p = tp.DelayParams(model_size_bytes=1_270_916, local_steps=1)
-        assert tp.link_delay(g, 0, 1, p) == pytest.approx(0.7270916, rel=1e-12)
+        assert tp.path_delay(g, (0, 1), p) == pytest.approx(0.7270916, rel=1e-12)
 
     def test_local_steps_scale_compute_only(self):
         g = two_silo_graph(tc=0.5, latency=0.0, bandwidth=1e30)
         p = tp.DelayParams(model_size_bytes=1.0, local_steps=2)
-        assert tp.link_delay(g, 0, 1, p) == pytest.approx(1.0, abs=1e-12)
+        assert tp.path_delay(g, (0, 1), p) == pytest.approx(1.0, abs=1e-12)
 
     def test_missing_link(self):
         g2 = tp.ConnectivityGraph(
@@ -129,7 +129,7 @@ class TestLinkDelay:
             links=(tp.LinkRecord(0, 1, 0.1, 1e6), tp.LinkRecord(1, 0, 0.1, 1e6),
                    tp.LinkRecord(1, 2, 0.1, 1e6), tp.LinkRecord(2, 1, 0.1, 1e6)))
         with pytest.raises(tp.TopologyError, match="no link"):
-            tp.link_delay(g2, 0, 2, tp.DelayParams(1.0, 1))
+            tp.path_delay(g2, (0, 2), tp.DelayParams(1.0, 1))
 
     @settings(max_examples=50, deadline=None)
     @given(m1=st.floats(1.0, 1e9), m2=st.floats(1.0, 1e9),
@@ -140,8 +140,8 @@ class TestLinkDelay:
     def test_delay_properties(self, m1, m2, b, lat, tc, s):
         g = two_silo_graph(tc=tc, latency=lat, bandwidth=b)
         lo, hi = sorted((m1, m2))
-        d_lo = tp.link_delay(g, 0, 1, tp.DelayParams(lo, s))
-        d_hi = tp.link_delay(g, 0, 1, tp.DelayParams(hi, s))
+        d_lo = tp.path_delay(g, (0, 1), tp.DelayParams(lo, s))
+        d_hi = tp.path_delay(g, (0, 1), tp.DelayParams(hi, s))
         assert d_lo >= 0.0
         # increasing in payload size; strictly so once the transfer times
         # differ by more than the rounding of the sum
@@ -150,10 +150,11 @@ class TestLinkDelay:
             assert d_hi > d_lo
         # additive in latency
         g2 = two_silo_graph(tc=tc, latency=lat + 1.0, bandwidth=b)
-        assert tp.link_delay(g2, 0, 1, tp.DelayParams(lo, s)) == pytest.approx(d_lo + 1.0, rel=1e-9)
+        assert tp.path_delay(g2, (0, 1), tp.DelayParams(lo, s)) == pytest.approx(d_lo + 1.0,
+                                                                                 rel=1e-9)
         # strictly decreasing in bandwidth
         g3 = two_silo_graph(tc=tc, latency=lat, bandwidth=b * 2)
-        assert tp.link_delay(g3, 0, 1, tp.DelayParams(lo, s)) < d_lo
+        assert tp.path_delay(g3, (0, 1), tp.DelayParams(lo, s)) < d_lo
 
 
 def manual_ring(latencies):
@@ -171,15 +172,17 @@ def manual_ring(latencies):
 
 def reference_symmetrized_weights(g, p):
     """The in-place triple-loop Floyd-Warshall that the whole-matrix steps
-    of ``tp.symmetrized_weights`` replaced, kept as the reference."""
+    of ``tp.symmetrized_weights`` replaced, kept as the reference; it
+    returns the weights and every ordered pair's path."""
     n = g.n
     w = np.full((n, n), np.inf)
     np.fill_diagonal(w, 0.0)
+    arcs = {(l.src, l.dst) for l in g.links}
     for l in g.links:
-        if g.has_link(l.dst, l.src):
-            sym = 0.5 * (tp.link_delay(g, l.src, l.dst, p) + tp.link_delay(g, l.dst, l.src, p))
+        if (l.dst, l.src) in arcs:
+            sym = 0.5 * (tp.path_delay(g, (l.src, l.dst), p) + tp.path_delay(g, (l.dst, l.src), p))
         else:
-            sym = tp.link_delay(g, l.src, l.dst, p)
+            sym = tp.path_delay(g, (l.src, l.dst), p)
         w[l.src, l.dst] = min(w[l.src, l.dst], sym)
     nxt = [[j if math.isfinite(w[i][j]) and i != j else -1 for j in range(n)] for i in range(n)]
     for k in range(n):
@@ -201,6 +204,28 @@ def reference_symmetrized_weights(g, p):
     return w, paths
 
 
+def walked_paths(nxt):
+    """Every ordered pair's path, walked from a next-hop table by ``tp._path``."""
+    n = len(nxt)
+    return [[tp._path(nxt, i, j) for j in range(n)] for i in range(n)]
+
+
+def one_way_ring_graph(n, seed):
+    """A one-way ring through the silos in random order plus n random extra
+    arcs (repeats dropped); the ring keeps every silo reachable from every
+    other."""
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(n).tolist()
+    arcs = {(order[k], order[(k + 1) % n]) for k in range(n)}
+    for _ in range(n):
+        a, b = rng.choice(n, size=2, replace=False).tolist()
+        arcs.add((a, b))
+    return tp.ConnectivityGraph(
+        silos=tuple(tp.SiloRecord(i, float(rng.uniform(0.0, 0.3))) for i in range(n)),
+        links=tuple(tp.LinkRecord(a, b, float(rng.uniform(0.01, 0.5)),
+                                  float(rng.uniform(1e6, 1e8))) for a, b in sorted(arcs)))
+
+
 def one_way_graph():
     """Links 0<->1 and 1->2 only: connected, but silo 2 reaches no one."""
     return tp.ConnectivityGraph(
@@ -217,10 +242,10 @@ class TestSymmetrizedWeights:
         p = tp.DelayParams(1e6, 1)
         for seed in range(4):
             g = random_metric_graph(n, seed=100 * n + seed, sparse=sparse)
-            w, paths = tp.symmetrized_weights(g, p)
+            w, nxt = tp.symmetrized_weights(g, p)
             ref_w, ref_paths = reference_symmetrized_weights(g, p)
             assert w.tobytes() == ref_w.tobytes()
-            assert paths == ref_paths
+            assert walked_paths(nxt) == ref_paths
 
     @pytest.mark.parametrize("graph", [
         uniform_complete_graph(6), manual_ring([0.5] * 6), manual_ring([0.25, 0.5, 0.25, 0.5]),
@@ -228,19 +253,19 @@ class TestSymmetrizedWeights:
     def test_ties_keep_the_first_path(self, graph):
         # equal-length alternatives everywhere: strict < keeps the first path
         # found, in the order of the intermediate silo k
-        w, paths = tp.symmetrized_weights(graph, TINY_DELAY)
+        w, nxt = tp.symmetrized_weights(graph, TINY_DELAY)
         ref_w, ref_paths = reference_symmetrized_weights(graph, TINY_DELAY)
         assert w.tobytes() == ref_w.tobytes()
-        assert paths == ref_paths
+        assert walked_paths(nxt) == ref_paths
 
     @pytest.mark.parametrize("fixture", ["gaia11", "nws22"])
     def test_fixtures_match_triple_loop(self, fixture, request):
         g = request.getfixturevalue(fixture)
         p = tp.DelayParams(8.0 * 31227, 1)
-        w, paths = tp.symmetrized_weights(g, p)
+        w, nxt = tp.symmetrized_weights(g, p)
         ref_w, ref_paths = reference_symmetrized_weights(g, p)
         assert w.tobytes() == ref_w.tobytes()
-        assert paths == ref_paths
+        assert walked_paths(nxt) == ref_paths
 
     @pytest.mark.parametrize("build", [tp.symmetrized_weights, tp.build_overlay_christofides,
                                        tp.brute_force_tsp])
@@ -256,10 +281,10 @@ class TestSymmetrizedWeights:
         g = tp.ConnectivityGraph(silos=tuple(tp.SiloRecord(i, 0.0) for i in range(4)),
                                  links=tuple(tp.LinkRecord(i, (i + 1) % 4, 1.0, 1e30)
                                              for i in range(4)))
-        w, paths = tp.symmetrized_weights(g, TINY_DELAY)
+        w, nxt = tp.symmetrized_weights(g, TINY_DELAY)
         assert w[0, 1] == w[1, 0] == 2.0
         assert np.array_equal(w, w.T)
-        assert paths[0][1] == (0, 1) and paths[1][0] == (1, 2, 3, 0)
+        assert tp._path(nxt, 0, 1) == (0, 1) and tp._path(nxt, 1, 0) == (1, 2, 3, 0)
         assert build(g, TINY_DELAY).metric_weight == 8.0
 
     def test_sparse_random_graph_needs_five_silos(self):
@@ -297,8 +322,21 @@ class TestChristofides:
         w, _ = tp.symmetrized_weights(g, p)
         o = build(g, p)
         assert o.tour == (0, 1) and o.edges == ((0, 1), (1, 0))
-        assert o.metric_weight == w[0, 1] == 0.5 * (tp.link_delay(g, 0, 1, p)
-                                                     + tp.link_delay(g, 1, 0, p))
+        assert o.metric_weight == w[0, 1] == 0.5 * (tp.path_delay(g, (0, 1), p)
+                                                     + tp.path_delay(g, (1, 0), p))
+
+    @pytest.mark.parametrize("fixture, build", [
+        ("gaia11", tp.build_overlay_christofides), ("gaia11", tp.brute_force_tsp),
+        ("nws22", tp.build_overlay_christofides),
+    ], ids=["gaia11-christofides", "gaia11-brute-force", "nws22-christofides"])
+    def test_metric_weight_is_the_tour_weight(self, fixture, build, request):
+        # one formula weighs every builder's tour (nws22 is above the
+        # brute-force limit)
+        g = request.getfixturevalue(fixture)
+        p = tp.DelayParams(8.0 * 31227, 1)
+        w, _ = tp.symmetrized_weights(g, p)
+        o = build(g, p)
+        assert o.metric_weight == tp._tour_weight(w, list(o.tour))
 
     def test_seeded_instance_within_bound(self):
         g = random_metric_graph(8, seed=42)
@@ -307,6 +345,20 @@ class TestChristofides:
         exact = tp.brute_force_tsp(g, p)
         assert exact.metric_weight <= approx.metric_weight + 1e-12
         assert approx.metric_weight <= 1.5 * exact.metric_weight + 1e-12
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_directed_graphs_within_bound(self, n):
+        # Christofides' 1.5x bound holds on the symmetrized metric of
+        # graphs with one-way links too, checked against the exact optimum
+        p = tp.DelayParams(1e6, 1)
+        for seed in range(12):
+            g = one_way_ring_graph(n, seed=10 * n + seed)
+            arcs = {(l.src, l.dst) for l in g.links}
+            assert any((b, a) not in arcs for a, b in arcs)
+            approx = tp.build_overlay_christofides(g, p)
+            exact = tp.brute_force_tsp(g, p)
+            assert sorted(approx.tour) == list(range(n))
+            assert approx.metric_weight <= (1.5 + 1e-12) * exact.metric_weight
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("sparse", [False, True])
@@ -319,10 +371,11 @@ class TestChristofides:
         for i in range(n):
             assert len(o.in_neighbors[i]) == 2 or n == 2
         # every expanded path walks real links of the parent graph
+        arcs = {(l.src, l.dst) for l in g.links}
         for (a, b), path in o.paths.items():
             assert path[0] == a and path[-1] == b
             for u, v in zip(path, path[1:]):
-                assert g.has_link(u, v)
+                assert (u, v) in arcs
 
     @pytest.mark.parametrize("n, matcher", [(16, "_exact_min_matching"),
                                             (18, "_greedy_matching")])
