@@ -243,9 +243,13 @@ def compare_command(config_paths, out=None, seed=None, quiet=False) -> int:
             raise ConfigError(f"compare: incompatible data settings in {path}: "
                               f"{diffs} differ from {config_paths[0]}")
     out_base = Path(out) if out is not None else None
+    stems = {}
     for path, c in zip(config_paths, cfgs):
         if out_base is not None:
-            c["out_dir"] = str(out_base / Path(path).stem)
+            stem = Path(path).stem
+            if stems.setdefault(stem, path) != path:
+                raise ConfigError(f"compare --out: {stems[stem]} and {path} share stem {stem!r}")
+            c["out_dir"] = str(out_base / stem)
         _check_out_dir(c)
     rows = []
     for c in cfgs:

@@ -81,15 +81,18 @@ class Dataset:
     targets: np.ndarray
 
     def __post_init__(self):
+        self._check_shapes()
+        if not np.all(np.abs(self.targets) <= 1.0 + 1e-12):  # NaN fails too
+            raise ValueError("targets must be finite and lie in [-1, 1]")
+        if not np.all(np.isfinite(self.inputs)):
+            raise ValueError("inputs contain non-finite values")
+
+    def _check_shapes(self) -> None:
         if self.inputs.ndim != 4 or self.inputs.shape[0] < 1:
             raise ValueError(f"inputs must be nonempty NHWC, got shape {self.inputs.shape}")
         if self.targets.shape != (self.inputs.shape[0],):
             raise ValueError(f"targets shape {self.targets.shape} does not match "
                              f"count {self.inputs.shape[0]}")
-        if not np.all(np.abs(self.targets) <= 1.0 + 1e-12):  # NaN fails too
-            raise ValueError("targets must be finite and lie in [-1, 1]")
-        if not np.all(np.isfinite(self.inputs)):
-            raise ValueError("inputs contain non-finite values")
 
     @property
     def count(self) -> int:
@@ -97,7 +100,10 @@ class Dataset:
 
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices)
-        return Dataset(inputs=self.inputs[idx], targets=self.targets[idx])
+        sub = object.__new__(Dataset)  # checked rows: the shapes only, no __post_init__
+        sub.__dict__.update(inputs=self.inputs[idx], targets=self.targets[idx])
+        sub._check_shapes()
+        return sub
 
 
 @dataclass(frozen=True)

@@ -9,12 +9,13 @@ elementwise product between that blended feature and the fc-reduced backbone
 feature.  The "backbone_only" ablation keeps the stem and blocks but maps the
 flattened backbone output straight to the scalar prediction.
 
-Parameters live in one flat float64 vector.  The layer plan is the one table
-that names them: each layer's weight, then its bias, in layer order, then the
-fadnet blend vector ``head.accum.w``.  ``param_views`` gives each its shaped
-view.  ``init_params`` goes by layer kind: He-scaled conv kernels, fc weights
-0.3/sqrt(fan_in), zero biases and a uniform 1/n blend.  A checkpoint stores
-the names and shapes in its manifest and is loaded only if they match.
+Parameters live in one flat float64 vector; the model computes in its dtype,
+float32 or float64, and returns float64 gradients.  The layer plan is the one
+table that names them: each layer's weight, then its bias, in layer order,
+then the fadnet blend vector ``head.accum.w``.  ``param_views`` gives each its
+shaped view.  ``init_params`` goes by layer kind: He-scaled conv kernels, fc
+weights 0.3/sqrt(fan_in), zero biases and a uniform 1/n blend.  A checkpoint
+stores the names and shapes in its manifest and is loaded only if they match.
 """
 from __future__ import annotations
 
@@ -154,8 +155,13 @@ def param_count(kind: str, cfg: FADNetConfig) -> int:
     return _plan(kind, cfg)["total"]
 
 
+def _floats(a) -> np.ndarray:  # float32 and float64 kept, anything else float64
+    a = np.asarray(a)
+    return a if a.dtype in (np.float32, np.float64) else a.astype(np.float64)
+
+
 def _checked_flat(plan: dict, flat) -> np.ndarray:
-    flat = np.asarray(flat, dtype=np.float64)
+    flat = _floats(flat)
     if flat.shape != (plan["total"],):
         raise ValueError(f"expected {plan['total']} parameters, got shape {flat.shape}")
     return flat
@@ -207,11 +213,11 @@ def accumulation(features, weights) -> np.ndarray:
     Accepts 1-D vectors or (batch, d) arrays; all features must agree in
     shape and there must be one weight per feature.
     """
-    weights = np.asarray(weights, dtype=np.float64)
+    weights = _floats(weights)
     if weights.ndim != 1 or len(features) != weights.shape[0]:
         raise ValueError(f"need one weight per feature: {len(features)} features, "
                          f"{weights.shape} weights")
-    arrs = [np.asarray(f, dtype=np.float64) for f in features]
+    arrs = [_floats(f) for f in features]
     for f in arrs[1:]:
         if f.shape != arrs[0].shape:
             raise ValueError(f"feature shape mismatch: {f.shape} vs {arrs[0].shape}")
@@ -226,12 +232,11 @@ def aggregation(f_s, f_c):
 
     1-D inputs give a float; (batch, d) inputs give a length-batch vector.
     """
-    a = np.asarray(f_s, dtype=np.float64)
-    b = np.asarray(f_c, dtype=np.float64)
+    a, b = _floats(f_s), _floats(f_c)
     if a.shape != b.shape:
         raise ValueError(f"feature shape mismatch: {a.shape} vs {b.shape}")
     prod = a * b
-    # np.mean of float64 is this sum divided by the count, bit for bit
+    # np.mean is this sum divided by the count, bit for bit
     if a.ndim == 1:
         return float(np.add.reduce(prod) / prod.size)
     return np.add.reduce(prod, axis=1) / prod.shape[1]
@@ -252,7 +257,7 @@ def _run(name: str, plan: dict, flat: np.ndarray, x, caches: dict | None):
 def _forward(kind: str, cfg: FADNetConfig, params, x: np.ndarray,
              caches: dict | None = None) -> np.ndarray:
     """Run the whole network on the flat parameter vector ``params`` and
-    return its predictions.
+    return its predictions, computed in the parameters' dtype.
 
     Given a ``caches`` dict, each layer stores its backward cache there under
     its layer name, and the product head stores its inputs under "head";
@@ -267,6 +272,7 @@ def _forward(kind: str, cfg: FADNetConfig, params, x: np.ndarray,
         raise T.ShapeError(
             f"batch shape {x.shape[1:]} != config input "
             f"({cfg.input_height}, {cfg.input_width}, {cfg.input_channels})")
+    x = x.astype(flat.dtype, copy=False)
 
     # one name for the running activation, so that without caches each
     # full-batch stem output is freed as soon as the next layer has read it
@@ -326,8 +332,7 @@ def _backward_full(kind: str, cfg: FADNetConfig, caches: dict, gpred: np.ndarray
             ggap = _back(f"branch{h}.proj", plan, caches, gfh, grads)
             gblocks_from_branches.append(_back(f"branch{h}.gap", plan, caches, ggap, grads))
     else:
-        gtail = np.zeros((gpred.shape[0], 1))
-        gtail[:, 0] = gpred
+        gtail = gpred[:, None]
         gblocks_from_branches = [0.0] * N_BLOCKS
 
     gflat = _back("tail.fc", plan, caches, gtail, grads)
@@ -361,7 +366,7 @@ def loss_and_grad(kind: str, cfg: FADNetConfig, params, batch: Dataset):
     preds = _forward(kind, cfg, params, batch.inputs, caches)
     residual = preds - batch.targets
     loss = float(np.add.reduce(residual ** 2) / batch.count)
-    gpred = 2.0 * residual / batch.count
+    gpred = (2.0 * residual / batch.count).astype(preds.dtype, copy=False)
     return loss, _backward_full(kind, cfg, caches, gpred)
 
 

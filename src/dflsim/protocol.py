@@ -20,6 +20,10 @@ per-silo seeded generators, all silos start from one broadcast seeded init,
 and silo steps and cross-silo reductions run serially in fixed silo-id
 order.  The ``workers`` setting is accepted and validated but has no effect.
 Simulated round times are closed forms (``simnet.simulate_round``).
+
+Precision is mixed (Micikevicius et al., ICLR 2018): the parameters, Adam,
+the mix, the checkpoint and the transfer size are float64; every step and
+evaluation runs the model on a float32 copy of one silo's row.
 """
 from __future__ import annotations
 
@@ -230,9 +234,10 @@ def broadcast_mean(theta: np.ndarray) -> np.ndarray:
 
 def evaluate(model_kind: str, model_cfg: M.FADNetConfig, theta: np.ndarray,
              test: Dataset) -> float:
-    """Test RMSE of one parameter vector, predicted EVAL_BATCH samples at a
-    time in fixed index order; the bits depend on that batch and on the
-    numpy/OpenBLAS build."""
+    """Test RMSE of one parameter vector, predicted at float32 EVAL_BATCH
+    samples at a time in fixed index order; the bits depend on that batch
+    and on the numpy/OpenBLAS build."""
+    theta = np.asarray(theta, np.float32)
     preds = np.empty(test.count)
     for start in range(0, test.count, EVAL_BATCH):
         stop = min(start + EVAL_BATCH, test.count)
@@ -270,10 +275,11 @@ def adam_update(theta: np.ndarray, m: np.ndarray, v: np.ndarray, grad: np.ndarra
 
 
 def _gradient_step(silos: Silos, i: int, cfg: TrainConfig, loss_grad_fn) -> float:
-    """One mini-batch step of silo i on its own row of the state."""
+    """One float32 mini-batch step of silo i on its own float64 row."""
     shard, theta = silos.shards[i], silos.theta[i]
     idx = silos.rngs[i].integers(0, shard.count, size=cfg.batch_size)
-    loss, grad = loss_grad_fn(theta, shard.subset(idx))
+    loss, grad = loss_grad_fn(theta.astype(np.float32), shard.subset(idx))
+    grad = np.asarray(grad, np.float64)  # the update runs in float64 whatever the grad's dtype
     if cfg.optimizer == "sgd":
         theta -= cfg.learning_rate * grad
     else:
@@ -316,11 +322,11 @@ def _loss_grad_fn(model_kind: str, model_cfg: M.FADNetConfig):
 
 def _probe_loss(silos: Silos, cfg: TrainConfig, loss_grad_fn) -> float:
     """Mean initial-model loss over per-silo probe batches (first samples of
-    each shard); used for the round-0 metrics row."""
+    each shard) at float32; used for the round-0 metrics row."""
     losses = []
     for shard, theta in zip(silos.shards, silos.theta):
         n = min(cfg.batch_size, shard.count)
-        loss, _ = loss_grad_fn(theta, shard.subset(range(n)))
+        loss, _ = loss_grad_fn(theta.astype(np.float32), shard.subset(range(n)))
         losses.append(loss)
     return float(np.mean(losses))
 

@@ -1,9 +1,10 @@
 """Minimal dense-tensor kernel: hand-written forward and backward passes.
 
-Arrays are float64, C-contiguous, NHWC for images.  Exactly the layer
-vocabulary the steering model needs is implemented; each forward returns an
-opaque cache consumed by the matching backward, and every backward is the
-exact analytic adjoint (finite-difference checked in the test suite).
+Arrays are C-contiguous, NHWC for images, float32 or float64; each kernel
+computes in and returns its input's dtype (the parameters must match it).
+Exactly the layer vocabulary the steering model needs is implemented; each
+forward returns an opaque cache consumed by the matching backward, and every
+backward is the exact analytic adjoint (finite-difference checked).
 
 Convolution is im2col followed by one matrix product.  im2col writes the
 input into a zero-bordered buffer and makes one copy of a (b, oh, ow, k, k, c)
@@ -30,7 +31,8 @@ backward routes the window's gradient.  Backward records that position per
 window and scatters all windows' gradients with one ``np.bincount``; where
 windows overlap (kernel > stride) the entries go in window-position order.
 Either way every input element sums its terms from +0.0 in the order a loop
-over window positions would, so the bits match that loop.
+over window positions would, in float64 (``np.bincount``'s sums); a float32
+element is that sum rounded once, which is exact where windows do not overlap.
 
 ``forward(..., keep_cache=False)`` is the inference path: every kind
 returns None in place of its cache, relu builds no mask, and conv2d never
@@ -61,9 +63,9 @@ NORM_EPS = 1e-6
 # matrix (512 KiB ran a batch-256 toy predict faster than 1-4 MiB).  A
 # block's product also has more than SMALL_GEMM_MNK multiply-adds: OpenBLAS
 # computes products of at most 1e6 (M*N*K) with a separate small-matrix
-# kernel that rounds differently for some shapes (2 to 4 output channels,
-# or 3x3 kernels over 64 or more input channels), so a smaller block could
-# change the bits of the one-shot product.
+# kernel that rounds differently for some shapes (dgemm: 2 to 4 output
+# channels, or 3x3 kernels over 64 or more input channels; sgemm: blocks of an
+# (m, 72) x (72, 8) product differed up to 8.9e5 and matched from 1.2e6).
 EVAL_BLOCK_BYTES = 512 << 10
 SMALL_GEMM_MNK = 10 ** 6
 
@@ -137,8 +139,9 @@ class _Geometry(NamedTuple):
 
 
 @lru_cache(maxsize=128)
-def _geometry(spec: LayerSpec, shape: tuple) -> _Geometry:
-    """The geometry of ``spec`` on an NHWC input of ``shape``, worked out once.
+def _geometry(spec: LayerSpec, shape: tuple, itemsize: int) -> _Geometry:
+    """The geometry of ``spec`` on an NHWC input of ``shape`` whose elements
+    take ``itemsize`` bytes, worked out once.
 
     ``windows[a*k + bb]`` indexes the strided view of the padded input that
     holds element (a, bb) of every one of the oh x ow windows, in row-major
@@ -166,7 +169,7 @@ def _geometry(spec: LayerSpec, shape: tuple) -> _Geometry:
     hp, wp = h + 2 * p, w + 2 * p
     windows = tuple((slice(None), slice(a, a + oh * s, s), slice(bb, bb + ow * s, s))
                     for a in range(k) for bb in range(k))
-    sw = c * 8  # float64 bytes
+    sw = c * itemsize
     sh = wp * sw
     phases = groups = pool_index = None
     if spec.kind == "conv2d" and s > 1:
@@ -192,7 +195,7 @@ def _geometry(spec: LayerSpec, shape: tuple) -> _Geometry:
         interior=(slice(None), slice(p, p + h), slice(p, p + w)),
         windows=windows,
         view_shape=(b, oh, ow, k, k, c),
-        view_strides=(hp * sh, s * sh, s * sw, sh, sw, 8),
+        view_strides=(hp * sh, s * sh, s * sw, sh, sw, itemsize),
         phases=phases,
         groups=groups,
         pool_index=pool_index)
@@ -206,8 +209,8 @@ def _transposed_patches(spec: LayerSpec) -> bool:
     which gives the same product bits only where its kernels for the output
     columns do not depend on operand layout.  Measured with OpenBLAS, that
     holds when out_channels is a multiple of 8 (the FADNet stem has 8) and
-    fails for some other widths, 1 to 4 among them.  The bitwise kernel
-    tests pin both layouts to the bits of the plain (N, K) copy.
+    fails for some other widths, 1 to 4 among them, in dgemm and sgemm.  The
+    bitwise kernel tests pin both layouts to the plain (N, K) copy's bits.
     """
     return spec.in_channels == 1 and spec.out_channels % 8 == 0
 
@@ -218,13 +221,13 @@ def _im2col(x: np.ndarray, geo: _Geometry, transposed: bool) -> np.ndarray:
     of the zero-bordered input; with ``transposed`` it is the transpose of a
     C-ordered (K, N) buffer."""
     if geo.padded != x.shape:
-        xp = np.zeros(geo.padded)
+        xp = np.zeros(geo.padded, x.dtype)
         xp[geo.interior] = x
     else:
-        xp = np.ascontiguousarray(x, dtype=np.float64)
+        xp = np.ascontiguousarray(x)
     # the window view is built on the contiguous buffer directly, which
     # costs far less per call than numpy's as_strided
-    win = np.ndarray(geo.view_shape, np.float64, xp, 0, geo.view_strides)
+    win = np.ndarray(geo.view_shape, xp.dtype, xp, 0, geo.view_strides)
     b, oh, ow, k, _, c = geo.view_shape
     n, kk = b * oh * ow, k * k * c
     if transposed:
@@ -239,14 +242,14 @@ def _col2im(gcols: np.ndarray, geo: _Geometry) -> np.ndarray:
     groups that touch disjoint elements (see _geometry)."""
     b, oh, ow, k, _, c = geo.view_shape
     if geo.groups is None:
-        gxp = np.zeros(geo.padded)
+        gxp = np.zeros(geo.padded, gcols.dtype)
         # one copy in (k*k, b, oh, ow, c) order, so each add reads a contiguous block
         g5 = np.ascontiguousarray(gcols.reshape(b, oh, ow, k * k, c).transpose(3, 0, 1, 2, 4))
         for window, g in zip(geo.windows, g5):
             view = gxp[window]
             view += g
         return gxp[geo.interior]
-    gx6 = np.zeros(geo.phases)
+    gx6 = np.zeros(geo.phases, gcols.dtype)
     g6 = gcols.reshape(b, oh, ow, k, k, c).transpose(0, 1, 3, 2, 4, 5)
     for target, source in geo.groups:
         view = gx6[target]
@@ -255,12 +258,12 @@ def _col2im(gcols: np.ndarray, geo: _Geometry) -> np.ndarray:
     return gx6.reshape(b, nh * s, nw * s, c)[geo.interior]
 
 
-def _eval_block_samples(spec: LayerSpec, oh: int, ow: int) -> int:
+def _eval_block_samples(spec: LayerSpec, oh: int, ow: int, itemsize: int) -> int:
     """Fewest samples in one block of conv2d without a cache: enough to fill
-    EVAL_BLOCK_BYTES of patch matrix, and to lift the block's product above
-    SMALL_GEMM_MNK multiply-adds."""
+    EVAL_BLOCK_BYTES of patch matrix of ``itemsize``-byte elements, and to
+    lift the block's product above SMALL_GEMM_MNK multiply-adds."""
     rows, k = oh * ow, spec.kernel ** 2 * spec.in_channels
-    return max(EVAL_BLOCK_BYTES // (rows * k * 8),
+    return max(EVAL_BLOCK_BYTES // (rows * k * itemsize),
                SMALL_GEMM_MNK // (rows * k * spec.out_channels) + 1)
 
 
@@ -286,18 +289,18 @@ def forward(spec: LayerSpec, params: list[np.ndarray], x, keep_cache: bool = Tru
         wgt = params[0]
         if x.ndim != 4 or x.shape[3] != spec.in_channels:
             raise ShapeError(f"conv2d expects NHWC with C={spec.in_channels}, got {x.shape}")
-        geo = _geometry(spec, x.shape)
+        geo = _geometry(spec, x.shape, x.itemsize)
         b, oh, ow, _ = geo.out_shape
         rows = oh * ow
         # backward needs the whole patch matrix; without a cache it is built
         # in blocks of whole samples that differ in size by at most one
-        n_blocks = 1 if keep_cache else max(1, b // _eval_block_samples(spec, oh, ow))
+        n_blocks = 1 if keep_cache else max(1, b // _eval_block_samples(spec, oh, ow, x.itemsize))
         transposed = _transposed_patches(spec)
         wmat = wgt.reshape(-1, spec.out_channels)
-        out = np.empty((b * rows, spec.out_channels))
+        out = np.empty((b * rows, spec.out_channels), x.dtype)
         for i in range(n_blocks):
             s0, s1 = i * b // n_blocks, (i + 1) * b // n_blocks
-            part = geo if n_blocks == 1 else _geometry(spec, (s1 - s0, *x.shape[1:]))
+            part = geo if n_blocks == 1 else _geometry(spec, (s1 - s0, *x.shape[1:]), x.itemsize)
             cols = _im2col(x[s0:s1], part, transposed)
             np.matmul(cols, wmat, out=out[s0 * rows:s1 * rows])
         if spec.bias:
@@ -308,7 +311,7 @@ def forward(spec: LayerSpec, params: list[np.ndarray], x, keep_cache: bool = Tru
     elif kind == "maxpool2d":
         if x.ndim != 4:
             raise ShapeError(f"maxpool2d expects NHWC, got shape {x.shape}")
-        first, *rest = _geometry(spec, x.shape).windows
+        first, *rest = _geometry(spec, x.shape, x.itemsize).windows
         y = x[first].copy()
         for window in rest:
             # np.maximum returns its second operand when the two compare
@@ -379,7 +382,8 @@ def backward(spec: LayerSpec, cache, grad_out, input_grad: bool = True):
         if grad_out.shape != geo.out_shape:
             raise ShapeError(f"grad shape {grad_out.shape} != {geo.out_shape}")
         gmat = grad_out.reshape(-1, spec.out_channels)
-        gw = (cols.T @ gmat).reshape(spec.kernel, spec.kernel, spec.in_channels, spec.out_channels)
+        # this order, unlike cols.T @ gmat, gives both patch layouts equal sgemm bits
+        gw = (gmat.T @ cols).T.reshape(spec.kernel, spec.kernel, -1, spec.out_channels)
         grads = [gw]
         if spec.bias:
             # einsum gives the bits of sum(axis=0), and faster, from two
@@ -395,7 +399,7 @@ def backward(spec: LayerSpec, cache, grad_out, input_grad: bool = True):
         _, x, y = cache
         if grad_out.shape != y.shape:
             raise ShapeError(f"grad shape {grad_out.shape} != forward shape {y.shape}")
-        geo = _geometry(spec, x.shape)
+        geo = _geometry(spec, x.shape, x.itemsize)
         # arg: the first window position (row-major) holding the max
         arg = np.zeros(y.shape, dtype=np.min_scalar_type(len(geo.windows) - 1))
         unrouted = np.ones(y.shape, dtype=bool)
@@ -417,8 +421,8 @@ def backward(spec: LayerSpec, cache, grad_out, input_grad: bool = True):
             # window-position order
             order = np.argsort(arg, axis=None, kind="stable")
             idx, weights = idx[order], weights[order]
-        gx = np.bincount(idx, weights=weights, minlength=x.size).reshape(x.shape)
-        return gx, []
+        gx = np.bincount(idx, weights=weights, minlength=x.size).astype(x.dtype, copy=False)
+        return gx.reshape(x.shape), []
 
     if kind == "relu":
         _, mask = cache
@@ -442,7 +446,7 @@ def backward(spec: LayerSpec, cache, grad_out, input_grad: bool = True):
         b, h, w, c = x_shape
         if grad_out.shape != (b, c):
             raise ShapeError(f"grad shape {grad_out.shape} != ({b},{c})")
-        gx = np.empty(x_shape)
+        gx = np.empty(x_shape, grad_out.dtype)
         np.divide(grad_out[:, None, None, :], h * w, out=gx)
         return gx, []
 

@@ -39,7 +39,7 @@ def _default_instance(spec: T.LayerSpec, rng: np.random.Generator):
 def _pool_margin(x, k, s) -> float:
     """Smallest gap between the largest and second-largest element of any
     k x k pooling window at stride s."""
-    geo = T._geometry(T.LayerSpec("maxpool2d", kernel=k, stride=s), x.shape)
+    geo = T._geometry(T.LayerSpec("maxpool2d", kernel=k, stride=s), x.shape, x.itemsize)
     patches = np.stack([x[window] for window in geo.windows], axis=3)
     top2 = np.sort(patches, axis=3)[:, :, :, -2:, :]
     return float((top2[:, :, :, 1, :] - top2[:, :, :, 0, :]).min())

@@ -511,3 +511,33 @@ class TestCompare:
         g = tp.load_topology(tp.fixture_path("gaia11"))
         overlay = tp.build_overlay_christofides(g, delay)
         assert dfl_time == FAST["rounds"] * tp.cycle_time(overlay, delay)
+
+    def test_shared_file_stem_rejected_before_any_run(self, tmp_path, capsys, monkeypatch):
+        # --out puts each config's outputs under its file stem: a/run.json and
+        # b/run.json would share one run directory
+        monkeypatch.setattr(cli, "execute", lambda cfg: pytest.fail("the run started"))
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        first = write_config(tmp_path / "a", {"strategy": "cll", **FAST}, name="run.json")
+        second = write_config(tmp_path / "b", {"strategy": "sfl", **FAST}, name="run.json")
+        out = tmp_path / "cmp"
+        assert cli.main(["compare", str(first), str(second), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert str(first) in err and str(second) in err and "'run'" in err
+        assert not out.exists()
+
+
+def test_dfl_overlay_weighs_float64_parameters(tmp_path, monkeypatch):
+    # the model computes at float32, but silos exchange float64 parameters
+    sizes = []
+    real = tp.build_overlay_christofides
+
+    def build(graph, delay):
+        sizes.append(delay.model_size_bytes)
+        return real(graph, delay)
+
+    monkeypatch.setattr(tp, "build_overlay_christofides", build)
+    cfg_path = write_config(tmp_path, {**FAST, "strategy": "dfl", "rounds": 1})
+    assert cli.main(["run", str(cfg_path), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    model_cfg = M.FADNetConfig(input_height=8, input_width=8, widths=(2, 3, 4), feature_dim=5)
+    assert sizes == [8 * M.param_count("fadnet", model_cfg)]

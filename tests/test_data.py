@@ -236,3 +236,38 @@ class TestDatasetChecks:
         with pytest.raises(ValueError, match="finite and lie in"):
             D.Dataset(inputs=np.zeros((2, 8, 8, 1)), targets=np.array([0.5, bad]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_inputs_must_be_finite(self, bad):
+        inputs = np.zeros((2, 8, 8, 1))
+        inputs[1, 3, 4, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            D.Dataset(inputs=inputs, targets=np.zeros(2))
+
+    def test_subset_skips_the_value_checks(self, monkeypatch):
+        # the rows of a checked dataset need no second isfinite or range pass
+        ds = D.generate_linesteer(10, 8, 8, seed=0)
+        calls = []
+
+        def counted(name):
+            real = getattr(np, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in ("isfinite", "abs"):
+            monkeypatch.setattr(np, name, counted(name))
+        sub = ds.subset([3, 1, 3])
+        assert calls == []
+        D.Dataset(inputs=sub.inputs, targets=sub.targets)
+        assert calls == ["abs", "isfinite"]
+        assert np.array_equal(sub.inputs, ds.inputs[[3, 1, 3]])
+        assert np.array_equal(sub.targets, ds.targets[[3, 1, 3]])
+
+    def test_subset_still_checks_shapes(self):
+        ds = D.generate_linesteer(4, 8, 8, seed=0)
+        with pytest.raises(ValueError, match="nonempty NHWC"):
+            ds.subset(np.array([], dtype=np.int64))
+        with pytest.raises(ValueError, match="nonempty NHWC"):
+            ds.subset([[0, 1]])

@@ -6,6 +6,11 @@ gaia11 at batch 4), which the 8x8 runs never reach: the stem conv's
 transposed patch matrix (8 output channels) and the blocked inference
 convolution.
 
+Training and evaluation compute at float32 while the parameters stay
+float64.  The model's float64 path keeps its own digests: ``loss_and_grad``
+and ``predict`` on float64 parameters, for both model kinds at batch 32 and
+batch 4 (``FLOAT64_DIGESTS``).
+
 Each run is a ``dflsim run`` subprocess with BLAS at one thread.  The bits
 depend on the numpy/OpenBLAS build and the CPU, so a failure prints that
 build; on another machine a mismatch may mean a different build, not a
@@ -15,12 +20,16 @@ import hashlib
 import json
 import os
 import platform
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+from dflsim import model as M
+from dflsim.data import generate_linesteer
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -34,18 +43,18 @@ BENCH_GEOMETRY = {"sample_count": 300, "rounds": 2, "eval_interval": 1, "seed": 
 # config, then the md5 of metrics.csv and of final_model.ckpt
 GOLDEN = {
     "dfl": (dict(TINY, strategy="dfl", topology="nws22"),
-            "cbb7132e05c092246bff65fe1e37ecfa", "98a93a767bdfc5f93c490fa88b3c2558"),
+            "aef235ff1409758bf23e7184f20e4a23", "5cff9b9f23929ae7bb424aeeb9296146"),
     "sfl": (dict(TINY, strategy="sfl", topology="gaia11", workers=2),
-            "c260ee41eb184a5ea595bc4c09ccb521", "773dcd0af4cfd37d8dbd0cc1d24fb0d6"),
+            "067a888b25103664a6b87ef95c8cc601", "27b9f96459a92456e6dd2d9ab86191bc"),
     "cll": (dict(TINY, strategy="cll"),
-            "adf307c9b18d77b8abe45fdc2ee3910c", "866f502de9a70224ffa5b8f750858862"),
+            "5762933ec8ecd3e457c5633587042b39", "0863ac45996941f719efc9e1a8a6c9d9"),
     "cll-backbone_only": (dict(TINY, strategy="cll", model_kind="backbone_only"),
-                          "ff76363a6cae7ed3d7a096ef59942e01", "f4d8833e82532fed8003d82a73666132"),
+                          "e04cedaeb96bc588cffae6d1e65b371b", "80fed54f53fc50546d64fefa927c2bfb"),
     "dfl-nws22-b32": (dict(BENCH_GEOMETRY, strategy="dfl", topology="nws22", batch_size=32),
-                      "713cfff4fcf435c70155ff46344b5d1a", "d9afec5bd82c0a204b2ba005a7a39a27"),
+                      "181b526083c9bdc078ab961763ef6dc1", "7da3af7a564d456b451e54c423ae1e27"),
     "sfl-gaia11-b4": (dict(BENCH_GEOMETRY, strategy="sfl", topology="gaia11", batch_size=4,
                            workers=2),
-                      "2dc12d8aba3aa026d2537244a9f48668", "7aeda063183fa1c058a533f0eca8036f"),
+                      "88c03f5fab0a8fd4987423e450c4cf3c", "a43ecf0910a08fa59835c82424f243fa"),
 }
 
 
@@ -79,3 +88,30 @@ def test_outputs_match_committed_digests(tmp_path, strategy):
                 for name in ("metrics.csv", "final_model.ckpt"))
     assert got == (metrics_md5, ckpt_md5), (
         f"{strategy} outputs differ from the committed digests on {build()}")
+
+
+# md5 of the loss (little-endian float64) followed by the flat gradient's
+# bytes, and md5 of the predictions: float64 parameters of seed 1 on the
+# default 32x32 model, a linesteer batch of seed equal to its size
+FLOAT64_DIGESTS = {
+    ("fadnet", 32): ("80357909d5639a12af1c910be127b266", "78cad4042ec046bc07b41990ef42278e"),
+    ("fadnet", 4): ("edfb4872c536d56c8d2c829b7632119d", "0f01da601f7e60e1e1c4ee015c6655ed"),
+    ("backbone_only", 32): ("8fb39e9bafb2e6a50a016cd9b0c9ca76",
+                            "3b04c9c406e8b48429e6e790c7511968"),
+    ("backbone_only", 4): ("397fa6dff3b4fe613d2ea22b21c5b5b4",
+                           "4d3edf9038e6b68e5111c20fbb491f14"),
+}
+
+
+@pytest.mark.parametrize("kind, batch", sorted(FLOAT64_DIGESTS))
+def test_float64_model_keeps_its_bits(kind, batch):
+    cfg = M.TOY_CONFIG
+    params = M.init_params(kind, cfg, 1)
+    data = generate_linesteer(batch, cfg.input_height, cfg.input_width, batch)
+    loss, grad = M.loss_and_grad(kind, cfg, params, data)
+    preds = M.predict(kind, cfg, params, data.inputs)
+    assert grad.dtype == preds.dtype == np.float64
+    got = (hashlib.md5(struct.pack("<d", loss) + grad.tobytes()).hexdigest(),
+           hashlib.md5(preds.tobytes()).hexdigest())
+    assert got == FLOAT64_DIGESTS[kind, batch], (
+        f"float64 {kind} at batch {batch} differs from the committed digests on {build()}")

@@ -1,3 +1,4 @@
+import itertools
 import json
 import struct
 import tracemalloc
@@ -24,10 +25,11 @@ TOY_BACKBONE_PARAMS = 19513
 NARROW_CFG = M.FADNetConfig(widths=(2, 3, 4))
 
 
-def stem_block(cfg):
+def stem_block(cfg, dtype):
     """Fewest samples in one block of the stem conv run without a cache."""
     spec = M._plan("fadnet", cfg)["specs"]["stem.conv"]
-    return T._eval_block_samples(spec, cfg.input_height, cfg.input_width)
+    return T._eval_block_samples(spec, cfg.input_height, cfg.input_width,
+                                 np.dtype(dtype).itemsize)
 
 
 def toy_batch(n=3, seed=0, cfg=M.TOY_CONFIG):
@@ -150,10 +152,12 @@ class TestForward:
     @pytest.mark.parametrize("kind", M.MODEL_KINDS)
     def test_cache_free_forward_matches_training_forward(self, kind):
         # without caches the convolutions run in blocks of samples: batch
-        # sizes on both sides of one and two stem blocks, and evaluation's 256
-        for cfg in (M.TOY_CONFIG, NARROW_CFG):
-            theta = M.init_params(kind, cfg, 2)
-            block = stem_block(cfg)
+        # sizes on both sides of one and two stem blocks, and evaluation's
+        # 256, at both precisions
+        for cfg, dtype in itertools.product((M.TOY_CONFIG, NARROW_CFG),
+                                            (np.float64, np.float32)):
+            theta = M.init_params(kind, cfg, 2).astype(dtype)
+            block = stem_block(cfg, dtype)
             for n in (1, 4, block - 1, block, block + 1, 2 * block + 1, 256):
                 inputs = toy_batch(n=n, seed=n, cfg=cfg).inputs
                 caches = {}

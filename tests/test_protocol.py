@@ -462,3 +462,57 @@ class TestMetricsLog:
         log.append(P.MetricsRow(1, 3.0, 0.1, 0.1, "dfl"))
         with pytest.raises(ValueError, match="nondecreasing"):
             log.append(P.MetricsRow(2, 2.0, 0.1, 0.1, "dfl"))
+
+
+class TestPrecision:
+    """The model computes at float32; the silo parameters, the Adam moments
+    and update, the evaluated model, the checkpoint and the transferred model
+    size stay float64."""
+
+    def test_model_at_float32_state_at_float64(self, gaia11, monkeypatch, tmp_path):
+        seen = {"model": set(), "adam": set(), "model_size_bytes": []}
+        real_loss_and_grad, real_predict = M.loss_and_grad, M.predict
+        real_adam, real_round = P.adam_update, P.simnet.simulate_round
+
+        def loss_and_grad(kind, cfg, params, batch):
+            loss, grad = real_loss_and_grad(kind, cfg, params, batch)
+            seen["model"].add(("loss_and_grad", params.dtype, grad.dtype))
+            return loss, grad
+
+        def predict(kind, cfg, params, inputs):
+            preds = real_predict(kind, cfg, params, inputs)
+            seen["model"].add(("predict", params.dtype, preds.dtype))
+            return preds
+
+        def adam_update(theta, m, v, grad, *rest):
+            seen["adam"].add((theta.dtype, m.dtype, v.dtype, grad.dtype))
+            return real_adam(theta, m, v, grad, *rest)
+
+        def simulate_round(layout, delay, mode):
+            seen["model_size_bytes"].append(delay.model_size_bytes)
+            return real_round(layout, delay, mode)
+
+        monkeypatch.setattr(M, "loss_and_grad", loss_and_grad)
+        monkeypatch.setattr(M, "predict", predict)
+        monkeypatch.setattr(P, "adam_update", adam_update)
+        monkeypatch.setattr(P.simnet, "simulate_round", simulate_round)
+        ds = tiny_shard(count=44, seed=2)
+        shards = D.partition_noniid(ds, gaia11.n, 0.5, seed=0).shards(ds)
+        n_params = M.param_count("fadnet", SMALL_CFG)
+        overlay = tp.build_overlay_christofides(gaia11, tp.DelayParams(8.0 * n_params, 1))
+        cfg = P.TrainConfig(strategy="dfl", rounds=2, eval_interval=1, seed=3, batch_size=4)
+        log = P.run_dfl(overlay, tp.consensus_matrix(overlay), "fadnet", SMALL_CFG,
+                        shards, tiny_shard(count=12, seed=3), cfg)
+
+        f32, f64 = np.dtype(np.float32), np.dtype(np.float64)
+        assert seen["model"] == {("loss_and_grad", f32, f64), ("predict", f32, f32)}
+        assert seen["adam"] == {(f64, f64, f64, f64)}
+        # the simulated transfer moves 8 bytes per parameter
+        assert seen["model_size_bytes"] == [8 * n_params]
+        assert log.final_params.dtype == f64
+        path = tmp_path / "final.ckpt"
+        M.save_checkpoint(path, "fadnet", SMALL_CFG, log.final_params.astype(np.float32))
+        (hlen,) = np.frombuffer(path.read_bytes()[:4], "<u4")
+        assert path.stat().st_size == 4 + hlen + 8 * n_params
+        _, _, loaded = M.load_checkpoint(path)
+        assert loaded.dtype == f64

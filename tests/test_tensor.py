@@ -178,7 +178,7 @@ def reference_maxpool(x, k, s):
     returns (y, arg) with arg the first window position holding the max."""
     b, h, w, c = x.shape
     oh, ow = (h - k) // s + 1, (w - k) // s + 1
-    patches = np.empty((b, oh, ow, k * k, c))
+    patches = np.empty((b, oh, ow, k * k, c), x.dtype)
     for a in range(k):
         for bb in range(k):
             patches[:, :, :, a * k + bb, :] = x[:, a:a + oh * s:s, bb:bb + ow * s:s, :]
@@ -188,12 +188,14 @@ def reference_maxpool(x, k, s):
 
 
 def reference_maxpool_backward(x_shape, arg, k, s, grad_out):
+    """Each input element sums its terms in float64, in window-position
+    order, and is rounded once to the gradient's dtype."""
     oh, ow = arg.shape[1], arg.shape[2]
     gx = np.zeros(x_shape)
     for idx in range(k * k):
         a, bb = divmod(idx, k)
         gx[:, a:a + oh * s:s, bb:bb + ow * s:s, :] += grad_out * (arg == idx)
-    return gx
+    return gx.astype(grad_out.dtype)
 
 
 def strided_views(x, k, s, oh, ow):
@@ -203,7 +205,7 @@ def strided_views(x, k, s, oh, ow):
 def reference_routed_maxpool_backward(x, y, k, s, grad_out):
     """The hit-routing backward the bincount scatter replaced: each view
     routes to the first not-yet-routed position equal to y, with a strided
-    += per view."""
+    += per view into a float64 sum, rounded once at the end."""
     _, oh, ow, _ = y.shape
     gx = np.zeros(x.shape)
     unrouted = np.ones(y.shape, dtype=bool)
@@ -211,7 +213,7 @@ def reference_routed_maxpool_backward(x, y, k, s, grad_out):
         hit = (view == y) & unrouted
         unrouted ^= hit
         gview += grad_out * hit
-    return gx
+    return gx.astype(grad_out.dtype)
 
 
 def reference_conv(spec, params, x, grad_out):
@@ -230,7 +232,7 @@ def reference_conv(spec, params, x, grad_out):
     grads = [(cols.T @ gmat).reshape(params[0].shape)]
     if spec.bias:
         grads.append(gmat.sum(axis=0))
-    gxp = np.zeros(xp.shape)
+    gxp = np.zeros(xp.shape, x.dtype)
     g5 = (gmat @ wmat.T).reshape(b, oh, ow, k * k, c)
     for i, view in enumerate(strided_views(gxp, k, s, oh, ow)):
         view += g5[:, :, :, i, :]
@@ -269,6 +271,7 @@ EXTRA_CONV_GEOMETRIES = [
 
 def assert_same_bits(a, b):
     assert a.shape == b.shape
+    assert a.dtype == b.dtype
     assert np.array_equal(a, b)
     assert np.array_equal(np.signbit(a), np.signbit(b))
 
@@ -276,11 +279,15 @@ def assert_same_bits(a, b):
 class TestKernelEquivalence:
     """The window-view im2col (both patch layouts), the bincount max-pool
     scatter and the input_grad=False conv backward give exactly the bits of
-    the kernels they replaced."""
+    the kernels they replaced, at float64 here and at float32 in the subclass
+    below."""
+
+    dtype = np.float64
 
     @pytest.mark.parametrize("k,s", [(2, 2), (3, 2), (2, 3)])
     @pytest.mark.parametrize("inputs", ["random", "ties", "signed_zeros"])
     def test_maxpool_matches_reference(self, k, s, inputs):
+        dtype = self.dtype
         rng = np.random.default_rng(5)
         shape = (3, 9, 11, 4)
         if inputs == "random":
@@ -289,11 +296,12 @@ class TestKernelEquivalence:
             x = rng.integers(-1, 2, shape).astype(np.float64)
         else:
             x = rng.choice([-0.0, 0.0, -1.0], shape)
+        x = x.astype(dtype)
         spec = T.LayerSpec("maxpool2d", kernel=k, stride=s)
         y, cache = T.forward(spec, [], x)
         y_ref, arg = reference_maxpool(x, k, s)
         assert_same_bits(y, y_ref)
-        grad = rng.standard_normal(y.shape) * rng.choice([1.0, 0.0, -0.0], y.shape)
+        grad = (rng.standard_normal(y.shape) * rng.choice([1.0, 0.0, -0.0], y.shape)).astype(dtype)
         gx, gparams = T.backward(spec, cache, grad)
         assert gparams == []
         assert_same_bits(gx, reference_maxpool_backward(x.shape, arg, k, s, grad))
@@ -306,11 +314,13 @@ class TestKernelEquivalence:
                                            f"b{int(g[0].bias)}_{g[1]}x{g[2]}")
     def test_conv_matches_reference(self, geom, batch):
         spec, h, w = geom
+        dtype = self.dtype
         rng = np.random.default_rng(batch * 1000 + h * 10 + w)
-        x = rng.standard_normal((batch, h, w, spec.in_channels))
-        params = [rng.standard_normal(shape) for shape in T.param_shapes(spec)]
+        x = rng.standard_normal((batch, h, w, spec.in_channels)).astype(dtype)
+        params = [rng.standard_normal(shape).astype(dtype) for shape in T.param_shapes(spec)]
         y, cache = T.forward(spec, params, x)
-        grad = rng.standard_normal(y.shape) * rng.choice([1.0, 1.0, 0.0, -0.0], y.shape)
+        grad = (rng.standard_normal(y.shape)
+                * rng.choice([1.0, 1.0, 0.0, -0.0], y.shape)).astype(dtype)
         y_ref, gx_ref, grads_ref = reference_conv(spec, params, x, grad)
         assert_same_bits(y, y_ref)
         gx, grads = T.backward(spec, cache, grad)
@@ -325,13 +335,14 @@ class TestKernelEquivalence:
                                            f"b{int(g[0].bias)}_{g[1]}x{g[2]}")
     def test_blocked_conv_matches_cached_forward(self, geom):
         spec, h, w = geom
+        dtype = self.dtype
         oh, ow = T.conv_output_hw(h, w, spec.kernel, spec.stride, spec.padding)
-        block = T._eval_block_samples(spec, oh, ow)
+        block = T._eval_block_samples(spec, oh, ow, np.dtype(dtype).itemsize)
         rng = np.random.default_rng(h * 10 + w)
-        params = [rng.standard_normal(shape) for shape in T.param_shapes(spec)]
+        params = [rng.standard_normal(shape).astype(dtype) for shape in T.param_shapes(spec)]
         # one block, two equal blocks, and two blocks one sample apart
         for batch in (block - 1, 2 * block, 2 * block + 1):
-            x = rng.standard_normal((batch, h, w, spec.in_channels))
+            x = rng.standard_normal((batch, h, w, spec.in_channels)).astype(dtype)
             y_ref, _ = T.forward(spec, params, x)
             y, cache = T.forward(spec, params, x, keep_cache=False)
             assert cache is None
@@ -341,7 +352,7 @@ class TestKernelEquivalence:
         rng = np.random.default_rng(3)
         for spec in (T.LayerSpec("relu"), T.LayerSpec("input_norm"),
                      T.LayerSpec("maxpool2d", kernel=2, stride=2)):
-            x = rng.standard_normal((2, 4, 4, 3))
+            x = rng.standard_normal((2, 4, 4, 3)).astype(self.dtype)
             y_ref, _ = T.forward(spec, [], x)
             y, cache = T.forward(spec, [], x, keep_cache=False)
             assert cache is None
@@ -358,10 +369,10 @@ class TestKernelEquivalence:
     def test_signed_zero_tie_keeps_first(self):
         spec = T.LayerSpec("maxpool2d", kernel=2, stride=2)
         for first, second in ((-0.0, 0.0), (0.0, -0.0)):
-            x = np.array([first, second, -1.0, -1.0]).reshape(1, 2, 2, 1)
+            x = np.array([first, second, -1.0, -1.0], self.dtype).reshape(1, 2, 2, 1)
             y, cache = T.forward(spec, [], x)
             assert np.signbit(y[0, 0, 0, 0]) == np.signbit(first)
-            gx, _ = T.backward(spec, cache, np.full((1, 1, 1, 1), 3.0))
+            gx, _ = T.backward(spec, cache, np.full((1, 1, 1, 1), 3.0, self.dtype))
             assert gx.ravel().tolist() == [3.0, 0.0, 0.0, 0.0]
 
     @pytest.mark.parametrize("spec", [
@@ -371,11 +382,61 @@ class TestKernelEquivalence:
     def test_skipped_input_grad(self, spec):
         rng = np.random.default_rng(9)
         x, params = _default_instance(spec, rng)
+        x, params = x.astype(self.dtype), [p.astype(self.dtype) for p in params]
         out, cache = T.forward(spec, params, x)
-        grad = rng.standard_normal(out.shape)
+        grad = rng.standard_normal(out.shape).astype(self.dtype)
         gx_full, gp_full = T.backward(spec, cache, grad)
         gx, gp = T.backward(spec, cache, grad, input_grad=False)
         assert gx_full is not None and gx is None
         assert len(gp) == len(gp_full)
         for a, b in zip(gp, gp_full):
             assert_same_bits(a, b)
+
+
+class TestKernelEquivalenceFloat32(TestKernelEquivalence):
+    """Every bitwise kernel test again, on float32 inputs and parameters."""
+
+    dtype = np.float32
+
+
+class TestDtypes:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("spec", [
+        T.LayerSpec("input_norm"),
+        make_conv(kernel=3, stride=2, padding=1, cin=3, cout=2),
+        make_conv(kernel=3, stride=1, padding=1, cin=1, cout=8),
+        T.LayerSpec("maxpool2d", kernel=2, stride=2),
+        T.LayerSpec("maxpool2d", kernel=3, stride=2),
+        T.LayerSpec("relu"),
+        T.LayerSpec("fc", in_features=5, out_features=2),
+        T.LayerSpec("gap"),
+        T.LayerSpec("residual_add"),
+    ], ids=lambda s: f"{s.kind}{s.kernel}")
+    def test_every_kind_returns_its_inputs_dtype(self, spec, dtype):
+        x, params = _default_instance(spec, np.random.default_rng(4))
+        x = tuple(t.astype(dtype) for t in x) if isinstance(x, tuple) else x.astype(dtype)
+        params = [p.astype(dtype) for p in params]
+        y, _ = T.forward(spec, params, x, keep_cache=False)
+        assert y.dtype == dtype
+        y, cache = T.forward(spec, params, x)
+        assert y.dtype == dtype
+        gx, gparams = T.backward(spec, cache, np.ones_like(y))
+        for g in (*(gx if isinstance(gx, tuple) else (gx,)), *gparams):
+            assert g.dtype == dtype
+
+    def test_overlapping_pool_windows_sum_in_float64_and_round_once(self):
+        # element (2, 2) of a 5x5 input is the max of all four k3/s2 windows;
+        # in window-position order it takes 1, 2**-24 and 2**-24.  Summed in
+        # float32 each small term would round away; the float64 sum rounds
+        # once to 1 + 2**-23
+        spec = T.LayerSpec("maxpool2d", kernel=3, stride=2)
+        x = np.zeros((1, 5, 5, 1), np.float32)
+        x[0, 2, 2, 0] = 1.0
+        y, cache = T.forward(spec, [], x)
+        # windows (1, 1), (1, 0) and (0, 1) see the element at positions 0,
+        # 2 and 6; window (0, 0) sees it last, at position 8
+        grad = np.array([[0.0, 2.0 ** -24], [2.0 ** -24, 1.0]], np.float32).reshape(1, 2, 2, 1)
+        gx, _ = T.backward(spec, cache, grad)
+        assert gx.dtype == np.float32
+        assert gx[0, 2, 2, 0] == np.float32(1 + 2.0 ** -23)
+        assert np.count_nonzero(gx) == 1
