@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -106,6 +107,8 @@ def validate_config(cfg: dict) -> dict:
     elif cfg["sample_count"] < 1:
         raise ConfigError(f"config field 'sample_count': must be >= 1, "
                           f"got {cfg['sample_count']}")
+    if cfg["rounds"] > P.MAX_ROUNDS:
+        raise ConfigError(f"config field 'rounds': must be at most 2**53, got {cfg['rounds']}")
     if cfg["strategy"] in ("dfl", "sfl"):
         _topology_path(cfg["topology"])
     if cfg["out_dir"] is None:
@@ -210,12 +213,23 @@ def execute(cfg: dict) -> P.MetricsLog:
 def _write_outputs(cfg: dict, log: P.MetricsLog) -> Path:
     out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
-    log.to_csv(out / "metrics.csv")
-    M.save_checkpoint(out / "final_model.ckpt", cfg["model_kind"],
-                      _dataclass_config(M.FADNetConfig, cfg), log.final_params)
-    (out / "resolved_config.json").write_text(
-        json.dumps(cfg, indent=2, sort_keys=True) + "\n")
+    _replace(out / "metrics.csv", log.to_csv)
+    _replace(out / "final_model.ckpt", lambda path: M.save_checkpoint(
+        path, cfg["model_kind"], _dataclass_config(M.FADNetConfig, cfg), log.final_params))
+    _replace(out / "resolved_config.json", lambda path: path.write_text(
+        json.dumps(cfg, indent=2, sort_keys=True) + "\n"))
     return out
+
+
+def _replace(path: Path, write) -> None:
+    """``write(tmp)`` a temporary file beside ``path``, then rename it into
+    place: a run that dies while writing leaves no truncated output."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def run_command(config_path, out=None, seed=None, quiet=False) -> int:

@@ -92,11 +92,15 @@ def _plan(kind: str, cfg: FADNetConfig) -> dict:
     """Layer specs plus the flat parameter layout for a model kind/config."""
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
+    # the stem conv knows its pool, so it writes its output in the pool's
+    # window-position slabs (see tensor._geometry)
+    pool = T.LayerSpec("maxpool2d", kernel=2, stride=2)
     specs: dict[str, T.LayerSpec] = {
         "norm": T.LayerSpec("input_norm"),
         "stem.conv": T.LayerSpec("conv2d", kernel=3, stride=1, padding=1,
-                                 in_channels=cfg.input_channels, out_channels=cfg.widths[0]),
-        "stem.pool": T.LayerSpec("maxpool2d", kernel=2, stride=2),
+                                 in_channels=cfg.input_channels, out_channels=cfg.widths[0],
+                                 pool=pool),
+        "stem.pool": pool,
     }
     c_in = cfg.widths[0]
     for h, c_out in enumerate(cfg.widths, start=1):

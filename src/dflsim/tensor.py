@@ -17,29 +17,47 @@ With stride 1 it first copies the gradient into (k*k, b, oh, ow, c) order,
 so that each add reads a contiguous block; with a larger stride the windows
 go in groups that touch disjoint elements, one add per group.
 
-The index arithmetic of a windowed layer (output shape, window slices, the
-im2col view's shape and strides, the pooling scatter index) is worked out
-once per layer spec and input shape and cached (``_geometry``); none of it
-grows faster than the batch.  Every buffer that does grow with the batch
-(padded inputs, patch matrices, gradients) is allocated per call and freed
-with it, so nothing batch-sized outlives the call that made it.
+A conv whose spec names the max pool it feeds (``LayerSpec.pool``, whose
+windows must not overlap) orders its patch rows by that pool's window
+position, in either layout.  Its output is then k*k contiguous slabs, each
+of the pool's output shape, slab a*k + bb holding element (a, bb) of every
+pooling window; rows that no window covers are not computed.  A row's
+product has the same bits wherever the row sits in the patch matrix, so the
+slabs hold exactly the NHWC conv's values; the weight and bias gradients sum
+their rows in slab order.
 
-Max pooling takes a running ``np.maximum`` over the k*k strided views of its
-input; on ties the first window position in row-major order wins, both for
-the output value (which matters only for -0.0 against 0.0) and for where
-backward routes the window's gradient.  Backward records that position per
-window and scatters all windows' gradients with one ``np.bincount``; where
-windows overlap (kernel > stride) the entries go in window-position order.
-Either way every input element sums its terms from +0.0 in the order a loop
-over window positions would, in float64 (``np.bincount``'s sums); a float32
-element is that sum rounded once, which is exact where windows do not overlap.
+The index arithmetic of a windowed layer (output shape, window slices, the
+shapes and strides of the im2col and slab views, the pooling scatter index)
+is worked out once per layer spec and input shape and cached
+(``_geometry``); none of it grows faster than the batch.  Every buffer that
+does grow with the batch (padded inputs, patch matrices, gradients) is
+allocated per call and freed with it, so nothing batch-sized outlives the
+call that made it.
+
+Max pooling takes a running ``np.maximum`` over its k*k window positions;
+on ties the first position in row-major order wins, both for the output
+value (which matters only for -0.0 against 0.0) and for where backward
+routes the window's gradient.  A pool whose windows do not overlap (kernel
+<= stride) works on slabs: a pooled conv's output as it is, or an NHWC
+input grouped by one copy.  The maximum runs slab by slab, and backward
+compares each slab with the output and masks each window's gradient into
+the first slab that holds its max, + 0.0 so that -0.0 becomes +0.0; every
+other element is +0.0.  It returns the gradient in slabs, which the pooled
+conv takes as its output gradient with no copy; an NHWC input gets it back
+in NHWC by one copy.  Overlapping windows (kernel > stride) read k*k strided
+views of the NHWC input, and backward scatters all windows' gradients with
+one ``np.bincount``, entries in window-position order, so every input
+element sums its terms from +0.0 as a loop over window positions would, in
+float64; a float32 element is that sum rounded once.  Without overlap an
+element takes at most one term, and both paths give the bits of that rule.
 
 ``forward(..., keep_cache=False)`` is the inference path: every kind
 returns None in place of its cache, relu builds no mask, and conv2d never
 holds the whole patch matrix.  It builds the matrix for one block of whole
-samples at a time (see EVAL_BLOCK_BYTES) and writes each block's product
-into its rows of a preallocated output.  The output has the bits of the
-one-shot product; the bitwise kernel and model tests pin that.
+samples at a time (see EVAL_BLOCK_BYTES), and for a pooled conv one slab of
+the block at a time, and writes each product into its rows of a
+preallocated output.  The output has the bits of the one-shot product; the
+bitwise kernel and model tests pin that.
 
 ``backward(..., input_grad=False)`` tells conv2d that the caller will
 discard the input gradient: it skips computing it and returns None in its
@@ -48,6 +66,7 @@ saves the transposed product and the col2im scatter.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -69,6 +88,12 @@ NORM_EPS = 1e-6
 EVAL_BLOCK_BYTES = 512 << 10
 SMALL_GEMM_MNK = 10 ** 6
 
+# Below this many elements a conv output takes its bias by broadcasting,
+# whose inner loop is one row of c elements; from here on the tiled add wins
+# (float32 timeit: 16 against 33 us at (4096, 8), 78 against 250 us at the
+# stem's (32768, 8); even at (1024, 16); np.tile's cost loses below).
+BIAS_TILE_ELEMENTS = 1 << 15
+
 
 class ShapeError(ValueError):
     """Raised when an input does not match a layer's declared geometry."""
@@ -87,10 +112,15 @@ class LayerSpec:
     in_features: int = 0
     out_features: int = 0
     bias: bool = True
+    pool: LayerSpec | None = None  # conv2d only: the max pool its output feeds
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ShapeError(f"unknown layer kind {self.kind!r}")
+        if self.pool is not None and (self.kind != "conv2d" or self.pool.kind != "maxpool2d"
+                                      or self.pool.kernel > self.pool.stride):
+            raise ShapeError(f"only a conv2d may feed a max pool whose windows do not "
+                             f"overlap: {self}")
         if self.kind == "conv2d":
             if self.kernel < 1 or self.stride < 1 or self.padding < 0:
                 raise ShapeError(f"bad conv2d geometry: {self}")
@@ -127,15 +157,35 @@ def param_shapes(spec: LayerSpec) -> list[tuple[int, ...]]:
 class _Geometry(NamedTuple):
     """Index arithmetic of one conv2d or maxpool2d layer on one input shape."""
 
-    out_shape: tuple      # (b, oh, ow, output channels)
+    out_shape: tuple      # (b, oh, ow, c); a conv with a pool: (k*k, *the pool's output shape)
     padded: tuple         # the zero-bordered input's shape (the input's own if unpadded)
     interior: tuple       # index of the input inside the padded buffer
     windows: tuple        # k*k index tuples, one per window position (see _geometry)
     view_shape: tuple     # the (b, oh, ow, k, k, c) im2col view of the padded buffer
-    view_strides: tuple   # ... and its byte strides
+    patches: tuple        # (shape, strides) of the view im2col copies (see _geometry)
+    by_offset: tuple | None  # (shape, strides) of a first copy for transposed pooled patches
+    grouping: tuple | None  # (NHWC shape, shape, strides) of the pool's window-position view
     phases: tuple | None  # col2im buffer as (b, rows/s, s, cols/s, s, c); conv stride > 1
     groups: tuple | None  # (target, source) index pairs of the col2im adds; conv stride > 1
-    pool_index: tuple | None  # (offsets, base, starts) of the max-pool scatter
+    pool_index: tuple | None  # (offsets, base, starts) of the overlapping max-pool scatter
+
+
+def _by_window(shape: tuple, strides: tuple, k: int, s: int) -> tuple[tuple, tuple]:
+    """Shape and strides of a (b, h, w, ...) strided layout seen as (k, k, b,
+    oh, ow, ...) for k x k windows at stride s: element [a, bb, n, i, j, ...]
+    is element [n, i*s + a, j*s + bb, ...], window positions outermost."""
+    b, h, w, *rest = shape
+    sn, sh, sw, *inner = strides
+    oh, ow = conv_output_hw(h, w, k, s, 0)
+    return (k, k, b, oh, ow, *rest), (sh, sw, sn, s * sh, s * sw, *inner)
+
+
+def _pool_grouping(shape: tuple, itemsize: int, pool: LayerSpec) -> tuple:
+    """``_Geometry.grouping`` of a C-contiguous NHWC array of ``shape``
+    read by ``pool``."""
+    _, h, w, c = shape
+    strides = (h * w * c * itemsize, w * c * itemsize, c * itemsize, itemsize)
+    return (shape, *_by_window(shape, strides, pool.kernel, pool.stride))
 
 
 @lru_cache(maxsize=128)
@@ -148,6 +198,23 @@ def _geometry(spec: LayerSpec, shape: tuple, itemsize: int) -> _Geometry:
     window-position order.  Element [n, i, j, a, bb, ch] of the im2col view
     is padded[n, i*s + a, j*s + bb, ch].
 
+    A conv with a pool builds its patch matrix from ``patches``, the im2col
+    view with its (oh, ow) dims regrouped by the pool's window position
+    (``_by_window``), so its output rows come as k*k contiguous slabs, one
+    per window position; rows that no window covers are left out.  Without
+    a pool ``patches`` is the im2col view itself.  ``grouping`` views an
+    NHWC array the same way: a non-overlapping pool's input, or a pooled
+    conv's output (to scatter its gradient back to NHWC rows).
+
+    Copied straight from the padded input, transposed pooled patches go one
+    pooled row at a time (ow/ps elements at stride t = s*ps, for pool
+    stride ps).  So they are copied in two passes: ``by_offset`` views the
+    padded input as (v, u, b, oh/ps, ow/ps, c), element [v, u, n, i, j, ch]
+    being padded[n, i*t + u, j*t + v, ch], for every row and column offset
+    that a pooling window's patches read; ``patches`` then views that copy,
+    in which the (sample, row, column) block of each patch element is
+    contiguous.
+
     A conv with stride s > 1 scatters its patch gradient in ``groups``.
     Write a window offset as a = qa*s + ra (and bb = qb*s + rb).  Windows
     that share (qa, qb) but differ in (ra, rb) touch disjoint elements, so
@@ -158,10 +225,10 @@ def _geometry(spec: LayerSpec, shape: tuple, itemsize: int) -> _Geometry:
     row-major (qa, qb) order, so each element still sums its terms in
     window-position order.
 
-    For max pooling, the flat index in the input of window position p of
-    output element [n, i, j, ch] is ``offsets[p] + base[i, j, ch] +
-    starts[n]``.  Nothing cached here is larger than one sample's output
-    plus one integer per sample.
+    For overlapping max pooling (kernel > stride), the flat index in the
+    input of window position p of output element [n, i, j, ch] is
+    ``offsets[p] + base[i, j, ch] + starts[n]``.  Nothing cached here is
+    larger than one sample's output plus one integer per sample.
     """
     b, h, w, c = shape
     k, s, p = spec.kernel, spec.stride, spec.padding
@@ -171,6 +238,24 @@ def _geometry(spec: LayerSpec, shape: tuple, itemsize: int) -> _Geometry:
                     for a in range(k) for bb in range(k))
     sw = c * itemsize
     sh = wp * sw
+    view = ((b, oh, ow, k, k, c), (hp * sh, s * sh, s * sw, sh, sw, itemsize))
+    out_shape = (b, oh, ow, spec.out_channels if spec.kind == "conv2d" else c)
+    patches, grouping, by_offset = view, None, None
+    if spec.pool is not None:
+        pk, ps = spec.pool.kernel, spec.pool.stride
+        grouping = _pool_grouping(out_shape, itemsize, spec.pool)
+        _, _, _, ph, pw, _ = grouping[1]
+        out_shape = (pk * pk, b, ph, pw, spec.out_channels)
+        patches = _by_window(*view, pk, ps)
+        if _transposed_patches(spec):
+            t, v = s * ps, (pk - 1) * s + k
+            by_offset = ((v, v, b, ph, pw, c), (sw, sh, hp * sh, t * sh, t * sw, itemsize))
+            sj = c * itemsize  # the copy's strides along j, n and u
+            sn = ph * pw * sj
+            su = b * sn
+            patches = (patches[0], (s * su, s * v * su, sn, pw * sj, sj, su, v * su, itemsize))
+    elif spec.kind == "maxpool2d" and k <= s:
+        grouping = _pool_grouping(shape, itemsize, spec)
     phases = groups = pool_index = None
     if spec.kind == "conv2d" and s > 1:
         # rounded up to whole phases; the extra rows and columns are cut off
@@ -182,7 +267,7 @@ def _geometry(spec: LayerSpec, shape: tuple, itemsize: int) -> _Geometry:
              (slice(None), slice(None), slice(qa * s, qa * s + s),
               slice(None), slice(qb * s, qb * s + s)))
             for qa in q for qb in q)
-    if spec.kind == "maxpool2d":
+    if spec.kind == "maxpool2d" and k > s:
         offsets = ((np.arange(k)[:, None] * w + np.arange(k)) * c).ravel()
         base = ((s * np.arange(oh)[:, None] * w + s * np.arange(ow)) * c)[..., None] + np.arange(c)
         starts = (np.arange(b) * (h * w * c)).reshape(b, 1, 1, 1)
@@ -190,12 +275,14 @@ def _geometry(spec: LayerSpec, shape: tuple, itemsize: int) -> _Geometry:
             arr.flags.writeable = False
         pool_index = (offsets, base, starts)
     return _Geometry(
-        out_shape=(b, oh, ow, spec.out_channels if spec.kind == "conv2d" else c),
+        out_shape=out_shape,
         padded=(b, hp, wp, c),
         interior=(slice(None), slice(p, p + h), slice(p, p + w)),
         windows=windows,
-        view_shape=(b, oh, ow, k, k, c),
-        view_strides=(hp * sh, s * sh, s * sw, sh, sw, itemsize),
+        view_shape=view[0],
+        patches=patches,
+        by_offset=by_offset,
+        grouping=grouping,
         phases=phases,
         groups=groups,
         pool_index=pool_index)
@@ -215,24 +302,57 @@ def _transposed_patches(spec: LayerSpec) -> bool:
     return spec.in_channels == 1 and spec.out_channels % 8 == 0
 
 
-def _im2col(x: np.ndarray, geo: _Geometry, transposed: bool) -> np.ndarray:
-    """The (b*oh*ow, k*k*c) patch matrix of x, whose geometry is ``geo``,
-    columns in (a, bb, channel) order, built with one copy of a window view
-    of the zero-bordered input; with ``transposed`` it is the transpose of a
-    C-ordered (K, N) buffer."""
-    if geo.padded != x.shape:
+def _strided(a: np.ndarray, shape: tuple, strides: tuple) -> np.ndarray:
+    """A view of C-contiguous ``a``; built on its buffer directly, which
+    costs far less per call than numpy's as_strided."""
+    return np.ndarray(shape, a.dtype, a, 0, strides)
+
+
+def _patch_source(x: np.ndarray, geo: _Geometry) -> np.ndarray:
+    """The buffer that ``geo.patches`` views: x in a C-contiguous buffer,
+    zero-bordered if the layer pads, and copied by row and column offset
+    if ``geo.by_offset`` says so."""
+    if geo.padded == x.shape:
+        xp = np.ascontiguousarray(x)
+    else:
         xp = np.zeros(geo.padded, x.dtype)
         xp[geo.interior] = x
-    else:
-        xp = np.ascontiguousarray(x)
-    # the window view is built on the contiguous buffer directly, which
-    # costs far less per call than numpy's as_strided
-    win = np.ndarray(geo.view_shape, xp.dtype, xp, 0, geo.view_strides)
-    b, oh, ow, k, _, c = geo.view_shape
-    n, kk = b * oh * ow, k * k * c
+    return xp if geo.by_offset is None else np.ascontiguousarray(_strided(xp, *geo.by_offset))
+
+
+def _im2col(src: np.ndarray, geo: _Geometry, transposed: bool,
+            slab: int | None = None) -> np.ndarray:
+    """The (N, k*k*c) patch matrix of x from its _patch_source, columns in
+    (a, bb, channel) order and rows in the order of ``geo.patches``, built
+    with one copy of a window view; with ``transposed`` it is the transpose
+    of a C-ordered (K, N) buffer.  Given ``slab``, only the rows of that
+    slab of a conv with a pool."""
+    win = _strided(src, *geo.patches)
+    if slab is not None:
+        win = win[divmod(slab, win.shape[1])]
+    *_, k, _, c = win.shape
+    kk = k * k * c
     if transposed:
-        return np.ascontiguousarray(win.transpose(3, 4, 5, 0, 1, 2)).reshape(kk, n).T
-    return win.reshape(n, kk)
+        d = win.ndim - 3
+        return np.ascontiguousarray(win.transpose(d, d + 1, d + 2, *range(d))).reshape(kk, -1).T
+    return win.reshape(-1, kk)
+
+
+def _group(x: np.ndarray, grouping: tuple) -> np.ndarray:
+    """NHWC ``x`` copied once into contiguous (k*k, b, oh, ow, c) slabs, one
+    per window position of the pool whose ``grouping`` it is."""
+    _, shape, strides = grouping
+    return np.ascontiguousarray(_strided(np.ascontiguousarray(x), shape, strides)).reshape(
+        -1, *shape[2:])
+
+
+def _ungroup(slabs: np.ndarray, grouping: tuple) -> np.ndarray:
+    """Adjoint of _group: the slabs written into a zero NHWC array in one
+    copy; elements that no window covers stay +0.0."""
+    nhwc, shape, strides = grouping
+    out = np.zeros(nhwc, slabs.dtype)
+    _strided(out, shape, strides)[...] = slabs.reshape(shape)
+    return out
 
 
 def _col2im(gcols: np.ndarray, geo: _Geometry) -> np.ndarray:
@@ -259,12 +379,29 @@ def _col2im(gcols: np.ndarray, geo: _Geometry) -> np.ndarray:
 
 
 def _eval_block_samples(spec: LayerSpec, oh: int, ow: int, itemsize: int) -> int:
-    """Fewest samples in one block of conv2d without a cache: enough to fill
-    EVAL_BLOCK_BYTES of patch matrix of ``itemsize``-byte elements, and to
-    lift the block's product above SMALL_GEMM_MNK multiply-adds."""
+    """Fewest samples in one block of conv2d without a cache, for an oh x ow
+    output: enough to fill EVAL_BLOCK_BYTES of patch matrix of
+    ``itemsize``-byte elements, and to lift each of the block's products
+    above SMALL_GEMM_MNK multiply-adds.  A conv with a pool builds and
+    multiplies a block's patches one slab at a time, each slab holding the
+    rows that one window position covers."""
     rows, k = oh * ow, spec.kernel ** 2 * spec.in_channels
+    if spec.pool is not None:
+        rows = math.prod(conv_output_hw(oh, ow, spec.pool.kernel, spec.pool.stride, 0))
     return max(EVAL_BLOCK_BYTES // (rows * k * itemsize),
                SMALL_GEMM_MNK // (rows * k * spec.out_channels) + 1)
+
+
+def _add_bias(out: np.ndarray, bias: np.ndarray) -> None:
+    """out += bias over the rows of an (n, c) output.  An output of at least
+    BIAS_TILE_ELEMENTS takes it as rows of 64*c against the bias tiled 64
+    times: the same additions, with an inner loop 64 times longer."""
+    n, c = out.shape
+    wide = n - n % 64 if out.size >= BIAS_TILE_ELEMENTS else 0
+    if wide:
+        rows = out[:wide].reshape(-1, 64 * c)
+        rows += np.tile(bias, 64)
+    out[wide:] += bias
 
 
 def forward(spec: LayerSpec, params: list[np.ndarray], x, keep_cache: bool = True):
@@ -290,34 +427,52 @@ def forward(spec: LayerSpec, params: list[np.ndarray], x, keep_cache: bool = Tru
         if x.ndim != 4 or x.shape[3] != spec.in_channels:
             raise ShapeError(f"conv2d expects NHWC with C={spec.in_channels}, got {x.shape}")
         geo = _geometry(spec, x.shape, x.itemsize)
-        b, oh, ow, _ = geo.out_shape
-        rows = oh * ow
+        b, oh, ow = geo.view_shape[:3]
+        # the output's rows: one slab, or one per window position of the
+        # pool, each holding `rows` rows per sample
+        slabs = geo.out_shape[0] if spec.pool is not None else 1
+        rows = geo.out_shape[-3] * geo.out_shape[-2]
         # backward needs the whole patch matrix; without a cache it is built
         # in blocks of whole samples that differ in size by at most one
         n_blocks = 1 if keep_cache else max(1, b // _eval_block_samples(spec, oh, ow, x.itemsize))
         transposed = _transposed_patches(spec)
         wmat = wgt.reshape(-1, spec.out_channels)
-        out = np.empty((b * rows, spec.out_channels), x.dtype)
-        for i in range(n_blocks):
-            s0, s1 = i * b // n_blocks, (i + 1) * b // n_blocks
-            part = geo if n_blocks == 1 else _geometry(spec, (s1 - s0, *x.shape[1:]), x.itemsize)
-            cols = _im2col(x[s0:s1], part, transposed)
-            np.matmul(cols, wmat, out=out[s0 * rows:s1 * rows])
+        out = np.empty((slabs, b * rows, spec.out_channels), x.dtype)
+        if n_blocks == 1:
+            cols = _im2col(_patch_source(x, geo), geo, transposed)
+            np.matmul(cols, wmat, out=out.reshape(-1, spec.out_channels))
+        else:
+            # one product per block and slab, into its rows of the output
+            for i in range(n_blocks):
+                s0, s1 = i * b // n_blocks, (i + 1) * b // n_blocks
+                part = _geometry(spec, (s1 - s0, *x.shape[1:]), x.itemsize)
+                src = _patch_source(x[s0:s1], part)
+                for q in range(slabs):
+                    cols = _im2col(src, part, transposed, q if spec.pool is not None else None)
+                    np.matmul(cols, wmat, out=out[q, s0 * rows:s1 * rows])
         if spec.bias:
-            out += params[1]
+            _add_bias(out.reshape(-1, spec.out_channels), params[1])
         y = out.reshape(geo.out_shape)
         cache = (spec, cols, geo, wmat)
 
     elif kind == "maxpool2d":
-        if x.ndim != 4:
-            raise ShapeError(f"maxpool2d expects NHWC, got shape {x.shape}")
-        first, *rest = _geometry(spec, x.shape, x.itemsize).windows
-        y = x[first].copy()
-        for window in rest:
+        if x.ndim == 5 and x.shape[0] == spec.kernel ** 2 and spec.kernel <= spec.stride:
+            geo, slabs = None, x  # a pooled conv's output, already in slabs
+        elif x.ndim == 4:
+            geo = _geometry(spec, x.shape, x.itemsize)
+            if geo.grouping is None:  # overlapping windows: strided views of x
+                slabs = [x[window] for window in geo.windows]
+            else:
+                slabs = x = _group(x, geo.grouping)
+        else:
+            raise ShapeError(f"maxpool2d expects NHWC or its {spec.kernel ** 2} window-position "
+                             f"slabs, got shape {x.shape}")
+        y = slabs[0].copy()
+        for slab in slabs[1:]:
             # np.maximum returns its second operand when the two compare
             # equal, so the earlier window position keeps the signed zero
-            np.maximum(x[window], y, out=y)
-        cache = (spec, x, y)
+            np.maximum(slab, y, out=y)
+        cache = (spec, x, y, geo)
 
     elif kind == "relu":
         y = np.maximum(x, 0.0)
@@ -381,6 +536,7 @@ def backward(spec: LayerSpec, cache, grad_out, input_grad: bool = True):
         _, cols, geo, wmat = cache
         if grad_out.shape != geo.out_shape:
             raise ShapeError(f"grad shape {grad_out.shape} != {geo.out_shape}")
+        # with a pool, rows (of grad_out and cols alike) come in slabs
         gmat = grad_out.reshape(-1, spec.out_channels)
         # this order, unlike cols.T @ gmat, gives both patch layouts equal sgemm bits
         gw = (gmat.T @ cols).T.reshape(spec.kernel, spec.kernel, -1, spec.out_channels)
@@ -392,15 +548,33 @@ def backward(spec: LayerSpec, cache, grad_out, input_grad: bool = True):
                          else gmat.sum(axis=0))
         if not input_grad:
             return None, grads
+        if geo.grouping is not None:
+            gmat = _ungroup(grad_out, geo.grouping).reshape(-1, spec.out_channels)
         gx = _col2im(gmat @ wmat.T, geo)
         return gx, grads
 
     if kind == "maxpool2d":
-        _, x, y = cache
+        _, x, y, geo = cache
         if grad_out.shape != y.shape:
             raise ShapeError(f"grad shape {grad_out.shape} != forward shape {y.shape}")
-        geo = _geometry(spec, x.shape, x.itemsize)
-        # arg: the first window position (row-major) holding the max
+        if geo is None or geo.grouping is not None:
+            # x is in slabs: each window's gradient goes to the first slab
+            # holding its max, with + 0.0 as in a sum from +0.0.  Its bits
+            # are multiplied by the 0/1 hit mask, so every other element is
+            # +0.0 even where the gradient is not finite
+            bits = np.dtype(f"u{grad_out.itemsize}")
+            g = (grad_out + 0.0).view(bits)
+            gx = np.empty(x.shape, grad_out.dtype)
+            unrouted = np.ones(y.shape, dtype=bool)
+            hit = np.empty(y.shape, dtype=bool)
+            for slab, gslab in zip(x, gx):
+                np.equal(slab, y, out=hit)
+                hit &= unrouted
+                unrouted ^= hit
+                np.multiply(g, hit, out=gslab.view(bits))
+            return (gx if geo is None else _ungroup(gx, geo.grouping)), []
+        # overlapping windows; arg: the first window position (row-major)
+        # holding the max
         arg = np.zeros(y.shape, dtype=np.min_scalar_type(len(geo.windows) - 1))
         unrouted = np.ones(y.shape, dtype=bool)
         hit = np.empty(y.shape, dtype=bool)
@@ -415,12 +589,9 @@ def backward(spec: LayerSpec, cache, grad_out, input_grad: bool = True):
         idx = offsets.take(arg)
         idx += base
         idx += starts
-        idx, weights = idx.ravel(), grad_out.ravel()
-        if spec.kernel > spec.stride:
-            # overlapping windows: an element must take its terms in
-            # window-position order
-            order = np.argsort(arg, axis=None, kind="stable")
-            idx, weights = idx[order], weights[order]
+        # an element takes its terms in window-position order
+        order = np.argsort(arg, axis=None, kind="stable")
+        idx, weights = idx.ravel()[order], grad_out.ravel()[order]
         gx = np.bincount(idx, weights=weights, minlength=x.size).astype(x.dtype, copy=False)
         return gx.reshape(x.shape), []
 

@@ -38,9 +38,13 @@ def _default_instance(spec: T.LayerSpec, rng: np.random.Generator):
 
 def _pool_margin(x, k, s) -> float:
     """Smallest gap between the largest and second-largest element of any
-    k x k pooling window at stride s."""
-    geo = T._geometry(T.LayerSpec("maxpool2d", kernel=k, stride=s), x.shape, x.itemsize)
-    patches = np.stack([x[window] for window in geo.windows], axis=3)
+    k x k pooling window at stride s; x is NHWC, or a pooled conv's output
+    in its k*k window-position slabs."""
+    if x.ndim == 5:
+        patches = np.stack(list(x), axis=3)
+    else:
+        geo = T._geometry(T.LayerSpec("maxpool2d", kernel=k, stride=s), x.shape, x.itemsize)
+        patches = np.stack([x[window] for window in geo.windows], axis=3)
     top2 = np.sort(patches, axis=3)[:, :, :, -2:, :]
     return float((top2[:, :, :, 1, :] - top2[:, :, :, 0, :]).min())
 
@@ -117,7 +121,7 @@ def _kink_margin(kind: str, cfg: M.FADNetConfig, flat: np.ndarray, x: np.ndarray
     caches: dict = {}
     M._forward(kind, cfg, flat, x, caches)
     views = M.param_views(kind, cfg, flat)
-    margin = _pool_margin(caches["stem.pool"][1], 2, 2)
+    margin = _pool_margin(caches["stem.pool"][1], 2, 2)  # the stem conv's slabs
     for h in range(1, M.N_BLOCKS + 1):
         name = f"block{h}.conv1"
         _, cols, _, wmat = caches[name]

@@ -31,9 +31,29 @@ def facts(cfg: dict) -> dict:
             "eval_rows": len(eval_rounds), "test_count": count - int(0.8 * count)}
 
 
+# the default 32x32 model at the dfl benchmark's batch size: the stem conv's
+# transposed patches, written in its pool's slabs
+DEFAULT_GEOMETRY = {"topology": "nws22", "sample_count": 300, "rounds": 1, "eval_interval": 1,
+                    "local_steps": 1, "batch_size": 32}
+
+
 @pytest.mark.parametrize("strategy, workers", [("dfl", 1), ("sfl", 2)])
 def test_traced_run_makes_the_expected_calls(tmp_path, strategy, workers):
     cfg = dict(TINY, strategy=strategy, workers=workers)
+    metrics = traced_metrics(tmp_path, cfg)
+    assert metrics["model.loss_and_grad.calls"] == facts(cfg)["silos"] * (1 + 2 * 2)
+
+
+def test_traced_default_geometry_run_makes_the_expected_calls(tmp_path):
+    cfg = dict(DEFAULT_GEOMETRY, strategy="dfl", workers=1)
+    metrics = traced_metrics(tmp_path, cfg)
+    assert metrics["model.loss_and_grad.calls"] == 22 * 2
+    assert metrics["model.predict.calls"] == 2  # 60 test samples, rounds 0 and 1
+
+
+def traced_metrics(tmp_path, cfg: dict) -> dict:
+    """The per-layer metrics of one traced run of ``cfg``; fails on any
+    call-count mismatch."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps(cfg))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
@@ -47,7 +67,6 @@ def test_traced_run_makes_the_expected_calls(tmp_path, strategy, workers):
         env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
-    want = facts(cfg)
-    metrics, failures = layers.analyse(json.loads(spans_path.read_text()), want)
+    metrics, failures = layers.analyse(json.loads(spans_path.read_text()), facts(cfg))
     assert failures == []
-    assert metrics["model.loss_and_grad.calls"] == want["silos"] * (1 + 2 * 2)
+    return metrics

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dflsim import cli, data as D, model as M, topology as tp
+from dflsim import cli, data as D, model as M, protocol as P, topology as tp
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -41,6 +41,18 @@ class TestRun:
                          "--quiet"]) == 0
         produced = sorted(p.name for p in (tmp_path / "out").iterdir())
         assert produced == ["final_model.ckpt", "metrics.csv", "resolved_config.json"]
+
+    def test_failed_write_leaves_no_partial_output(self, tmp_path, monkeypatch):
+        # each output goes through a temporary file and a rename
+        def fail_midway(path, *args):
+            Path(path).write_bytes(b"partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(M, "save_checkpoint", fail_midway)
+        out = tmp_path / "out"
+        with pytest.raises(OSError, match="disk full"):
+            cli.run_command(write_config(tmp_path, {"strategy": "cll", **FAST}), out, quiet=True)
+        assert sorted(p.name for p in out.iterdir()) == ["metrics.csv"]
 
     def test_unknown_strategy_names_field(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, {"strategy": "xfl"})
@@ -291,6 +303,23 @@ class TestFieldTypes:
                          "--quiet"]) == 1
         assert "config field 'rounds':" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("rounds", [1e300, 2 ** 53 + 1], ids=["1e300", "2**53+1"])
+    def test_rounds_past_2_53_rejected(self, tmp_path, capsys, rounds):
+        # past 2**53 a round count, and rounds times the round duration, are
+        # no longer exact floats; 1e300 rounds would also never end
+        cfg_path = write_config(tmp_path, {"strategy": "cll", **dict(FAST, rounds=rounds)})
+        assert cli.main(["run", str(cfg_path), "--out", str(tmp_path / "out"),
+                         "--quiet"]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: config field 'rounds': ")
+        assert not (tmp_path / "out").exists()
+
+    def test_rounds_up_to_2_53_accepted(self, tmp_path):
+        cfg_path = write_config(tmp_path, {"strategy": "cll", **dict(FAST, rounds=2 ** 53)})
+        assert cli.load_config(cfg_path)["rounds"] == 2 ** 53
+        with pytest.raises(ValueError, match="rounds must be at most 2"):
+            P.TrainConfig(rounds=2 ** 53 + 1)
 
     @pytest.mark.parametrize("field", INT_FIELDS)
     def test_boolean_int_rejected(self, tmp_path, capsys, field):

@@ -24,9 +24,16 @@ TOY_BACKBONE_PARAMS = 19513
 
 NARROW_CFG = M.FADNetConfig(widths=(2, 3, 4))
 
+# 9x11 inputs: the 2x2 stem pool reads neither the last row nor the last
+# column of the stem conv's output; the default widths take the transposed
+# patch matrix, the narrow ones the plain one
+ODD_CFGS = {widths: M.FADNetConfig(input_height=9, input_width=11, widths=widths)
+            for widths in ((8, 16, 32), (2, 3, 4))}
+
 
 def stem_block(cfg, dtype):
-    """Fewest samples in one block of the stem conv run without a cache."""
+    """Fewest samples in one block of the stem conv run without a cache (its
+    output is as large as its input)."""
     spec = M._plan("fadnet", cfg)["specs"]["stem.conv"]
     return T._eval_block_samples(spec, cfg.input_height, cfg.input_width,
                                  np.dtype(dtype).itemsize)
@@ -248,6 +255,28 @@ class TestLossAndGrad:
     def test_full_model_gradient_vs_finite_differences(self, kind):
         seed = find_smooth_seed(kind, SMALL_CFG)
         assert model_grad_check(kind, SMALL_CFG, seed) < 1e-4
+
+
+@pytest.mark.parametrize("widths", sorted(ODD_CFGS), ids=lambda w: "-".join(map(str, w)))
+@pytest.mark.parametrize("kind", M.MODEL_KINDS)
+class TestOddInputSize:
+    def test_gradient_vs_finite_differences(self, kind, widths):
+        cfg = ODD_CFGS[widths]
+        seed = find_smooth_seed(kind, cfg)
+        assert model_grad_check(kind, cfg, seed, max_coords_per_tensor=40) < 1e-4
+
+    def test_predict_matches_training_forward(self, kind, widths):
+        cfg = ODD_CFGS[widths]
+        for dtype in (np.float64, np.float32):
+            theta = M.init_params(kind, cfg, 3).astype(dtype)
+            # and a batch of two inference blocks and one sample
+            for n in (1, 4, 32, 2 * stem_block(cfg, dtype) + 1):
+                inputs = toy_batch(n=n, seed=n, cfg=cfg).inputs
+                train_preds = M._forward(kind, cfg, theta, inputs, {})
+                preds = M.predict(kind, cfg, theta, inputs)
+                assert preds.dtype == dtype
+                assert np.array_equal(preds, train_preds)
+                assert np.array_equal(np.signbit(preds), np.signbit(train_preds))
 
 
 class TestParamsAndCheckpoint:

@@ -420,10 +420,11 @@ class TestRunners:
         assert {r for r in range(rounds + 1) if P.is_eval_round(r, cfg)} == want
 
     def test_eval_round_needs_no_enumeration(self):
-        cfg = P.TrainConfig(rounds=10 ** 18, eval_interval=7)
-        assert P.is_eval_round(0, cfg) and P.is_eval_round(10 ** 18, cfg)
-        assert P.is_eval_round(7 * 10 ** 16, cfg)
-        assert not P.is_eval_round(10 ** 18 - 2, cfg)
+        # 2**53, the most rounds a config may ask for
+        cfg = P.TrainConfig(rounds=2 ** 53, eval_interval=7)
+        assert P.is_eval_round(0, cfg) and P.is_eval_round(2 ** 53, cfg)
+        assert P.is_eval_round(7 * 10 ** 15, cfg)
+        assert not P.is_eval_round(2 ** 53 - 2, cfg)
 
     def test_cll_zero_free_rounds_unsupported(self):
         with pytest.raises(ValueError, match="rounds"):

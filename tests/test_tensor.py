@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,12 +7,17 @@ from hypothesis import strategies as st
 
 from dflsim import model as M
 from dflsim import tensor as T
+from dflsim.data import Dataset
 from fdcheck import _default_instance, grad_check
 
 
-def make_conv(kernel=3, stride=1, padding=1, cin=2, cout=3, bias=True):
+def make_conv(kernel=3, stride=1, padding=1, cin=2, cout=3, bias=True, pool=None):
     return T.LayerSpec("conv2d", kernel=kernel, stride=stride, padding=padding,
-                       in_channels=cin, out_channels=cout, bias=bias)
+                       in_channels=cin, out_channels=cout, bias=bias, pool=pool)
+
+
+def make_pool(kernel, stride):
+    return T.LayerSpec("maxpool2d", kernel=kernel, stride=stride)
 
 
 class TestForwardExamples:
@@ -94,6 +101,11 @@ class TestGradCheck:
     def test_gap(self):
         assert grad_check(T.LayerSpec("gap"), seed=7) < 1e-8
 
+    def test_conv2d_feeding_a_pool(self):
+        # the output in window-position slabs, without rows and columns 2
+        # and 5 of 6, which no k2/s3 window covers
+        assert grad_check(make_conv(cin=1, cout=8, pool=make_pool(2, 3)), seed=7) < 1e-4
+
     @pytest.mark.parametrize("spec", [
         T.LayerSpec("input_norm"),
         make_conv(kernel=3, stride=2, padding=1, cin=3, cout=2),
@@ -134,6 +146,15 @@ class TestShapeAlgebra:
         with pytest.raises(T.ShapeError, match="C=2"):
             T.forward(spec, [np.zeros(s) for s in T.param_shapes(spec)],
                       np.zeros((1, 6, 6, 3)))
+
+    def test_only_a_conv_feeds_a_pool_without_overlap(self):
+        with pytest.raises(T.ShapeError, match="max pool"):
+            make_conv(pool=make_pool(3, 2))
+        with pytest.raises(T.ShapeError, match="max pool"):
+            T.LayerSpec("relu", pool=make_pool(2, 2))
+        spec = make_pool(2, 2)
+        with pytest.raises(T.ShapeError, match="slabs"):
+            T.forward(spec, [], np.zeros((2, 1, 3, 3, 1)))
 
     def test_bad_specs_rejected(self):
         with pytest.raises(T.ShapeError):
@@ -241,16 +262,26 @@ def reference_conv(spec, params, x, grad_out):
 
 
 def toy_conv_geometries():
-    """(spec, height, width) of every conv2d in the TOY_CONFIG fadnet."""
+    """(spec, height, width) of every conv2d in the TOY_CONFIG fadnet; the
+    stem conv without its pool, as an NHWC conv (POOLED_CONV_GEOMETRIES
+    has it with the pool)."""
     cfg = M.TOY_CONFIG
     plan = M._plan("fadnet", cfg)
     specs, dims = plan["specs"], plan["dims"]
-    geoms = [(specs["stem.conv"], cfg.input_height, cfg.input_width)]
+    geoms = [(dataclasses.replace(specs["stem.conv"], pool=None), cfg.input_height,
+              cfg.input_width)]
     for h in range(1, M.N_BLOCKS + 1):
         (hi, wi, _), (ho, wo, _) = dims[h - 1], dims[h]
         geoms += [(specs[f"block{h}.conv1"], hi, wi), (specs[f"block{h}.shortcut"], hi, wi),
                   (specs[f"block{h}.conv2"], ho, wo)]
     return geoms
+
+
+def conv_id(geom):
+    spec, h, w = geom
+    pool = f"_pool{spec.pool.kernel}s{spec.pool.stride}" if spec.pool is not None else ""
+    return (f"k{spec.kernel}s{spec.stride}p{spec.padding}c{spec.in_channels}"
+            f"o{spec.out_channels}b{int(spec.bias)}_{h}x{w}{pool}")
 
 
 EXTRA_CONV_GEOMETRIES = [
@@ -266,6 +297,23 @@ EXTRA_CONV_GEOMETRIES = [
     # col2im window groups of 3x3, 3x2, 2x3 and 2x2 phases, and of one phase
     (make_conv(kernel=5, stride=2, padding=2, cin=2, cout=3), 9, 10),
     (make_conv(kernel=3, stride=3, padding=1, cin=3, cout=2), 8, 7),
+]
+
+
+# convs that write their output in the slabs of the max pool they feed
+POOLED_CONV_GEOMETRIES = [
+    # the toy stem (transposed patches) and the narrow one (plain patches)
+    (M._plan("fadnet", M.TOY_CONFIG)["specs"]["stem.conv"], 32, 32),
+    (make_conv(kernel=3, stride=1, padding=1, cin=1, cout=2, pool=make_pool(2, 2)), 32, 32),
+    # the pool drops the last row and column
+    (make_conv(kernel=3, stride=1, padding=1, cin=1, cout=8, pool=make_pool(2, 2)), 9, 11),
+    (make_conv(kernel=3, stride=1, padding=1, cin=1, cout=2, pool=make_pool(2, 2)), 9, 11),
+    # rows and columns between windows, nine slabs, a one-element window
+    (make_conv(kernel=3, stride=2, padding=1, cin=3, cout=4, pool=make_pool(2, 3)), 13, 10),
+    (make_conv(kernel=3, stride=2, padding=1, cin=1, cout=8, pool=make_pool(2, 3)), 13, 10),
+    (make_conv(kernel=3, stride=1, padding=1, cin=1, cout=16, pool=make_pool(3, 3)), 10, 8),
+    (make_conv(kernel=1, stride=1, padding=0, cin=2, cout=8, bias=False,
+               pool=make_pool(1, 2)), 7, 9),
 ]
 
 
@@ -329,10 +377,9 @@ class TestKernelEquivalence:
         for g, g_ref in zip(grads, grads_ref):
             assert_same_bits(g, g_ref)
 
-    @pytest.mark.parametrize("geom", toy_conv_geometries() + EXTRA_CONV_GEOMETRIES,
-                             ids=lambda g: f"k{g[0].kernel}s{g[0].stride}p{g[0].padding}"
-                                           f"c{g[0].in_channels}o{g[0].out_channels}"
-                                           f"b{int(g[0].bias)}_{g[1]}x{g[2]}")
+    @pytest.mark.parametrize(
+        "geom", toy_conv_geometries() + EXTRA_CONV_GEOMETRIES + POOLED_CONV_GEOMETRIES,
+        ids=conv_id)
     def test_blocked_conv_matches_cached_forward(self, geom):
         spec, h, w = geom
         dtype = self.dtype
@@ -347,6 +394,64 @@ class TestKernelEquivalence:
             y, cache = T.forward(spec, params, x, keep_cache=False)
             assert cache is None
             assert_same_bits(y, y_ref)
+
+    @pytest.mark.parametrize("keep_cache", [True, False], ids=["train", "infer"])
+    @pytest.mark.parametrize("batch", [1, 4, 32])
+    @pytest.mark.parametrize("geom", POOLED_CONV_GEOMETRIES, ids=conv_id)
+    def test_pooled_conv_matches_conv_then_pool(self, geom, batch, keep_cache):
+        spec, h, w = geom
+        dtype = self.dtype
+        nhwc = dataclasses.replace(spec, pool=None)
+        k, s = spec.pool.kernel, spec.pool.stride
+        rng = np.random.default_rng(batch * 1000 + h * 10 + w)
+        x = rng.standard_normal((batch, h, w, spec.in_channels)).astype(dtype)
+        params = [rng.standard_normal(shape).astype(dtype) for shape in T.param_shapes(spec)]
+        slabs, cache = T.forward(spec, params, x, keep_cache=keep_cache)
+        y, cache_ref = T.forward(nhwc, params, x, keep_cache=keep_cache)
+        # slab a*k + bb holds window position (a, bb) of every window
+        views = strided_views(y, k, s, *slabs.shape[2:4])
+        assert slabs.shape[0] == len(views) == k * k
+        for slab, view in zip(slabs, views):
+            assert_same_bits(slab, view)
+        pooled, pcache = T.forward(spec.pool, [], slabs, keep_cache=keep_cache)
+        pooled_ref, pcache_ref = T.forward(spec.pool, [], y, keep_cache=keep_cache)
+        assert_same_bits(pooled, pooled_ref)
+        if not keep_cache:
+            return
+
+        grad = (rng.standard_normal(pooled.shape)
+                * rng.choice([1.0, 0.0, -0.0], pooled.shape)).astype(dtype)
+        gslabs, _ = T.backward(spec.pool, pcache, grad)
+        gy, _ = T.backward(spec.pool, pcache_ref, grad)
+        # the NHWC gradient is the slabs' gradient, +0.0 where no window reads
+        scattered = np.zeros_like(gy)
+        for view, gslab in zip(strided_views(scattered, k, s, *slabs.shape[2:4]), gslabs):
+            view[...] = gslab
+        assert_same_bits(scattered, gy)
+        gx, grads = T.backward(spec, cache, gslabs)
+        gx_ref, grads_ref = T.backward(nhwc, cache_ref, gy)
+        assert_same_bits(gx, gx_ref)
+        # the parameter gradients sum the same nonzero terms, in slab order
+        tol = 1000 * np.finfo(dtype).eps
+        assert len(grads) == len(grads_ref)
+        for g, g_ref in zip(grads, grads_ref):
+            assert g.dtype == g_ref.dtype and g.shape == g_ref.shape
+            np.testing.assert_allclose(g, g_ref, rtol=tol, atol=tol * np.abs(g_ref).max())
+
+    def test_bincount_only_for_overlapping_windows(self, monkeypatch):
+        calls = []
+        bincount = np.bincount
+        monkeypatch.setattr(np, "bincount", lambda *a, **kw: calls.append(1) or bincount(*a, **kw))
+        rng = np.random.default_rng(2)
+        cfg = M.TOY_CONFIG
+        inputs = rng.standard_normal((4, cfg.input_height, cfg.input_width, 1))
+        batch = Dataset(inputs=inputs.astype(self.dtype), targets=np.zeros(4))
+        M.loss_and_grad("fadnet", cfg, M.init_params("fadnet", cfg, 1).astype(self.dtype), batch)
+        for k, s in ((2, 2), (2, 3), (3, 2)):
+            x = rng.standard_normal((2, 7, 7, 3)).astype(self.dtype)
+            y, cache = T.forward(make_pool(k, s), [], x)
+            T.backward(make_pool(k, s), cache, np.ones_like(y))
+        assert len(calls) == 1  # the k3/s2 pool
 
     def test_no_cache_kept(self):
         rng = np.random.default_rng(3)
@@ -365,6 +470,16 @@ class TestKernelEquivalence:
         assert sum(T._transposed_patches(spec) for spec, _, _ in geoms) == 3
         assert any(spec.in_channels == 1 and not T._transposed_patches(spec)
                    for spec, _, _ in geoms)
+
+    @pytest.mark.parametrize("k,s", [(2, 2), (3, 2)])
+    def test_infinite_gradient_lands_on_the_routed_elements_only(self, k, s):
+        # each window's max is its bottom-right element, a different one per window
+        spec = make_pool(k, s)
+        x = np.arange(25, dtype=self.dtype).reshape(1, 5, 5, 1)
+        y, cache = T.forward(spec, [], x)
+        gx, _ = T.backward(spec, cache, np.full(y.shape, np.inf, self.dtype))
+        assert np.count_nonzero(gx == np.inf) == y.size
+        assert np.count_nonzero(gx) == y.size and not np.signbit(gx).any()
 
     def test_signed_zero_tie_keeps_first(self):
         spec = T.LayerSpec("maxpool2d", kernel=2, stride=2)
