@@ -17,6 +17,8 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
+
 from . import data as D
 from . import model as M
 from . import protocol as P
@@ -148,6 +150,16 @@ def _check_out_dir(cfg: dict) -> None:
 
 
 def _build_data(cfg: dict, model_cfg: M.FADNetConfig):
+    """The run's (train, test) split, with inputs held at float32.
+
+    Every training step and evaluation casts its inputs to float32 (the
+    model's compute precision), so the dataset is converted once, right
+    after it is generated or loaded: the split, the silo shards and the
+    test set hold 4 bytes per value, and each step's cast does nothing.
+    The model reads the same values either way, so no output bit moves.
+    Targets stay float64.  External data with a value beyond float32's
+    range is a config error naming the first such sample.
+    """
     if cfg["data_source"] == "linesteer":
         ds = D.generate_linesteer(cfg["sample_count"], model_cfg.input_height,
                                   model_cfg.input_width, cfg["seed"])
@@ -160,6 +172,16 @@ def _build_data(cfg: dict, model_cfg: M.FADNetConfig):
         if ds.inputs.shape[1:] != expected:
             raise ConfigError(f"config field 'external_path': dataset shape "
                               f"{ds.inputs.shape[1:]} does not match model input {expected}")
+    with np.errstate(over="ignore"):  # an overflow is reported below, by sample
+        inputs = ds.inputs.astype(np.float32)
+    try:
+        ds = D.Dataset(inputs=inputs, targets=ds.targets)
+    except ValueError as e:
+        bad = int(np.argmin(np.isfinite(inputs).reshape(len(inputs), -1).all(axis=1)))
+        raise ConfigError(f"config field 'external_path': sample {bad} (data row {bad + 1} "
+                          f"of labels.csv) holds a value beyond float32's range "
+                          f"(±{np.finfo(np.float32).max}), the precision a run holds "
+                          f"its data at") from e
     try:
         return D.train_test_split(ds, cfg["train_fraction"], cfg["seed"])
     except ValueError as e:

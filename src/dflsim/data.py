@@ -84,7 +84,10 @@ class Dataset:
         self._check_shapes()
         if not np.all(np.abs(self.targets) <= 1.0 + 1e-12):  # NaN fails too
             raise ValueError("targets must be finite and lie in [-1, 1]")
-        if not np.all(np.isfinite(self.inputs)):
+        # NaN and infinities show in the min or max, with no array-sized
+        # temporary (glibc's placement of one moved a run's peak RSS by 6 MiB)
+        x = self.inputs
+        if x.size and not np.all(np.isfinite([x.min(), x.max()])):
             raise ValueError("inputs contain non-finite values")
 
     def _check_shapes(self) -> None:

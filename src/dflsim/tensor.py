@@ -508,7 +508,8 @@ def forward(spec: LayerSpec, params: list[np.ndarray], x, keep_cache: bool = Tru
 def backward(spec: LayerSpec, cache, grad_out, input_grad: bool = True):
     """Exact gradients of the forward pass: returns (grad_input, grad_params).
 
-    For residual_add the grad_input is the (grad_a, grad_b) pair; max pooling
+    For residual_add the grad_input is the (grad_a, grad_b) pair, both
+    grad_out itself: no kind's backward writes to its grad_out.  Max pooling
     routes each window's gradient to the first-encountered argmax.  With
     input_grad=False, conv2d returns None as grad_input without computing
     it; the other kinds ignore the flag.
@@ -625,7 +626,7 @@ def backward(spec: LayerSpec, cache, grad_out, input_grad: bool = True):
         _, shape = cache
         if grad_out.shape != shape:
             raise ShapeError(f"grad shape {grad_out.shape} != forward shape {shape}")
-        return (grad_out.copy(), grad_out.copy()), []
+        return (grad_out, grad_out), []
 
     raise ShapeError(f"unknown layer kind {kind!r}")
 

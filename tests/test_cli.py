@@ -193,6 +193,43 @@ class TestRun:
         assert cli.main(["run", str(cfg_path), "--out", str(tmp_path / "out"),
                          "--quiet"]) == 0
 
+    @pytest.mark.parametrize("bad", [(17,), (0, 3, 6, 9), (41, 52)], ids=str)
+    def test_external_value_beyond_float32_names_sample(self, tmp_path, capsys, bad):
+        # a run holds its data at float32; one sample of 60 that a cll run
+        # may never draw still stops it before anything is trained
+        ds = D.generate_linesteer(60, 8, 8, seed=0)
+        inputs = ds.inputs.copy()
+        inputs[bad[0], 3, 4, 0] = 1e39
+        inputs[bad[1:], 0, 0, 0] = -3.5e38
+        D.save_external(tmp_path / "ext", D.Dataset(inputs=inputs, targets=ds.targets))
+        cfg = dict(FAST)
+        del cfg["sample_count"]
+        cfg_path = write_config(tmp_path, {
+            "strategy": "cll", "data_source": "external",
+            "external_path": str(tmp_path / "ext"), **cfg})
+        with np.errstate(all="raise"):  # the overflow is reported, not warned
+            assert cli.main(["run", str(cfg_path), "--out", str(tmp_path / "out"),
+                             "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert (f"config field 'external_path': sample {bad[0]} (data row {bad[0] + 1} "
+                f"of labels.csv) holds a value beyond float32's range") in err
+        assert not (tmp_path / "out").exists()
+
+    def test_external_values_at_float32_range_accepted(self, tmp_path):
+        ds = D.generate_linesteer(40, 8, 8, seed=0)
+        inputs = ds.inputs.copy()
+        inputs[5, 0, 0, 0] = float(np.finfo(np.float32).max)
+        inputs[6, 0, 0, 0] = 1e-50  # rounds to 0 at float32
+        D.save_external(tmp_path / "ext", D.Dataset(inputs=inputs, targets=ds.targets))
+        cfg = dict(FAST)
+        del cfg["sample_count"]
+        cfg = cli.load_config(write_config(tmp_path, {
+            "strategy": "cll", "data_source": "external",
+            "external_path": str(tmp_path / "ext"), **cfg}))
+        train, test = cli._build_data(cfg, cli._dataclass_config(M.FADNetConfig, cfg))
+        held = np.concatenate([train.inputs, test.inputs])
+        assert held.dtype == np.float32 and np.all(np.isfinite(held))
+
     def test_external_shape_mismatch_names_field(self, tmp_path, capsys):
         ds = D.generate_linesteer(10, 16, 16, seed=0)
         D.save_external(tmp_path / "ext", ds)
@@ -570,3 +607,30 @@ def test_dfl_overlay_weighs_float64_parameters(tmp_path, monkeypatch):
     assert cli.main(["run", str(cfg_path), "--out", str(tmp_path / "out"), "--quiet"]) == 0
     model_cfg = M.FADNetConfig(input_height=8, input_width=8, widths=(2, 3, 4), feature_dim=5)
     assert sizes == [8 * M.param_count("fadnet", model_cfg)]
+
+
+@pytest.mark.parametrize("strategy", P.STRATEGIES)
+def test_runner_gets_float32_data(tmp_path, monkeypatch, strategy):
+    # the shards (or cll's training set) and the test set hold 4 bytes per
+    # value: the float64 dataset rounded once, as every step reads it
+    handed = {}
+
+    def runner(*args):
+        handed["train"], handed["test"] = args[-3:-1]
+        return "log"
+
+    monkeypatch.setattr(P, f"run_{strategy}", runner)
+    cfg = cli.load_config(write_config(tmp_path, {**FAST, "strategy": strategy}))
+    assert cli.execute(cfg) == "log"
+
+    ds = D.generate_linesteer(FAST["sample_count"], 8, 8, cfg["seed"])
+    train, test = D.train_test_split(ds, cfg["train_fraction"], cfg["seed"])
+    if strategy != "cll":
+        n = tp.load_topology(tp.fixture_path(cfg["topology"])).n
+        train = D.partition_noniid(train, n, cfg["skew"], cfg["seed"]).shards(train)
+    for held, expected in ((handed["train"], train), (handed["test"], test)):
+        for h, e in (zip(held, expected) if isinstance(held, list) else [(held, expected)]):
+            assert h.inputs.dtype == np.float32
+            assert h.inputs.nbytes == h.count * 8 * 8 * 1 * 4
+            assert np.array_equal(h.inputs, e.inputs.astype(np.float32))
+            assert h.targets.dtype == np.float64 and np.array_equal(h.targets, e.targets)

@@ -251,6 +251,26 @@ class TestLossAndGrad:
         with pytest.raises(ValueError, match="nonempty"):
             Dataset(inputs=np.zeros((0, 8, 8, 1)), targets=np.zeros(0))
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("kind", M.MODEL_KINDS)
+    def test_no_backward_writes_to_its_grad_out(self, kind, dtype, monkeypatch):
+        # each residual add passes one gradient array to both its branches
+        # (and the pooled stem conv reads the pool's gradient as it is)
+        real = T.backward
+        calls = []
+
+        def checked(spec, cache, grad_out, **kw):
+            before = grad_out.tobytes()
+            out = real(spec, cache, grad_out, **kw)
+            calls.append((spec.kind, grad_out.tobytes() == before))
+            return out
+
+        monkeypatch.setattr(T, "backward", checked)
+        theta = M.init_params(kind, M.TOY_CONFIG, 3).astype(dtype)
+        M.loss_and_grad(kind, M.TOY_CONFIG, theta, toy_batch(n=4, seed=3))
+        assert {k for k, _ in calls} >= {"conv2d", "maxpool2d", "relu", "residual_add", "fc"}
+        assert all(unchanged for _, unchanged in calls)
+
     @pytest.mark.parametrize("kind", ["fadnet", "backbone_only"])
     def test_full_model_gradient_vs_finite_differences(self, kind):
         seed = find_smooth_seed(kind, SMALL_CFG)

@@ -514,19 +514,28 @@ class TestKernelEquivalenceFloat32(TestKernelEquivalence):
     dtype = np.float32
 
 
+# one spec of every kind, and each conv patch layout
+EVERY_KIND = [
+    T.LayerSpec("input_norm"),
+    make_conv(kernel=3, stride=2, padding=1, cin=3, cout=2),
+    make_conv(kernel=3, stride=1, padding=1, cin=1, cout=8),
+    make_conv(kernel=3, stride=1, padding=1, cin=1, cout=8, pool=make_pool(2, 2)),
+    T.LayerSpec("maxpool2d", kernel=2, stride=2),
+    T.LayerSpec("maxpool2d", kernel=3, stride=2),
+    T.LayerSpec("relu"),
+    T.LayerSpec("fc", in_features=5, out_features=2),
+    T.LayerSpec("gap"),
+    T.LayerSpec("residual_add"),
+]
+
+
+def kind_id(spec):
+    return f"{spec.kind}{spec.kernel}{'-pooled' if spec.pool else ''}"
+
+
 class TestDtypes:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("spec", [
-        T.LayerSpec("input_norm"),
-        make_conv(kernel=3, stride=2, padding=1, cin=3, cout=2),
-        make_conv(kernel=3, stride=1, padding=1, cin=1, cout=8),
-        T.LayerSpec("maxpool2d", kernel=2, stride=2),
-        T.LayerSpec("maxpool2d", kernel=3, stride=2),
-        T.LayerSpec("relu"),
-        T.LayerSpec("fc", in_features=5, out_features=2),
-        T.LayerSpec("gap"),
-        T.LayerSpec("residual_add"),
-    ], ids=lambda s: f"{s.kind}{s.kernel}")
+    @pytest.mark.parametrize("spec", EVERY_KIND, ids=kind_id)
     def test_every_kind_returns_its_inputs_dtype(self, spec, dtype):
         x, params = _default_instance(spec, np.random.default_rng(4))
         x = tuple(t.astype(dtype) for t in x) if isinstance(x, tuple) else x.astype(dtype)
@@ -538,6 +547,22 @@ class TestDtypes:
         gx, gparams = T.backward(spec, cache, np.ones_like(y))
         for g in (*(gx if isinstance(gx, tuple) else (gx,)), *gparams):
             assert g.dtype == dtype
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("spec", EVERY_KIND, ids=kind_id)
+    def test_backward_leaves_grad_out_unchanged(self, spec, dtype):
+        # residual_add hands its grad_out to both branches as one array,
+        # which is safe only while no backward writes to its grad_out
+        rng = np.random.default_rng(6)
+        x, params = _default_instance(spec, rng)
+        x = tuple(t.astype(dtype) for t in x) if isinstance(x, tuple) else x.astype(dtype)
+        y, cache = T.forward(spec, [p.astype(dtype) for p in params], x)
+        grad = rng.standard_normal(y.shape).astype(dtype)
+        before = grad.tobytes()
+        gx, _ = T.backward(spec, cache, grad)
+        assert grad.tobytes() == before
+        if spec.kind == "residual_add":
+            assert gx[0] is grad and gx[1] is grad
 
     def test_overlapping_pool_windows_sum_in_float64_and_round_once(self):
         # element (2, 2) of a 5x5 input is the max of all four k3/s2 windows;
