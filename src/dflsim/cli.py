@@ -153,37 +153,30 @@ def _build_data(cfg: dict, model_cfg: M.FADNetConfig):
     """The run's (train, test) split, with inputs held at float32.
 
     Every training step and evaluation casts its inputs to float32 (the
-    model's compute precision), so the dataset is converted once, right
-    after it is generated or loaded: the split, the silo shards and the
-    test set hold 4 bytes per value, and each step's cast does nothing.
-    The model reads the same values either way, so no output bit moves.
-    Targets stay float64.  External data with a value beyond float32's
-    range is a config error naming the first such sample.
+    model's compute precision), so the dataset is held at float32 from the
+    start: external samples are converted as they are loaded, and one
+    whose values do not fit float32 is a config error naming it.  The model
+    reads the same values either way, so no output bit moves.  Targets stay
+    float64.
     """
     if cfg["data_source"] == "linesteer":
         ds = D.generate_linesteer(cfg["sample_count"], model_cfg.input_height,
                                   model_cfg.input_width, cfg["seed"])
+        ds = D.Dataset(inputs=ds.inputs.astype(np.float32), targets=ds.targets)
     else:
         try:
-            ds = D.load_external(cfg["external_path"])
+            ds = D.load_external(cfg["external_path"], np.float32)
         except ValueError as e:
             raise ConfigError(f"config field 'external_path': {e}") from e
         expected = (model_cfg.input_height, model_cfg.input_width, model_cfg.input_channels)
         if ds.inputs.shape[1:] != expected:
             raise ConfigError(f"config field 'external_path': dataset shape "
                               f"{ds.inputs.shape[1:]} does not match model input {expected}")
-    with np.errstate(over="ignore"):  # an overflow is reported below, by sample
-        inputs = ds.inputs.astype(np.float32)
     try:
-        ds = D.Dataset(inputs=inputs, targets=ds.targets)
-    except ValueError as e:
-        bad = int(np.argmin(np.isfinite(inputs).reshape(len(inputs), -1).all(axis=1)))
-        raise ConfigError(f"config field 'external_path': sample {bad} (data row {bad + 1} "
-                          f"of labels.csv) holds a value beyond float32's range "
-                          f"(±{np.finfo(np.float32).max}), the precision a run holds "
-                          f"its data at") from e
-    try:
-        return D.train_test_split(ds, cfg["train_fraction"], cfg["seed"])
+        # generated data peaks while it is made; a loaded set would double at
+        # the split, so the split shuffles it in place
+        return D.train_test_split(ds, cfg["train_fraction"], cfg["seed"],
+                                  in_place=cfg["data_source"] == "external")
     except ValueError as e:
         raise ConfigError(f"config field {_samples_field(cfg)!r}: {e}") from e
 
@@ -299,7 +292,7 @@ def compare_command(config_paths, out=None, seed=None, quiet=False) -> int:
     table = "\n".join(lines) + "\n"
     summary_path = (out_base or Path(".")) / "compare.csv"
     summary_path.parent.mkdir(parents=True, exist_ok=True)
-    summary_path.write_text(table)
+    _replace(summary_path, lambda path: path.write_text(table))
     if not quiet:
         print(f"{'strategy':<10}{'model':<15}{'final_rmse':<14}{'sim_time_s':<12}")
         for strategy, kind, rmse_v, sim_t in rows:

@@ -102,7 +102,7 @@ class Dataset:
         return self.inputs.shape[0]
 
     def subset(self, indices) -> "Dataset":
-        idx = np.asarray(indices)
+        idx = indices if isinstance(indices, slice) else np.asarray(indices)
         sub = object.__new__(Dataset)  # checked rows: the shapes only, no __post_init__
         sub.__dict__.update(inputs=self.inputs[idx], targets=self.targets[idx])
         sub._check_shapes()
@@ -204,15 +204,39 @@ def partition_noniid(ds: Dataset, n_silos: int, skew: float, seed: int) -> Parti
     return PartitionPlan(n_silos=n_silos, assignment=assignment)
 
 
-def train_test_split(ds: Dataset, fraction: float, seed: int) -> tuple[Dataset, Dataset]:
-    """Seeded shuffle, then split: first floor(fraction*count) samples train."""
+def train_test_split(ds: Dataset, fraction: float, seed: int,
+                     in_place: bool = False) -> tuple[Dataset, Dataset]:
+    """Seeded shuffle, then split: first floor(fraction*count) samples train.
+
+    With ``in_place`` the shuffle reorders ds's own arrays, the inputs one
+    sample at a time, and train is a view of their head: only the test
+    samples are copied, and ds is spent."""
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"fraction must be in (0, 1), got {fraction}")
     n_train = int(fraction * ds.count)
     if n_train < 1 or n_train >= ds.count:
         raise ValueError(f"split {fraction} of {ds.count} samples leaves an empty side")
     perm = np.random.default_rng(seed).permutation(ds.count)
-    return ds.subset(perm[:n_train]), ds.subset(perm[n_train:])
+    test = ds.subset(perm[n_train:])
+    if not in_place:
+        return ds.subset(perm[:n_train]), test
+    _permute_rows(ds.inputs, perm)
+    ds.targets[:] = ds.targets[perm]
+    return ds.subset(slice(n_train)), test
+
+
+def _permute_rows(a: np.ndarray, perm: np.ndarray) -> None:
+    """a[:] = a[perm] with one row of scratch: each cycle of the permutation
+    moves its rows along by one."""
+    perm = perm.tolist()
+    for start in range(len(perm)):
+        if perm[start] is None:  # moved with an earlier cycle
+            continue
+        first, j = a[start].copy(), start
+        while perm[j] != start:
+            a[j] = a[perm[j]]
+            perm[j], j = None, perm[j]
+        a[j], perm[j] = first, None
 
 
 def save_external(dir_path, ds: Dataset) -> None:
@@ -231,13 +255,15 @@ def save_external(dir_path, ds: Dataset) -> None:
             writer.writerow([name, repr(float(ds.targets[i]))])
 
 
-def load_external(dir_path) -> Dataset:
+def load_external(dir_path, dtype=np.float64) -> Dataset:
     """Load a pre-tensorized dataset directory.
 
     Layout: ``labels.csv`` (header ``file,angle``), ``shape.json`` (per-sample
     shape manifest, whole numbers only), and one raw little-endian float64
     buffer per sample, named by a plain file name inside the directory.
     Angles must be finite; those outside [-1, 1] are clamped with a warning.
+    The images are held at ``dtype``: each sample is converted as it is read,
+    and the first whose values do not all fit it is rejected by number.
     """
     d = Path(dir_path)
     manifest_path = d / "shape.json"
@@ -275,7 +301,7 @@ def load_external(dir_path) -> Dataset:
         raise ValueError(f"{d}: no samples listed in labels.csv")
 
     per_sample = int(np.prod(shape))
-    images = np.empty((len(rows),) + shape, dtype=np.float64)
+    images = np.empty((len(rows),) + shape, dtype=dtype)
     angles = np.empty(len(rows))
     for i, (name, angle) in enumerate(rows):
         if name == ".." or Path(name).name != name:
@@ -288,7 +314,12 @@ def load_external(dir_path) -> Dataset:
         if buf.size != per_sample:
             raise ValueError(f"{d}: {name} holds {buf.size} values, "
                              f"expected {per_sample} for shape {shape}")
-        images[i] = buf.reshape(shape)
+        with np.errstate(over="ignore"):  # reported below, by sample
+            images[i] = buf.reshape(shape)
+        if not np.isfinite([images[i].min(), images[i].max()]).all():
+            raise ValueError(f"sample {i} (data row {i + 1} of labels.csv) holds a value "
+                             f"beyond {images.dtype}'s range (±{np.finfo(dtype).max}), "
+                             f"the precision it is loaded at")
         angles[i] = angle
     clamped = np.clip(angles, -1.0, 1.0)
     n_clamped = int(np.sum(clamped != angles))

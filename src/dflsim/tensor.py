@@ -11,11 +11,16 @@ input into a zero-bordered buffer and makes one copy of a (b, oh, ow, k, k, c)
 window view of it, so every copied run is a window row of k*c elements.  With
 one input channel that run is only k long, and the copy goes in
 (k, k, c, b, oh, ow) order instead, along output rows; the product then
-takes the transposed buffer (see _transposed_patches for when).  col2im
-adds the patch gradient onto the input window position by window position.
-With stride 1 it first copies the gradient into (k*k, b, oh, ow, c) order,
-so that each add reads a contiguous block; with a larger stride the windows
-go in groups that touch disjoint elements, one add per group.
+takes the transposed buffer (see _transposed_patches for when).
+
+A conv's input gradient is itself a convolution: the output gradient,
+zero-bordered, convolved at stride 1 with the flipped weight.  With stride
+s > 1 it splits into s*s phases, one per (row, column) offset modulo s; the
+phases' flipped taps stack side by side into one weight, zero where a phase
+lacks a tap, so one product computes them all (see _grad_conv) and one
+depth-to-space copy interleaves them into NHWC.  Phases that no tap reaches
+are not computed and stay +0.0.  Bias gradients are one product with a ones
+vector.
 
 A conv whose spec names the max pool it feeds (``LayerSpec.pool``, whose
 windows must not overlap) orders its patch rows by that pool's window
@@ -62,7 +67,7 @@ bitwise kernel and model tests pin that.
 ``backward(..., input_grad=False)`` tells conv2d that the caller will
 discard the input gradient: it skips computing it and returns None in its
 place.  The first conv of a network needs no input gradient, and for it this
-saves the transposed product and the col2im scatter.
+saves the input gradient's convolution.
 """
 from __future__ import annotations
 
@@ -165,8 +170,6 @@ class _Geometry(NamedTuple):
     patches: tuple        # (shape, strides) of the view im2col copies (see _geometry)
     by_offset: tuple | None  # (shape, strides) of a first copy for transposed pooled patches
     grouping: tuple | None  # (NHWC shape, shape, strides) of the pool's window-position view
-    phases: tuple | None  # col2im buffer as (b, rows/s, s, cols/s, s, c); conv stride > 1
-    groups: tuple | None  # (target, source) index pairs of the col2im adds; conv stride > 1
     pool_index: tuple | None  # (offsets, base, starts) of the overlapping max-pool scatter
 
 
@@ -215,16 +218,6 @@ def _geometry(spec: LayerSpec, shape: tuple, itemsize: int) -> _Geometry:
     in which the (sample, row, column) block of each patch element is
     contiguous.
 
-    A conv with stride s > 1 scatters its patch gradient in ``groups``.
-    Write a window offset as a = qa*s + ra (and bb = qb*s + rb).  Windows
-    that share (qa, qb) but differ in (ra, rb) touch disjoint elements, so
-    each such group is one add: a view of the patch gradient (dims b, i, a,
-    j, bb, c) onto the buffer reshaped to ``phases``, which splits each row
-    index into (row // s, row % s) and each column index likewise.  An
-    element only ever gets terms from one (ra, rb), and the groups go in
-    row-major (qa, qb) order, so each element still sums its terms in
-    window-position order.
-
     For overlapping max pooling (kernel > stride), the flat index in the
     input of window position p of output element [n, i, j, ch] is
     ``offsets[p] + base[i, j, ch] + starts[n]``.  Nothing cached here is
@@ -256,17 +249,7 @@ def _geometry(spec: LayerSpec, shape: tuple, itemsize: int) -> _Geometry:
             patches = (patches[0], (s * su, s * v * su, sn, pw * sj, sj, su, v * su, itemsize))
     elif spec.kind == "maxpool2d" and k <= s:
         grouping = _pool_grouping(shape, itemsize, spec)
-    phases = groups = pool_index = None
-    if spec.kind == "conv2d" and s > 1:
-        # rounded up to whole phases; the extra rows and columns are cut off
-        phases = (b, -(-hp // s), s, -(-wp // s), s, c)
-        q = range(-(-k // s))
-        groups = tuple(
-            ((slice(None), slice(qa, qa + oh), slice(0, min(s, k - qa * s)),
-              slice(qb, qb + ow), slice(0, min(s, k - qb * s))),
-             (slice(None), slice(None), slice(qa * s, qa * s + s),
-              slice(None), slice(qb * s, qb * s + s)))
-            for qa in q for qb in q)
+    pool_index = None
     if spec.kind == "maxpool2d" and k > s:
         offsets = ((np.arange(k)[:, None] * w + np.arange(k)) * c).ravel()
         base = ((s * np.arange(oh)[:, None] * w + s * np.arange(ow)) * c)[..., None] + np.arange(c)
@@ -283,8 +266,6 @@ def _geometry(spec: LayerSpec, shape: tuple, itemsize: int) -> _Geometry:
         patches=patches,
         by_offset=by_offset,
         grouping=grouping,
-        phases=phases,
-        groups=groups,
         pool_index=pool_index)
 
 
@@ -355,27 +336,68 @@ def _ungroup(slabs: np.ndarray, grouping: tuple) -> np.ndarray:
     return out
 
 
-def _col2im(gcols: np.ndarray, geo: _Geometry) -> np.ndarray:
-    """Adjoint of _im2col: each window position's slice of the patch gradient
-    is added onto the input in turn, so every input element sums its terms
-    from +0.0 in window-position order.  With stride > 1 the windows go in
-    groups that touch disjoint elements (see _geometry)."""
-    b, oh, ow, k, _, c = geo.view_shape
-    if geo.groups is None:
-        gxp = np.zeros(geo.padded, gcols.dtype)
-        # one copy in (k*k, b, oh, ow, c) order, so each add reads a contiguous block
-        g5 = np.ascontiguousarray(gcols.reshape(b, oh, ow, k * k, c).transpose(3, 0, 1, 2, 4))
-        for window, g in zip(geo.windows, g5):
-            view = gxp[window]
-            view += g
-        return gxp[geo.interior]
-    gx6 = np.zeros(geo.phases, gcols.dtype)
-    g6 = gcols.reshape(b, oh, ow, k, k, c).transpose(0, 1, 3, 2, 4, 5)
-    for target, source in geo.groups:
-        view = gx6[target]
-        view += g6[source]
-    _, nh, s, nw, _, _ = geo.phases
-    return gx6.reshape(b, nh * s, nw * s, c)[geo.interior]
+class _GradConv(NamedTuple):
+    """conv2d's input gradient as one stride-1 convolution (see _grad_conv)."""
+
+    crop: tuple           # the rows and columns of the output gradient it reads
+    geo: _Geometry        # its D x D windows over the zero-bordered crop
+    kernel_rows: np.ndarray  # (D, n): the kernel row of each window row and phase, k for none
+    split: tuple          # the product as (b, rows, cols, n, n, c_in): n phases per axis
+    covered: slice        # the n phases per axis that some tap reaches
+    interior: tuple       # the input gradient inside the (b, rows*s, cols*s, c_in) interleave
+
+
+@lru_cache(maxsize=128)
+def _grad_conv(spec: LayerSpec, padded: tuple, itemsize: int) -> _GradConv:
+    """The input gradient of ``spec`` on an input whose zero-bordered shape
+    is ``padded``, as a stride-1 convolution of the output gradient.
+
+    Per axis, phase e of input row r = M*s + e - off takes kernel row
+    a = e + p - off + s*(L - u) from output row M + u - L, for each row u of
+    a D-row window with 0 <= a < k.  Of the offsets 0..s-1 whose reached
+    phases form one run, the smallest with the shortest window is taken.
+    """
+    k, s, p = spec.kernel, spec.stride, spec.padding
+    b, hp, wp, c = padded
+    h, w = hp - 2 * p, wp - 2 * p
+    oh, ow = conv_output_hw(h, w, k, s, p)
+
+    def phase_taps(off):
+        # per phase e, the j = L - u that put kernel row e + p - off + s*j in [0, k)
+        e = np.arange(s)
+        lo, hi = -((e + p - off) // s), (k - 1 + off - e - p) // s
+        reached = lo <= hi
+        e, lo, hi = e[reached], lo[reached], hi[reached]
+        split = e[-1] - e[0] + 1 > len(e)  # the reached phases are not one run
+        return (split, int(hi.max() - lo.min()) + 1, off), e, int(hi.max())
+
+    (_, d, off), e, top = min(map(phase_taps, range(s)), key=lambda t: t[0])
+    # the kernel row of window row u and phase e; k (zero, in the weight that
+    # backward borders) where the phase has no tap
+    a = e + p - off + s * (top - np.arange(d)[:, None])
+    a = np.where((0 <= a) & (a < k), a, k)
+    a.flags.writeable = False
+
+    def axis(size, out):
+        # product rows M enough to cover the input, the output-gradient rows
+        # M + u - L they read, and where those sit in the zero-bordered crop
+        rows = (size + off - 1) // s + 1
+        lo = max(0, -top)
+        hi = max(lo, min(out, rows + d - 1 - top))
+        return rows, slice(lo, hi), slice(lo + top, hi + top)
+
+    (mh, rows, inner_rows), (mw, cols, inner_cols) = axis(h, oh), axis(w, ow)
+    co, n = spec.out_channels, len(e)
+    inner = LayerSpec("conv2d", kernel=d, in_channels=co, out_channels=n * n * c, bias=False)
+    geo = _geometry(inner, (b, mh + d - 1, mw + d - 1, co), itemsize)._replace(
+        interior=(slice(None), inner_rows, inner_cols))
+    return _GradConv(
+        crop=(slice(None), rows, cols),
+        geo=geo,
+        kernel_rows=a,
+        split=(b, mh, mw, n, n, c),
+        covered=slice(int(e[0]), int(e[-1]) + 1),
+        interior=(slice(None), slice(off, off + h), slice(off, off + w)))
 
 
 def _eval_block_samples(spec: LayerSpec, oh: int, ow: int, itemsize: int) -> int:
@@ -543,16 +565,28 @@ def backward(spec: LayerSpec, cache, grad_out, input_grad: bool = True):
         gw = (gmat.T @ cols).T.reshape(spec.kernel, spec.kernel, -1, spec.out_channels)
         grads = [gw]
         if spec.bias:
-            # einsum gives the bits of sum(axis=0), and faster, from two
-            # channels on; with one channel its bits differ
-            grads.append(np.einsum("ij->j", gmat) if spec.out_channels >= 2
-                         else gmat.sum(axis=0))
+            grads.append(np.ones(len(gmat), gmat.dtype) @ gmat)
         if not input_grad:
             return None, grads
         if geo.grouping is not None:
-            gmat = _ungroup(grad_out, geo.grouping).reshape(-1, spec.out_channels)
-        gx = _col2im(gmat @ wmat.T, geo)
-        return gx, grads
+            grad_out = _ungroup(grad_out, geo.grouping)
+        gc = _grad_conv(spec, geo.padded, grad_out.itemsize)
+        cols = _im2col(_patch_source(grad_out[gc.crop], gc.geo), gc.geo, False)
+        # the phases' flipped taps side by side, gathered from the weight
+        # bordered by a zero row and column k, and C-ordered (for a 1x1 conv
+        # the transposed view has the same values but gives other bits)
+        k, s, c, co = spec.kernel, spec.stride, spec.in_channels, spec.out_channels
+        wz = np.zeros((k + 1, k + 1, c, co), wmat.dtype)
+        wz[:k, :k] = wmat.reshape(k, k, c, co)
+        a = gc.kernel_rows
+        taps = wz[a[:, None, :, None], a[None, :, None, :]].transpose(0, 1, 5, 2, 3, 4)
+        gx = cols @ np.ascontiguousarray(taps).reshape(len(a) ** 2 * co, -1)
+        b, mh, mw, n, _, _ = gc.split
+        if s == 1:
+            return gx.reshape(b, mh, mw, c), grads
+        buf = (np.zeros if n < s else np.empty)((b, mh, s, mw, s, c), gx.dtype)
+        buf[:, :, gc.covered, :, gc.covered] = gx.reshape(gc.split).transpose(0, 1, 3, 2, 4, 5)
+        return buf.reshape(b, mh * s, mw * s, c)[gc.interior], grads
 
     if kind == "maxpool2d":
         _, x, y, geo = cache
@@ -610,7 +644,7 @@ def backward(spec: LayerSpec, cache, grad_out, input_grad: bool = True):
         gx = grad_out @ wgt.T
         grads = [gw]
         if spec.bias:
-            grads.append(grad_out.sum(axis=0))
+            grads.append(np.ones(len(grad_out), grad_out.dtype) @ grad_out)
         return gx, grads
 
     if kind == "gap":

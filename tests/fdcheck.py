@@ -16,14 +16,15 @@ from dflsim import tensor as T
 FD_STEP = 1e-5
 
 
-def _default_instance(spec: T.LayerSpec, rng: np.random.Generator):
-    """Small random (input, params) pair for gradient checking."""
+def _default_instance(spec: T.LayerSpec, rng: np.random.Generator, size=(6, 6)):
+    """Small random (input, params) pair for gradient checking; images are
+    ``size`` (height, width)."""
     kind = spec.kind
     if kind in ("input_norm", "maxpool2d", "relu"):
         ch = 3 if kind != "relu" else 1
-        x = rng.standard_normal((2, 6, 6, ch))
+        x = rng.standard_normal((2, *size, ch))
     elif kind == "conv2d":
-        x = rng.standard_normal((2, 6, 6, spec.in_channels))
+        x = rng.standard_normal((2, *size, spec.in_channels))
     elif kind == "fc":
         x = rng.standard_normal((2, spec.in_features))
     elif kind == "gap":
@@ -72,12 +73,12 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray, floor: float = 1e-
     return float(np.max(np.abs(a - n) / denom))
 
 
-def grad_check(spec: T.LayerSpec, seed: int, step: float = FD_STEP) -> float:
+def grad_check(spec: T.LayerSpec, seed: int, step: float = FD_STEP, size=(6, 6)) -> float:
     """Compare backward against central finite differences on every input and
-    parameter coordinate of a small seeded instance; returns the max relative
-    error."""
+    parameter coordinate of a small seeded instance with ``size`` images;
+    returns the max relative error."""
     rng = np.random.default_rng(seed)
-    x, params = _default_instance(spec, rng)
+    x, params = _default_instance(spec, rng, size)
     if spec.kind in ("relu", "maxpool2d"):
         x = _nudge_kinks(spec, x, rng)
 

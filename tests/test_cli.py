@@ -3,6 +3,7 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -229,6 +230,26 @@ class TestRun:
         train, test = cli._build_data(cfg, cli._dataclass_config(M.FADNetConfig, cfg))
         held = np.concatenate([train.inputs, test.inputs])
         assert held.dtype == np.float32 and np.all(np.isfinite(held))
+
+    def test_external_data_loads_straight_to_float32(self, tmp_path):
+        # each sample is converted as it is read, and the split copies only
+        # the test samples: no float64 copy of the set, no second float32 one
+        ds = D.generate_linesteer(200, 64, 64, seed=0)
+        D.save_external(tmp_path / "ext", ds)
+        float32_bytes = ds.inputs.size * 4
+        cfg = cli.load_config(write_config(tmp_path, {
+            "strategy": "cll", "data_source": "external", "external_path": str(tmp_path / "ext"),
+            "input_height": 64, "input_width": 64}))
+        model_cfg = cli._dataclass_config(M.FADNetConfig, cfg)
+        tracemalloc.start()
+        try:
+            train, test = cli._build_data(cfg, model_cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert train.inputs.dtype == test.inputs.dtype == np.float32
+        assert train.count + test.count == 200
+        assert peak <= 1.3 * float32_bytes
 
     def test_external_shape_mismatch_names_field(self, tmp_path, capsys):
         ds = D.generate_linesteer(10, 16, 16, seed=0)
@@ -563,6 +584,25 @@ class TestCompare:
         b = write_config(tmp_path, {"strategy": "dfl", **mismatched}, name="b.json")
         assert cli.main(["compare", str(a), str(b)]) == 1
         assert "incompatible" in capsys.readouterr().err
+
+    def test_failed_table_write_keeps_the_previous_table(self, tmp_path, monkeypatch):
+        paths = self.make_trio(tmp_path)[:2]
+        out = tmp_path / "cmp"
+        out.mkdir()
+        (out / "compare.csv").write_text("previous\n")
+        write_text = Path.write_text
+
+        def disk_full(path, text, *args, **kwargs):
+            if path.name != "compare.csv.tmp":
+                return write_text(path, text, *args, **kwargs)
+            write_text(path, text[:10])
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", disk_full)
+        with pytest.raises(OSError, match="No space"):
+            cli.compare_command([str(p) for p in paths], out=out, quiet=True)
+        assert (out / "compare.csv").read_text() == "previous\n"
+        assert sorted(p.name for p in out.iterdir()) == ["cll", "compare.csv", "sfl"]
 
     def test_dfl_row_time_is_rounds_times_cycle_time(self, tmp_path):
         paths = self.make_trio(tmp_path, seed=4)

@@ -166,6 +166,22 @@ class TestSplit:
         combined = np.concatenate([train.targets, test.targets])
         assert sorted(combined.tolist()) == sorted(ds.targets.tolist())
 
+    @settings(max_examples=30, deadline=None)
+    @given(count=st.integers(2, 80), seed=st.integers(0, 500))
+    def test_in_place_split_matches_the_copying_one(self, count, seed):
+        ds = D.generate_linesteer(count, 8, 8, seed=1)
+        spent = D.Dataset(inputs=ds.inputs.copy(), targets=ds.targets.copy())
+        n_train = max(1, count // 2)
+        if n_train >= count:
+            return
+        expected = D.train_test_split(ds, n_train / count, seed)
+        got = D.train_test_split(spent, n_train / count, seed, in_place=True)
+        for a, b in zip(expected, got):
+            assert np.array_equal(a.inputs, b.inputs) and np.array_equal(a.targets, b.targets)
+        # train is the head of the shuffled set; only the test samples are copied
+        assert np.shares_memory(got[0].inputs, spent.inputs)
+        assert not np.shares_memory(got[1].inputs, spent.inputs)
+
     def test_empty_side_rejected(self):
         ds = D.generate_linesteer(3, 8, 8, seed=0)
         with pytest.raises(ValueError, match="empty"):

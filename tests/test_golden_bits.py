@@ -11,10 +11,13 @@ float64.  The model's float64 path keeps its own digests: ``loss_and_grad``
 and ``predict`` on float64 parameters, for both model kinds at batch 32 and
 batch 4 (``FLOAT64_DIGESTS``).
 
-The stem conv writes its output in the slabs of the max pool it feeds, so
-its weight and bias gradients sum their rows in slab order: that moved the
-run digests and the gradient halves of ``FLOAT64_DIGESTS`` once, while the
-predictions and every run's round-0 ``metrics.csv`` row kept their bits.
+The last change of the bits on purpose computed each conv's input
+gradient as one transposed convolution (the output gradient convolved at
+stride 1 with the flipped, phase-stacked weight) in place of the col2im
+scatter, and each conv and fc bias gradient as one product with a ones
+vector: that moved the run digests and the gradient halves of
+``FLOAT64_DIGESTS`` once, while the predictions and every run's round-0
+``metrics.csv`` row kept their bits.
 
 Each run is a ``dflsim run`` subprocess with BLAS at one thread.  The bits
 depend on the numpy/OpenBLAS build and the CPU, so a failure prints that
@@ -48,18 +51,18 @@ BENCH_GEOMETRY = {"sample_count": 300, "rounds": 2, "eval_interval": 1, "seed": 
 # config, then the md5 of metrics.csv and of final_model.ckpt
 GOLDEN = {
     "dfl": (dict(TINY, strategy="dfl", topology="nws22"),
-            "7c04bac9d9550442ce76b91ab181f728", "c56027fb37a977b640af729c01977fd1"),
+            "2c8554a58e551ea8a8a603c2d4650df8", "b60ed4659dd9076de0e2285696059cdf"),
     "sfl": (dict(TINY, strategy="sfl", topology="gaia11", workers=2),
-            "8576d732cd0329a9bd382ffdfd5785e5", "863edd0b5234dc88e3475ba8cfc70604"),
+            "939837caa3e6dcda89ff5f2681c52dd4", "825970b83e2b60fb5776802255ed9c9b"),
     "cll": (dict(TINY, strategy="cll"),
-            "c8ef626628ebe660dbcbcdf22006e054", "d87684b43828afdf2d97423ddc17da13"),
+            "50a2358d3328e1e2dfc1df58329c71b3", "a4236e1eb4221d60a6ddb2fa69b76b8b"),
     "cll-backbone_only": (dict(TINY, strategy="cll", model_kind="backbone_only"),
-                          "4afc5c8f6e88b575d159fc4679794ba5", "36c6d7838422dfb8c58e19c5d8509402"),
+                          "4afc5c8f6e88b575d159fc4679794ba5", "e3a4768af7ad991fad7ed1b84c08030f"),
     "dfl-nws22-b32": (dict(BENCH_GEOMETRY, strategy="dfl", topology="nws22", batch_size=32),
-                      "4a4cc727ab24c2070d3fb24420696479", "640ffe7d5330013dcee56160a45d4546"),
+                      "abe862e07fdce92eccb69a71184f9dfe", "a6a77b6d420d636d8eaf1385bcee36ae"),
     "sfl-gaia11-b4": (dict(BENCH_GEOMETRY, strategy="sfl", topology="gaia11", batch_size=4,
                            workers=2),
-                      "fad8b868fafeccee68f931a15c3ba7e0", "f52a4e9e7dace507951feea1db91f49d"),
+                      "f6bdffa0d9e08612377b9ee89eeb79f2", "f51f85bdbb55076cf569482fb3a33914"),
 }
 
 # the round-0 row of each run's metrics.csv: the loss and test RMSE of the
@@ -112,11 +115,11 @@ def test_outputs_match_committed_digests(tmp_path, strategy):
 # bytes, and md5 of the predictions: float64 parameters of seed 1 on the
 # default 32x32 model, a linesteer batch of seed equal to its size
 FLOAT64_DIGESTS = {
-    ("fadnet", 32): ("17eca6447ebbdd01a571f17489e06922", "78cad4042ec046bc07b41990ef42278e"),
-    ("fadnet", 4): ("e163c285e0b75801f9f92fa374f0c75b", "0f01da601f7e60e1e1c4ee015c6655ed"),
-    ("backbone_only", 32): ("5ce2c14597aaab5450cbf94c8e3bafb0",
+    ("fadnet", 32): ("22c4d926c54ffe684ca929096a130ee6", "78cad4042ec046bc07b41990ef42278e"),
+    ("fadnet", 4): ("f9800466998ae792c4d1e8e398c455c4", "0f01da601f7e60e1e1c4ee015c6655ed"),
+    ("backbone_only", 32): ("cca58c5d97eac2beb1b77a961a897d36",
                             "3b04c9c406e8b48429e6e790c7511968"),
-    ("backbone_only", 4): ("ed0f298140258646692252d88d41116f",
+    ("backbone_only", 4): ("f8fc88ad90e8943487a4667361c60508",
                            "4d3edf9038e6b68e5111c20fbb491f14"),
 }
 

@@ -2,7 +2,11 @@
 
 They write config keys by name, so a renamed or dropped key shows here.
 Each script runs as a subprocess with BLAS at one thread.  The fixture
-generator must reproduce the bundled topology files byte for byte."""
+generator must reproduce the bundled topology files byte for byte.  The
+benchmark-pairs script is checked in process, with its benchmark
+invocations replaced, so no benchmark runs here."""
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -48,3 +52,65 @@ def test_fixture_generator_reproduces_bundled_files(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["gaia11.json", "nws22.json"]
     for name in ("gaia11.json", "nws22.json"):
         assert (tmp_path / name).read_bytes() == (bundled / name).read_bytes()
+
+
+def load_bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def bench_result(**values):
+    return {"correct": True, "attempted": 3, "failed": 0,
+            "metrics": {name: {"value": v, "unit": "1"} for name, v in values.items()}}
+
+
+def test_bench_pairs_summary():
+    bp = load_bench_pairs()
+    parent = [2.0, 1.0, 4.0, 3.0, 5.0]
+    change = [1.5, 1.0, 3.0, 3.5, 4.0]
+    pairs = [{"parent": bench_result(run_s=p, concurrency=p, gone=1.0),
+              "change": bench_result(run_s=c, concurrency=c, gone=None)}
+             for p, c in zip(parent, change)]
+    summary = bp.summarize(pairs, {"run_s": "lower", "concurrency": "higher"})
+    assert sorted(summary) == ["concurrency", "run_s"]  # a side without a value is left out
+    s = summary["run_s"]
+    assert (s["parent_q1"], s["parent_median"], s["parent_q3"]) == (2.0, 3.0, 4.0)
+    assert (s["change_q1"], s["change_median"], s["change_q3"]) == (1.5, 3.0, 3.5)
+    assert s["change_better_pairs"] == 3 and s["pairs"] == 5  # a tie is not a win
+    assert s["change_minus_parent_median"] == 0.0 and s["relative"] == 0.0
+    assert summary["concurrency"]["change_better_pairs"] == 1
+    assert bp.quartiles([7.0]) == (7.0, 7.0, 7.0)
+    assert "run_s" in bp.report(summary)
+
+
+def test_bench_pairs_alternate_and_record_each_pair_at_once(tmp_path, monkeypatch):
+    bp = load_bench_pairs()
+    out = tmp_path / "bench.json"
+    calls = []
+
+    def invoke(tree, workload, seed, seconds, trace):
+        runs = json.loads(out.read_text())["runs"] if out.exists() else {}
+        recorded = len(runs.get(workload, {}).get("untraced", {}).get("pairs", []))
+        calls.append((workload, tree.name, recorded))
+        return bench_result(run_s=1.0 if tree.name == "parent" else 0.9)
+
+    monkeypatch.setattr(bp, "invoke", invoke)
+    monkeypatch.setattr(bp, "copy_change", lambda dest: None)
+    monkeypatch.setattr(bp, "unpack_parent", lambda ref, dest: "abc")
+    args = ["--parent", "HEAD", "--out", str(out), "--workload", "dfl-nws22", "--pairs", "3"]
+    assert bp.main(args) == 0
+    assert calls == [("dfl-nws22", "parent", 0), ("dfl-nws22", "change", 0),
+                     ("dfl-nws22", "change", 1), ("dfl-nws22", "parent", 1),
+                     ("dfl-nws22", "parent", 2), ("dfl-nws22", "change", 2)]
+    entry = json.loads(out.read_text())["runs"]["dfl-nws22"]["untraced"]
+    assert [p["first"] for p in entry["pairs"]] == ["parent", "change", "parent"]
+    assert entry["summary"]["run_s"]["change_better_pairs"] == 3
+    # a second invocation extends the file; another parent is refused
+    assert bp.main(args[:-1] + ["1"]) == 0
+    assert len(json.loads(out.read_text())["runs"]["dfl-nws22"]["untraced"]["pairs"]) == 4
+    monkeypatch.setattr(bp, "unpack_parent", lambda ref, dest: "def")
+    with pytest.raises(SystemExit, match="abc"):
+        bp.main(args)
+    assert not list(tmp_path.glob("*.tmp"))

@@ -20,6 +20,34 @@ def make_pool(kernel, stride):
     return T.LayerSpec("maxpool2d", kernel=kernel, stride=stride)
 
 
+def conv_id(geom):
+    spec, h, w = geom
+    pool = f"_pool{spec.pool.kernel}s{spec.pool.stride}" if spec.pool is not None else ""
+    return (f"k{spec.kernel}s{spec.stride}p{spec.padding}c{spec.in_channels}"
+            f"o{spec.out_channels}b{int(spec.bias)}_{h}x{w}{pool}")
+
+
+EXTRA_CONV_GEOMETRIES = [
+    (make_conv(kernel=3, stride=2, padding=1, cin=3, cout=2), 7, 9),
+    (make_conv(kernel=3, stride=1, padding=0, cin=4, cout=5), 9, 6),
+    (make_conv(kernel=3, stride=2, padding=1, cin=1, cout=4), 11, 8),
+    (make_conv(kernel=3, stride=2, padding=1, cin=1, cout=16), 11, 8),
+    (make_conv(kernel=2, stride=1, padding=0, cin=1, cout=3, bias=False), 5, 7),
+    (make_conv(kernel=2, stride=1, padding=0, cin=1, cout=8, bias=False), 5, 7),
+    (make_conv(kernel=3, stride=1, padding=1, cin=6, cout=1), 8, 5),
+    (make_conv(kernel=3, stride=1, padding=2, cin=1, cout=1), 6, 6),
+    (make_conv(kernel=1, stride=3, padding=0, cin=2, cout=1), 10, 7),
+    # input-gradient phases: three taps on one and two on the other (k5/s2);
+    # one tap on each of three, a shorter window from offset 1 (k3/s3, and
+    # k4/s2); two of three, one run only from offset 1 (k2/s3); one of
+    # nine, the rest +0.0 (k1/s3 above)
+    (make_conv(kernel=5, stride=2, padding=2, cin=2, cout=3), 9, 10),
+    (make_conv(kernel=3, stride=3, padding=1, cin=3, cout=2), 8, 7),
+    (make_conv(kernel=4, stride=2, padding=1, cin=2, cout=2), 9, 8),
+    (make_conv(kernel=2, stride=3, padding=1, cin=2, cout=3), 8, 10),
+]
+
+
 class TestForwardExamples:
     def test_gap_is_spatial_mean(self):
         x = np.array([[[[1.0], [2.0]], [[3.0], [4.0]]]])
@@ -105,6 +133,11 @@ class TestGradCheck:
         # the output in window-position slabs, without rows and columns 2
         # and 5 of 6, which no k2/s3 window covers
         assert grad_check(make_conv(cin=1, cout=8, pool=make_pool(2, 3)), seed=7) < 1e-4
+
+    @pytest.mark.parametrize("geom", EXTRA_CONV_GEOMETRIES, ids=conv_id)
+    def test_conv2d_geometries(self, geom):
+        spec, h, w = geom
+        assert grad_check(spec, seed=5, size=(h, w)) < 1e-4
 
     @pytest.mark.parametrize("spec", [
         T.LayerSpec("input_norm"),
@@ -238,8 +271,9 @@ def reference_routed_maxpool_backward(x, y, k, s, grad_out):
 
 
 def reference_conv(spec, params, x, grad_out):
-    """The np.pad + np.stack im2col, matrix-product conv with a view-loop
-    col2im and a gmat.sum(axis=0) bias gradient: (y, gx, [gw, gb])."""
+    """The np.pad + np.stack im2col, matrix-product conv, its input gradient
+    as the transposed convolution reference_input_grad, and a ones-vector
+    bias gradient: (y, gx, [gw, gb])."""
     k, s, p = spec.kernel, spec.stride, spec.padding
     b, h, w, c = x.shape
     oh, ow = T.conv_output_hw(h, w, k, s, p)
@@ -252,13 +286,70 @@ def reference_conv(spec, params, x, grad_out):
     gmat = grad_out.reshape(-1, spec.out_channels)
     grads = [(cols.T @ gmat).reshape(params[0].shape)]
     if spec.bias:
-        grads.append(gmat.sum(axis=0))
-    gxp = np.zeros(xp.shape, x.dtype)
-    g5 = (gmat @ wmat.T).reshape(b, oh, ow, k * k, c)
+        grads.append(np.ones(len(gmat), gmat.dtype) @ gmat)
+    gx = reference_input_grad(spec, params[0], h, w, grad_out)
+    return out.reshape(b, oh, ow, spec.out_channels), gx, grads
+
+
+def reference_input_grad(spec, wgt, h, w, grad_out):
+    """The conv input gradient as one stride-1 convolution of the output
+    gradient, written out plainly.
+
+    Per axis, phase e of input row r = M*s + e - off takes kernel row
+    a = e + p - off + s*j from output row M - j.  The offset is the
+    smallest whose phases with taps form one run and whose j span the
+    fewest values D; window row u = L - j, L the largest j.  The gradient
+    is padded so that its D x D windows at stride 1 start at output row
+    M - L; their patch matrix times the phases' flipped taps, stacked side
+    by side, gives every phase, which is then dilated into place."""
+    k, s, p = spec.kernel, spec.stride, spec.padding
+    b, oh, ow, co = grad_out.shape
+    ci = wgt.shape[2]
+
+    def plan(off):
+        taps = {e: [j for j in range(-k - p, k + p + 1) if 0 <= e + p - off + s * j < k]
+                for e in range(s)}
+        phases = [e for e in range(s) if taps[e]]
+        js = [j for e in phases for j in taps[e]]
+        split = phases != list(range(phases[0], phases[-1] + 1))
+        return (split, max(js) - min(js) + 1, off), phases, max(js)
+
+    (_, d, off), phases, top = min((plan(off) for off in range(s)), key=lambda t: t[0])
+    n = len(phases)
+    stacked = np.zeros((d, d, co, n, n, ci), grad_out.dtype)
+    for u in range(d):
+        for v in range(d):
+            for i, e in enumerate(phases):
+                for j, f in enumerate(phases):
+                    a, bb = e + p - off + s * (top - u), f + p - off + s * (top - v)
+                    if 0 <= a < k and 0 <= bb < k:
+                        stacked[u, v, :, i, j, :] = wgt[a, bb].T
+    mh, mw = (h + off - 1) // s + 1, (w + off - 1) // s + 1
+    lead = max(top, 0)
+    gp = np.pad(grad_out, ((0, 0), (lead, mh + d + p), (lead, mw + d + p), (0, 0)))
+    gp = gp[:, lead - top:lead - top + mh + d - 1, lead - top:lead - top + mw + d - 1]
+    cols = np.stack(strided_views(gp, d, 1, mh, mw), axis=3).reshape(b * mh * mw, -1)
+    prod = (cols @ stacked.reshape(d * d * co, n * n * ci)).reshape(b, mh, mw, n, n, ci)
+    dilated = np.zeros((b, mh * s, mw * s, ci), grad_out.dtype)
+    for i, e in enumerate(phases):
+        for j, f in enumerate(phases):
+            dilated[:, e::s, f::s] = prod[:, :, :, i, j]
+    return dilated[:, off:off + h, off:off + w]
+
+
+def col2im_conv_grads(spec, params, x, grad_out):
+    """The input gradient and (with a bias) the bias gradient by the
+    view-loop col2im and gmat.sum(axis=0) that the transposed convolution
+    and the ones-vector product replaced."""
+    k, s, p = spec.kernel, spec.stride, spec.padding
+    b, h, w, c = x.shape
+    oh, ow = T.conv_output_hw(h, w, k, s, p)
+    gmat = grad_out.reshape(-1, spec.out_channels)
+    gxp = np.zeros((b, h + 2 * p, w + 2 * p, c), x.dtype)
+    g5 = (gmat @ params[0].reshape(-1, spec.out_channels).T).reshape(b, oh, ow, k * k, c)
     for i, view in enumerate(strided_views(gxp, k, s, oh, ow)):
         view += g5[:, :, :, i, :]
-    gx = gxp[:, p:h + p, p:w + p, :]
-    return out.reshape(b, oh, ow, spec.out_channels), gx, grads
+    return [gxp[:, p:h + p, p:w + p, :]] + ([gmat.sum(axis=0)] if spec.bias else [])
 
 
 def toy_conv_geometries():
@@ -275,29 +366,6 @@ def toy_conv_geometries():
         geoms += [(specs[f"block{h}.conv1"], hi, wi), (specs[f"block{h}.shortcut"], hi, wi),
                   (specs[f"block{h}.conv2"], ho, wo)]
     return geoms
-
-
-def conv_id(geom):
-    spec, h, w = geom
-    pool = f"_pool{spec.pool.kernel}s{spec.pool.stride}" if spec.pool is not None else ""
-    return (f"k{spec.kernel}s{spec.stride}p{spec.padding}c{spec.in_channels}"
-            f"o{spec.out_channels}b{int(spec.bias)}_{h}x{w}{pool}")
-
-
-EXTRA_CONV_GEOMETRIES = [
-    (make_conv(kernel=3, stride=2, padding=1, cin=3, cout=2), 7, 9),
-    (make_conv(kernel=3, stride=1, padding=0, cin=4, cout=5), 9, 6),
-    (make_conv(kernel=3, stride=2, padding=1, cin=1, cout=4), 11, 8),
-    (make_conv(kernel=3, stride=2, padding=1, cin=1, cout=16), 11, 8),
-    (make_conv(kernel=2, stride=1, padding=0, cin=1, cout=3, bias=False), 5, 7),
-    (make_conv(kernel=2, stride=1, padding=0, cin=1, cout=8, bias=False), 5, 7),
-    (make_conv(kernel=3, stride=1, padding=1, cin=6, cout=1), 8, 5),
-    (make_conv(kernel=3, stride=1, padding=2, cin=1, cout=1), 6, 6),
-    (make_conv(kernel=1, stride=3, padding=0, cin=2, cout=1), 10, 7),
-    # col2im window groups of 3x3, 3x2, 2x3 and 2x2 phases, and of one phase
-    (make_conv(kernel=5, stride=2, padding=2, cin=2, cout=3), 9, 10),
-    (make_conv(kernel=3, stride=3, padding=1, cin=3, cout=2), 8, 7),
-]
 
 
 # convs that write their output in the slabs of the max pool they feed
@@ -327,8 +395,9 @@ def assert_same_bits(a, b):
 class TestKernelEquivalence:
     """The window-view im2col (both patch layouts), the bincount max-pool
     scatter and the input_grad=False conv backward give exactly the bits of
-    the kernels they replaced, at float64 here and at float32 in the subclass
-    below."""
+    the kernels they replaced, and the conv input and bias gradients those of
+    plain references of their definitions, at float64 here and at float32 in
+    the subclass below."""
 
     dtype = np.float64
 
@@ -376,6 +445,10 @@ class TestKernelEquivalence:
         assert len(grads) == len(grads_ref)
         for g, g_ref in zip(grads, grads_ref):
             assert_same_bits(g, g_ref)
+        if dtype == np.float64:
+            # the same sums as the col2im it replaced, in another order
+            for got, old in zip([gx] + grads[1:], col2im_conv_grads(spec, params, x, grad)):
+                assert np.abs(got - old).max() <= 1e-13 * np.abs(old).max()
 
     @pytest.mark.parametrize(
         "geom", toy_conv_geometries() + EXTRA_CONV_GEOMETRIES + POOLED_CONV_GEOMETRIES,
@@ -470,6 +543,19 @@ class TestKernelEquivalence:
         assert sum(T._transposed_patches(spec) for spec, _, _ in geoms) == 3
         assert any(spec.in_channels == 1 and not T._transposed_patches(spec)
                    for spec, _, _ in geoms)
+
+    def test_conv_backward_calls_no_forward(self, monkeypatch):
+        # the tracer counts calls through the module attribute, as here
+        calls = []
+        forward = T.forward
+        monkeypatch.setattr(T, "forward", lambda *a, **kw: calls.append(1) or forward(*a, **kw))
+        rng = np.random.default_rng(4)
+        for spec, h, w in toy_conv_geometries() + EXTRA_CONV_GEOMETRIES + POOLED_CONV_GEOMETRIES:
+            x = rng.standard_normal((2, h, w, spec.in_channels)).astype(self.dtype)
+            params = [rng.standard_normal(s).astype(self.dtype) for s in T.param_shapes(spec)]
+            y, cache = forward(spec, params, x)
+            T.backward(spec, cache, np.ones_like(y))
+        assert calls == []
 
     @pytest.mark.parametrize("k,s", [(2, 2), (3, 2)])
     def test_infinite_gradient_lands_on_the_routed_elements_only(self, k, s):
