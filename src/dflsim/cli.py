@@ -173,10 +173,7 @@ def _build_data(cfg: dict, model_cfg: M.FADNetConfig):
             raise ConfigError(f"config field 'external_path': dataset shape "
                               f"{ds.inputs.shape[1:]} does not match model input {expected}")
     try:
-        # generated data peaks while it is made; a loaded set would double at
-        # the split, so the split shuffles it in place
-        return D.train_test_split(ds, cfg["train_fraction"], cfg["seed"],
-                                  in_place=cfg["data_source"] == "external")
+        return D.train_test_split(ds, cfg["train_fraction"], cfg["seed"])
     except ValueError as e:
         raise ConfigError(f"config field {_samples_field(cfg)!r}: {e}") from e
 

@@ -204,13 +204,12 @@ def partition_noniid(ds: Dataset, n_silos: int, skew: float, seed: int) -> Parti
     return PartitionPlan(n_silos=n_silos, assignment=assignment)
 
 
-def train_test_split(ds: Dataset, fraction: float, seed: int,
-                     in_place: bool = False) -> tuple[Dataset, Dataset]:
+def train_test_split(ds: Dataset, fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Seeded shuffle, then split: first floor(fraction*count) samples train.
 
-    With ``in_place`` the shuffle reorders ds's own arrays, the inputs one
-    sample at a time, and train is a view of their head: only the test
-    samples are copied, and ds is spent."""
+    The shuffle reorders ds's own arrays, the inputs one sample at a time,
+    and train is a view of their head: only the test samples are copied,
+    and ds is spent."""
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"fraction must be in (0, 1), got {fraction}")
     n_train = int(fraction * ds.count)
@@ -218,8 +217,6 @@ def train_test_split(ds: Dataset, fraction: float, seed: int,
         raise ValueError(f"split {fraction} of {ds.count} samples leaves an empty side")
     perm = np.random.default_rng(seed).permutation(ds.count)
     test = ds.subset(perm[n_train:])
-    if not in_place:
-        return ds.subset(perm[:n_train]), test
     _permute_rows(ds.inputs, perm)
     ds.targets[:] = ds.targets[perm]
     return ds.subset(slice(n_train)), test
@@ -317,9 +314,10 @@ def load_external(dir_path, dtype=np.float64) -> Dataset:
         with np.errstate(over="ignore"):  # reported below, by sample
             images[i] = buf.reshape(shape)
         if not np.isfinite([images[i].min(), images[i].max()]).all():
-            raise ValueError(f"sample {i} (data row {i + 1} of labels.csv) holds a value "
-                             f"beyond {images.dtype}'s range (±{np.finfo(dtype).max}), "
-                             f"the precision it is loaded at")
+            fault = ("a non-finite value" if not np.isfinite(buf).all() else
+                     f"a value beyond {images.dtype}'s range (±{np.finfo(dtype).max}), "
+                     f"the precision it is loaded at")
+            raise ValueError(f"sample {i} (data row {i + 1} of labels.csv) holds {fault}")
         angles[i] = angle
     clamped = np.clip(angles, -1.0, 1.0)
     n_clamped = int(np.sum(clamped != angles))

@@ -354,24 +354,20 @@ def _grad_conv(spec: LayerSpec, padded: tuple, itemsize: int) -> _GradConv:
 
     Per axis, phase e of input row r = M*s + e - off takes kernel row
     a = e + p - off + s*(L - u) from output row M + u - L, for each row u of
-    a D-row window with 0 <= a < k.  Of the offsets 0..s-1 whose reached
-    phases form one run, the smallest with the shortest window is taken.
+    a D-row window with 0 <= a < k.  No window is shorter than D = ceil(k/s)
+    rows, and D is enough when (p - off) % s is 0 or above (k - 1) % s,
+    which also keeps the phases with a tap in one run.  Of those offsets
+    the smallest is taken: it needs the fewest product rows.
     """
     k, s, p = spec.kernel, spec.stride, spec.padding
     b, hp, wp, c = padded
     h, w = hp - 2 * p, wp - 2 * p
     oh, ow = conv_output_hw(h, w, k, s, p)
-
-    def phase_taps(off):
-        # per phase e, the j = L - u that put kernel row e + p - off + s*j in [0, k)
-        e = np.arange(s)
-        lo, hi = -((e + p - off) // s), (k - 1 + off - e - p) // s
-        reached = lo <= hi
-        e, lo, hi = e[reached], lo[reached], hi[reached]
-        split = e[-1] - e[0] + 1 > len(e)  # the reached phases are not one run
-        return (split, int(hi.max() - lo.min()) + 1, off), e, int(hi.max())
-
-    (_, d, off), e, top = min(map(phase_taps, range(s)), key=lambda t: t[0])
+    off = p % s if p % s <= (k - 1) % s else 0
+    e = np.arange(s)
+    e = e[(e + p - off) % s < k]  # the phases with a tap
+    d = -(-k // s)
+    top = int(k - 1 - e[0] - p + off) // s  # L, the largest j of phase e[0]
     # the kernel row of window row u and phase e; k (zero, in the weight that
     # backward borders) where the phase has no tap
     a = e + p - off + s * (top - np.arange(d)[:, None])

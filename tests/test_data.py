@@ -168,19 +168,19 @@ class TestSplit:
 
     @settings(max_examples=30, deadline=None)
     @given(count=st.integers(2, 80), seed=st.integers(0, 500))
-    def test_in_place_split_matches_the_copying_one(self, count, seed):
+    def test_split_shuffles_in_place(self, count, seed):
         ds = D.generate_linesteer(count, 8, 8, seed=1)
-        spent = D.Dataset(inputs=ds.inputs.copy(), targets=ds.targets.copy())
         n_train = max(1, count // 2)
         if n_train >= count:
             return
-        expected = D.train_test_split(ds, n_train / count, seed)
-        got = D.train_test_split(spent, n_train / count, seed, in_place=True)
+        perm = np.random.default_rng(seed).permutation(count)
+        expected = (ds.subset(perm[:n_train]), ds.subset(perm[n_train:]))
+        got = D.train_test_split(ds, n_train / count, seed)
         for a, b in zip(expected, got):
             assert np.array_equal(a.inputs, b.inputs) and np.array_equal(a.targets, b.targets)
         # train is the head of the shuffled set; only the test samples are copied
-        assert np.shares_memory(got[0].inputs, spent.inputs)
-        assert not np.shares_memory(got[1].inputs, spent.inputs)
+        assert np.shares_memory(got[0].inputs, ds.inputs)
+        assert not np.shares_memory(got[1].inputs, ds.inputs)
 
     def test_empty_side_rejected(self):
         ds = D.generate_linesteer(3, 8, 8, seed=0)
@@ -237,6 +237,16 @@ class TestExternal:
         sample.write_bytes(sample.read_bytes()[:-8])
         with pytest.raises(ValueError, match="expected 64"):
             D.load_external(tmp_path / "ext")
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_named(self, tmp_path, bad, dtype):
+        ds = D.generate_linesteer(3, 8, 8, seed=4)
+        ds.inputs[1, 3, 4, 0] = bad
+        D.save_external(tmp_path / "ext", ds)
+        with pytest.raises(ValueError, match=r"^sample 1 \(data row 2 of labels.csv\) "
+                                             r"holds a non-finite value$"):
+            D.load_external(tmp_path / "ext", dtype)
 
     def test_missing_sample_file_rejected(self, tmp_path):
         ds = D.generate_linesteer(2, 8, 8, seed=4)

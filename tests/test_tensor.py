@@ -297,24 +297,19 @@ def reference_input_grad(spec, wgt, h, w, grad_out):
 
     Per axis, phase e of input row r = M*s + e - off takes kernel row
     a = e + p - off + s*j from output row M - j.  The offset is the
-    smallest whose phases with taps form one run and whose j span the
-    fewest values D; window row u = L - j, L the largest j.  The gradient
-    is padded so that its D x D windows at stride 1 start at output row
-    M - L; their patch matrix times the phases' flipped taps, stacked side
-    by side, gives every phase, which is then dilated into place."""
+    smallest that keeps the phases with taps in one run and their j within
+    D = ceil(k/s) values; window row u = L - j, L the largest j.  The
+    gradient is padded so that its D x D windows at stride 1 start at
+    output row M - L; their patch matrix times the phases' flipped taps,
+    stacked side by side, gives every phase, which is then dilated into
+    place."""
     k, s, p = spec.kernel, spec.stride, spec.padding
     b, oh, ow, co = grad_out.shape
     ci = wgt.shape[2]
-
-    def plan(off):
-        taps = {e: [j for j in range(-k - p, k + p + 1) if 0 <= e + p - off + s * j < k]
-                for e in range(s)}
-        phases = [e for e in range(s) if taps[e]]
-        js = [j for e in phases for j in taps[e]]
-        split = phases != list(range(phases[0], phases[-1] + 1))
-        return (split, max(js) - min(js) + 1, off), phases, max(js)
-
-    (_, d, off), phases, top = min((plan(off) for off in range(s)), key=lambda t: t[0])
+    off = p % s if p % s <= (k - 1) % s else 0
+    phases = [e for e in range(s) if (e + p - off) % s < k]
+    d = -(-k // s)
+    top = (k - 1 - phases[0] - p + off) // s
     n = len(phases)
     stacked = np.zeros((d, d, co, n, n, ci), grad_out.dtype)
     for u in range(d):
