@@ -13,7 +13,9 @@ first when i is odd and the change first when i is even.
 
 Every finished pair is written to --out at once (a temporary file, then a
 rename), together with the summary of all pairs so far: per metric, each
-side's median and quartiles and the number of pairs the change won.  An
+side's median and quartiles and the number of pairs the change won, and per
+end-to-end metric a verdict against its bound in BENCHMARK.json (see
+``verdict``).  An
 existing --out for the same parent is extended, so an untraced and a
 traced invocation can fill one file.  The summary is printed at the end.
 """
@@ -44,11 +46,37 @@ def quartiles(values) -> tuple[float, float, float]:
     return q1, med, q3
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
+def verdict(s: dict, better: str, bound: float) -> str:
+    """How the change's runs in summary entry ``s`` compare with the
+    parent's, for a metric that may worsen by ``bound`` times the parent's
+    median, in the first of these that holds:
+
+    - "worse": the change's median is beyond the parent's by more than that;
+    - "unresolved": the parent's quartiles lie further apart than that,
+      unless every change run beats every parent run;
+    - "better": the change won at least 9 in 10 pairs, and the medians lie
+      further apart than the parent's quartiles;
+    - "no worse".
+    """
+    sign = -1.0 if better == "higher" else 1.0
+    allowed = bound * abs(s["parent_median"])
+    gain = sign * (s["parent_median"] - s["change_median"])
+    iqr = s["parent_q3"] - s["parent_q1"]
+    if -gain > allowed:
+        return "worse"
+    if iqr > allowed and not all(sign * (c - p) < 0 for c in s["change"] for p in s["parent"]):
+        return "unresolved"
+    if 10 * s["change_better_pairs"] >= 9 * s["pairs"] and gain > iqr:
+        return "better"
+    return "no worse"
+
+
+def summarize(pairs: list[dict], better: dict[str, str], bounds: dict[str, float]) -> dict:
     """Per metric that every pair reports on both sides: the values, each
     side's quartiles, the pairs in which the change is strictly better
     (``better[name]`` is "lower" or "higher"; "lower" if not given), and
-    the change of the median, absolute and relative to the parent's."""
+    the change of the median, absolute and relative to the parent's.  A
+    metric with an entry in ``bounds`` also gets its ``verdict``."""
     def value(side, name):
         return (side.get("metrics", {}).get(name) or {}).get("value")
 
@@ -70,23 +98,30 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
             "change_minus_parent_median": cmed - pmed,
             "relative": (cmed - pmed) / pmed if pmed else None,
         }
+        if name in bounds:
+            summary[name]["verdict"] = verdict(summary[name], better.get(name, "lower"),
+                                               bounds[name])
     return summary
 
 
-def directions(benchmark: Path) -> dict[str, str]:
-    """Metric name -> "lower" or "higher", from a BENCHMARK.json."""
+def directions(benchmark: Path) -> tuple[dict[str, str], dict[str, float]]:
+    """From a BENCHMARK.json: metric name -> "lower" or "higher", and
+    end-to-end metric name -> its bound."""
     spec = json.loads(benchmark.read_text())
-    return {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    return ({m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]},
+            {m["name"]: m["bound"] for m in spec["end_to_end"]})
 
 
 def report(summary: dict) -> str:
-    lines = [f"{'metric':44s} {'parent (IQR)':>22s} {'change (IQR)':>22s} {'rel':>7s} won"]
+    lines = [f"{'metric':44s} {'parent (IQR)':>22s} {'change (IQR)':>22s} {'rel':>7s} won"
+             "  verdict"]
     for name, s in summary.items():
         rel = "" if s["relative"] is None else f"{100 * s['relative']:+.1f}%"
         lines.append(
             f"{name:44s} {s['parent_median']:>11.4g} ({s['parent_q3'] - s['parent_q1']:.3g})"
             f"{'':>3s} {s['change_median']:>11.4g} ({s['change_q3'] - s['change_q1']:.3g})"
-            f"{'':>3s} {rel:>7s} {s['change_better_pairs']}/{s['pairs']}")
+            f"{'':>3s} {rel:>7s} {s['change_better_pairs']}/{s['pairs']}"
+            f"  {s.get('verdict', '')}".rstrip())
     return "\n".join(lines)
 
 
@@ -141,7 +176,7 @@ def main(argv=None) -> int:
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
 
-    better = directions(ROOT / "BENCHMARK.json")
+    better, bounds = directions(ROOT / "BENCHMARK.json")
     workloads = args.workload or [w["name"] for w in
                                   json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
     kind = "traced" if args.trace else "untraced"
@@ -164,7 +199,7 @@ def main(argv=None) -> int:
                     pair[side] = invoke(sides[side], workload, args.seed, args.seconds,
                                         args.trace)
                 entry["pairs"].append(pair)
-                entry["summary"] = summarize(entry["pairs"], better)
+                entry["summary"] = summarize(entry["pairs"], better, bounds)
                 write_json(args.out, data)
                 print(f"{workload} {kind}: pair {len(entry['pairs'])} done", file=sys.stderr)
             print(f"{workload} {kind}, {len(entry['pairs'])} pairs:")

@@ -345,7 +345,7 @@ def is_eval_round(rnd: int, cfg: TrainConfig) -> bool:
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _train(strategy: str, shards: list[Dataset], layout, mode: str, first_k: int,
+def _train(strategy: str, shards: list[Dataset], layout, first_k: int,
            mix, evaluated, model_kind: str, model_cfg: M.FADNetConfig,
            test: Dataset, cfg: TrainConfig) -> MetricsLog:
     """The one training loop: each round runs s+1 iterations of
@@ -358,7 +358,7 @@ def _train(strategy: str, shards: list[Dataset], layout, mode: str, first_k: int
     loss_grad_fn = _loss_grad_fn(model_kind, model_cfg)
     theta0 = M.init_params(model_kind, model_cfg, cfg.seed)
     delay = DelayParams(model_size_bytes=8.0 * theta0.size, local_steps=cfg.local_steps)
-    round_duration = simnet.simulate_round(layout, delay, mode)
+    round_duration = simnet.simulate_round(layout, delay)
     try:
         total = cfg.rounds * round_duration
     except OverflowError:  # rounds is an integer past the float range
@@ -404,7 +404,7 @@ def run_dfl(overlay: Overlay, a: ConsensusMatrix, model_kind: str,
         raise ValueError(f"need {n} shards for {n} silos, got {len(shards)}")
     if overlay.n != n:
         raise ValueError(f"overlay order {overlay.n} != consensus matrix order {n}")
-    return _train("dfl", shards, overlay, "dfl_ring", 0, matrix_mix(a),
+    return _train("dfl", shards, overlay, 0, matrix_mix(a),
                   lambda theta: federated_average(theta, cfg.eval_mask),
                   model_kind, model_cfg, test, cfg)
 
@@ -415,7 +415,7 @@ def run_cll(model_kind: str, model_cfg: M.FADNetConfig, dataset: Dataset,
     A = [[1]], so dfl with one silo matches it exactly.  ``eval_mask`` does
     not apply."""
     return _train("cll", [dataset], simnet.SingleSpec(compute_time_s=cfg.cll_compute_s),
-                  "cll_single", 0, matrix_mix(ConsensusMatrix(a=np.ones((1, 1)))),
+                  0, matrix_mix(ConsensusMatrix(a=np.ones((1, 1)))),
                   federated_average, model_kind, model_cfg, test, cfg)
 
 
@@ -441,5 +441,5 @@ def run_sfl(graph: ConnectivityGraph | None, model_kind: str, model_cfg: M.FADNe
         server_bandwidth_Bps=cfg.server_bandwidth_Bps,
         server_compute_s=cfg.server_compute_s,
     )
-    return _train("sfl", shards, star, "sfl_star", 1, broadcast_mean,
+    return _train("sfl", shards, star, 1, broadcast_mean,
                   lambda theta: theta[0], model_kind, model_cfg, test, cfg)

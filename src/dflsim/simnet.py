@@ -56,29 +56,23 @@ class SingleSpec:
     compute_time_s: float
 
 
-def simulate_round(overlay, p: DelayParams, mode: str) -> float:
-    """Duration of one synchronous round under the given communication mode.
+def simulate_round(layout, p: DelayParams) -> float:
+    """Duration of one synchronous round on ``layout``, whose type names the
+    strategy.
 
-    dfl_ring: every silo sends its weights along each directed overlay edge;
-    the round ends when the last message lands (``topology.cycle_time``).
-    sfl_star: duration is the worst silo round trip (uplink + downlink) plus
-    one server aggregation.  ``overlay`` must be a StarSpec.
-    cll_single: local compute only.  ``overlay`` must be a SingleSpec.
+    Overlay (dfl): every silo sends its weights along each directed overlay
+    edge; the round ends when the last message lands (``topology.cycle_time``).
+    StarSpec (sfl): the worst silo round trip (uplink + downlink) plus one
+    server aggregation.  SingleSpec (cll): local compute only.
     """
-    if mode == "dfl_ring":
-        if not isinstance(overlay, Overlay):
-            raise ValueError("dfl_ring mode needs an Overlay")
-        return cycle_time(overlay, p)
-    if mode == "sfl_star":
-        if not isinstance(overlay, StarSpec):
-            raise ValueError("sfl_star mode needs a StarSpec")
-        per_leg = p.model_size_bytes / overlay.server_bandwidth_Bps
-        down = overlay.server_latency_s + per_leg
+    if isinstance(layout, Overlay):
+        return cycle_time(layout, p)
+    if isinstance(layout, StarSpec):
+        per_leg = p.model_size_bytes / layout.server_bandwidth_Bps
+        down = layout.server_latency_s + per_leg
         # uplink, aggregation, downlink, summed in the order perfbench's gate uses
-        return max(p.local_steps * tc + overlay.server_latency_s + per_leg
-                   + overlay.server_compute_s + down for tc in overlay.silo_compute_s)
-    if mode == "cll_single":
-        if not isinstance(overlay, SingleSpec):
-            raise ValueError("cll_single mode needs a SingleSpec")
-        return p.local_steps * overlay.compute_time_s
-    raise ValueError(f"unknown simulation mode {mode!r}")
+        return max(p.local_steps * tc + layout.server_latency_s + per_leg
+                   + layout.server_compute_s + down for tc in layout.silo_compute_s)
+    if isinstance(layout, SingleSpec):
+        return p.local_steps * layout.compute_time_s
+    raise ValueError(f"no round formula for a layout of type {type(layout).__name__}")

@@ -22,39 +22,32 @@ depth-to-space copy interleaves them into NHWC.  Phases that no tap reaches
 are not computed and stay +0.0.  Bias gradients are one product with a ones
 vector.
 
-A conv whose spec names the max pool it feeds (``LayerSpec.pool``, whose
-windows must not overlap) orders its patch rows by that pool's window
-position, in either layout.  Its output is then k*k contiguous slabs, each
-of the pool's output shape, slab a*k + bb holding element (a, bb) of every
-pooling window; rows that no window covers are not computed.  A row's
-product has the same bits wherever the row sits in the patch matrix, so the
-slabs hold exactly the NHWC conv's values; the weight and bias gradients sum
-their rows in slab order.
+A conv whose spec names the max pool it feeds (``LayerSpec.pool``) orders
+its patch rows by that pool's window position, in either layout.  Its
+output is then k*k contiguous slabs, each of the pool's output shape, slab
+a*k + bb holding element (a, bb) of every pooling window; rows that no
+window covers are not computed.  A row's product has the same bits wherever
+the row sits in the patch matrix, so the slabs hold exactly the NHWC conv's
+values; the weight and bias gradients sum their rows in slab order.
 
-The index arithmetic of a windowed layer (output shape, window slices, the
-shapes and strides of the im2col and slab views, the pooling scatter index)
-is worked out once per layer spec and input shape and cached
-(``_geometry``); none of it grows faster than the batch.  Every buffer that
-does grow with the batch (padded inputs, patch matrices, gradients) is
+The index arithmetic of a conv (output shape, the shapes and strides of the
+im2col and slab views) is worked out once per layer spec and input shape
+and cached (``_geometry``); none of it grows with the batch.  Every buffer
+that does grow with the batch (padded inputs, patch matrices, gradients) is
 allocated per call and freed with it, so nothing batch-sized outlives the
 call that made it.
 
-Max pooling takes a running ``np.maximum`` over its k*k window positions;
-on ties the first position in row-major order wins, both for the output
-value (which matters only for -0.0 against 0.0) and for where backward
-routes the window's gradient.  A pool whose windows do not overlap (kernel
-<= stride) works on slabs: a pooled conv's output as it is, or an NHWC
-input grouped by one copy.  The maximum runs slab by slab, and backward
-compares each slab with the output and masks each window's gradient into
-the first slab that holds its max, + 0.0 so that -0.0 becomes +0.0; every
-other element is +0.0.  It returns the gradient in slabs, which the pooled
-conv takes as its output gradient with no copy; an NHWC input gets it back
-in NHWC by one copy.  Overlapping windows (kernel > stride) read k*k strided
-views of the NHWC input, and backward scatters all windows' gradients with
-one ``np.bincount``, entries in window-position order, so every input
-element sums its terms from +0.0 as a loop over window positions would, in
-float64; a float32 element is that sum rounded once.  Without overlap an
-element takes at most one term, and both paths give the bits of that rule.
+A max pool reads each input element at most once and pads nothing
+(``LayerSpec`` rejects kernel > stride and any padding), so every pool
+works on k*k window-position slabs: a pooled conv's output as it is, or an
+NHWC input grouped by one copy.  It takes a running ``np.maximum`` slab by
+slab; on ties the first position in row-major order wins, both for the
+output value (which matters only for -0.0 against 0.0) and for where
+backward routes the window's gradient.  Backward compares each slab with
+the output and masks each window's gradient into the first slab that holds
+its max, + 0.0 so that -0.0 becomes +0.0; every other element is +0.0.  It
+returns the gradient in slabs, which the pooled conv takes as its output
+gradient with no copy; an NHWC input gets it back in NHWC by one copy.
 
 ``forward(..., keep_cache=False)`` is the inference path: every kind
 returns None in place of its cache, relu builds no mask, and conv2d never
@@ -122,10 +115,8 @@ class LayerSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ShapeError(f"unknown layer kind {self.kind!r}")
-        if self.pool is not None and (self.kind != "conv2d" or self.pool.kind != "maxpool2d"
-                                      or self.pool.kernel > self.pool.stride):
-            raise ShapeError(f"only a conv2d may feed a max pool whose windows do not "
-                             f"overlap: {self}")
+        if self.pool is not None and (self.kind != "conv2d" or self.pool.kind != "maxpool2d"):
+            raise ShapeError(f"only a conv2d may feed a max pool: {self}")
         if self.kind == "conv2d":
             if self.kernel < 1 or self.stride < 1 or self.padding < 0:
                 raise ShapeError(f"bad conv2d geometry: {self}")
@@ -134,6 +125,9 @@ class LayerSpec:
         elif self.kind == "maxpool2d":
             if self.kernel < 1 or self.stride < 1:
                 raise ShapeError(f"bad maxpool2d geometry: {self}")
+            if self.kernel > self.stride or self.padding != 0:
+                raise ShapeError(f"a max pool must neither overlap (kernel > stride) nor pad: "
+                                 f"{self}")
         elif self.kind == "fc":
             if self.in_features < 1 or self.out_features < 1:
                 raise ShapeError(f"fc needs positive widths: {self}")
@@ -160,22 +154,20 @@ def param_shapes(spec: LayerSpec) -> list[tuple[int, ...]]:
 
 
 class _Geometry(NamedTuple):
-    """Index arithmetic of one conv2d or maxpool2d layer on one input shape."""
+    """Index arithmetic of one conv2d layer on one input shape."""
 
-    out_shape: tuple      # (b, oh, ow, c); a conv with a pool: (k*k, *the pool's output shape)
+    out_shape: tuple      # (b, oh, ow, c); with a pool: (k*k, *the pool's output shape)
     padded: tuple         # the zero-bordered input's shape (the input's own if unpadded)
     interior: tuple       # index of the input inside the padded buffer
-    windows: tuple        # k*k index tuples, one per window position (see _geometry)
     view_shape: tuple     # the (b, oh, ow, k, k, c) im2col view of the padded buffer
     patches: tuple        # (shape, strides) of the view im2col copies (see _geometry)
     by_offset: tuple | None  # (shape, strides) of a first copy for transposed pooled patches
-    grouping: tuple | None  # (NHWC shape, shape, strides) of the pool's window-position view
-    pool_index: tuple | None  # (offsets, base, starts) of the overlapping max-pool scatter
+    grouping: tuple | None  # the pool's _pool_grouping of the NHWC output
 
 
 def _by_window(shape: tuple, strides: tuple, k: int, s: int) -> tuple[tuple, tuple]:
     """Shape and strides of a (b, h, w, ...) strided layout seen as (k, k, b,
-    oh, ow, ...) for k x k windows at stride s: element [a, bb, n, i, j, ...]
+    oh, ow, ...) for a k x k window at stride s: element [a, bb, n, i, j, ...]
     is element [n, i*s + a, j*s + bb, ...], window positions outermost."""
     b, h, w, *rest = shape
     sn, sh, sw, *inner = strides
@@ -184,8 +176,9 @@ def _by_window(shape: tuple, strides: tuple, k: int, s: int) -> tuple[tuple, tup
 
 
 def _pool_grouping(shape: tuple, itemsize: int, pool: LayerSpec) -> tuple:
-    """``_Geometry.grouping`` of a C-contiguous NHWC array of ``shape``
-    read by ``pool``."""
+    """(``shape``, then the shape and strides of its (k, k, b, oh, ow, c)
+    window-position view) of a C-contiguous NHWC array of ``shape`` read by
+    ``pool``."""
     _, h, w, c = shape
     strides = (h * w * c * itemsize, w * c * itemsize, c * itemsize, itemsize)
     return (shape, *_by_window(shape, strides, pool.kernel, pool.stride))
@@ -193,21 +186,17 @@ def _pool_grouping(shape: tuple, itemsize: int, pool: LayerSpec) -> tuple:
 
 @lru_cache(maxsize=128)
 def _geometry(spec: LayerSpec, shape: tuple, itemsize: int) -> _Geometry:
-    """The geometry of ``spec`` on an NHWC input of ``shape`` whose elements
-    take ``itemsize`` bytes, worked out once.
+    """The geometry of conv2d ``spec`` on an NHWC input of ``shape`` whose
+    elements take ``itemsize`` bytes, worked out once.
 
-    ``windows[a*k + bb]`` indexes the strided view of the padded input that
-    holds element (a, bb) of every one of the oh x ow windows, in row-major
-    window-position order.  Element [n, i, j, a, bb, ch] of the im2col view
-    is padded[n, i*s + a, j*s + bb, ch].
-
-    A conv with a pool builds its patch matrix from ``patches``, the im2col
-    view with its (oh, ow) dims regrouped by the pool's window position
-    (``_by_window``), so its output rows come as k*k contiguous slabs, one
-    per window position; rows that no window covers are left out.  Without
-    a pool ``patches`` is the im2col view itself.  ``grouping`` views an
-    NHWC array the same way: a non-overlapping pool's input, or a pooled
-    conv's output (to scatter its gradient back to NHWC rows).
+    Element [n, i, j, a, bb, ch] of the im2col view is
+    padded[n, i*s + a, j*s + bb, ch].  A conv with a pool builds its patch
+    matrix from ``patches``, the im2col view with its (oh, ow) dims
+    regrouped by the pool's window position (``_by_window``), so its output
+    rows come as k*k contiguous slabs, one per window position; rows that no
+    window covers are left out.  Without a pool ``patches`` is the im2col
+    view itself.  ``grouping`` views the conv's NHWC output the same way, to
+    scatter its gradient back to NHWC rows.
 
     Copied straight from the padded input, transposed pooled patches go one
     pooled row at a time (ow/ps elements at stride t = s*ps, for pool
@@ -217,22 +206,15 @@ def _geometry(spec: LayerSpec, shape: tuple, itemsize: int) -> _Geometry:
     that a pooling window's patches read; ``patches`` then views that copy,
     in which the (sample, row, column) block of each patch element is
     contiguous.
-
-    For overlapping max pooling (kernel > stride), the flat index in the
-    input of window position p of output element [n, i, j, ch] is
-    ``offsets[p] + base[i, j, ch] + starts[n]``.  Nothing cached here is
-    larger than one sample's output plus one integer per sample.
     """
     b, h, w, c = shape
     k, s, p = spec.kernel, spec.stride, spec.padding
     oh, ow = conv_output_hw(h, w, k, s, p)
     hp, wp = h + 2 * p, w + 2 * p
-    windows = tuple((slice(None), slice(a, a + oh * s, s), slice(bb, bb + ow * s, s))
-                    for a in range(k) for bb in range(k))
     sw = c * itemsize
     sh = wp * sw
     view = ((b, oh, ow, k, k, c), (hp * sh, s * sh, s * sw, sh, sw, itemsize))
-    out_shape = (b, oh, ow, spec.out_channels if spec.kind == "conv2d" else c)
+    out_shape = (b, oh, ow, spec.out_channels)
     patches, grouping, by_offset = view, None, None
     if spec.pool is not None:
         pk, ps = spec.pool.kernel, spec.pool.stride
@@ -247,26 +229,14 @@ def _geometry(spec: LayerSpec, shape: tuple, itemsize: int) -> _Geometry:
             sn = ph * pw * sj
             su = b * sn
             patches = (patches[0], (s * su, s * v * su, sn, pw * sj, sj, su, v * su, itemsize))
-    elif spec.kind == "maxpool2d" and k <= s:
-        grouping = _pool_grouping(shape, itemsize, spec)
-    pool_index = None
-    if spec.kind == "maxpool2d" and k > s:
-        offsets = ((np.arange(k)[:, None] * w + np.arange(k)) * c).ravel()
-        base = ((s * np.arange(oh)[:, None] * w + s * np.arange(ow)) * c)[..., None] + np.arange(c)
-        starts = (np.arange(b) * (h * w * c)).reshape(b, 1, 1, 1)
-        for arr in (offsets, base, starts):
-            arr.flags.writeable = False
-        pool_index = (offsets, base, starts)
     return _Geometry(
         out_shape=out_shape,
         padded=(b, hp, wp, c),
         interior=(slice(None), slice(p, p + h), slice(p, p + w)),
-        windows=windows,
         view_shape=view[0],
         patches=patches,
         by_offset=by_offset,
-        grouping=grouping,
-        pool_index=pool_index)
+        grouping=grouping)
 
 
 def _transposed_patches(spec: LayerSpec) -> bool:
@@ -340,7 +310,7 @@ class _GradConv(NamedTuple):
     """conv2d's input gradient as one stride-1 convolution (see _grad_conv)."""
 
     crop: tuple           # the rows and columns of the output gradient it reads
-    geo: _Geometry        # its D x D windows over the zero-bordered crop
+    geo: _Geometry        # its D x D patches over the zero-bordered crop
     kernel_rows: np.ndarray  # (D, n): the kernel row of each window row and phase, k for none
     split: tuple          # the product as (b, rows, cols, n, n, c_in): n phases per axis
     covered: slice        # the n phases per axis that some tap reaches
@@ -474,14 +444,11 @@ def forward(spec: LayerSpec, params: list[np.ndarray], x, keep_cache: bool = Tru
         cache = (spec, cols, geo, wmat)
 
     elif kind == "maxpool2d":
-        if x.ndim == 5 and x.shape[0] == spec.kernel ** 2 and spec.kernel <= spec.stride:
-            geo, slabs = None, x  # a pooled conv's output, already in slabs
+        if x.ndim == 5 and x.shape[0] == spec.kernel ** 2:
+            grouping, slabs = None, x  # a pooled conv's output, already in slabs
         elif x.ndim == 4:
-            geo = _geometry(spec, x.shape, x.itemsize)
-            if geo.grouping is None:  # overlapping windows: strided views of x
-                slabs = [x[window] for window in geo.windows]
-            else:
-                slabs = x = _group(x, geo.grouping)
+            grouping = _pool_grouping(x.shape, x.itemsize, spec)
+            slabs = _group(x, grouping)
         else:
             raise ShapeError(f"maxpool2d expects NHWC or its {spec.kernel ** 2} window-position "
                              f"slabs, got shape {x.shape}")
@@ -490,7 +457,7 @@ def forward(spec: LayerSpec, params: list[np.ndarray], x, keep_cache: bool = Tru
             # np.maximum returns its second operand when the two compare
             # equal, so the earlier window position keeps the signed zero
             np.maximum(slab, y, out=y)
-        cache = (spec, x, y, geo)
+        cache = (spec, slabs, y, grouping)
 
     elif kind == "relu":
         y = np.maximum(x, 0.0)
@@ -585,46 +552,24 @@ def backward(spec: LayerSpec, cache, grad_out, input_grad: bool = True):
         return buf.reshape(b, mh * s, mw * s, c)[gc.interior], grads
 
     if kind == "maxpool2d":
-        _, x, y, geo = cache
+        _, slabs, y, grouping = cache
         if grad_out.shape != y.shape:
             raise ShapeError(f"grad shape {grad_out.shape} != forward shape {y.shape}")
-        if geo is None or geo.grouping is not None:
-            # x is in slabs: each window's gradient goes to the first slab
-            # holding its max, with + 0.0 as in a sum from +0.0.  Its bits
-            # are multiplied by the 0/1 hit mask, so every other element is
-            # +0.0 even where the gradient is not finite
-            bits = np.dtype(f"u{grad_out.itemsize}")
-            g = (grad_out + 0.0).view(bits)
-            gx = np.empty(x.shape, grad_out.dtype)
-            unrouted = np.ones(y.shape, dtype=bool)
-            hit = np.empty(y.shape, dtype=bool)
-            for slab, gslab in zip(x, gx):
-                np.equal(slab, y, out=hit)
-                hit &= unrouted
-                unrouted ^= hit
-                np.multiply(g, hit, out=gslab.view(bits))
-            return (gx if geo is None else _ungroup(gx, geo.grouping)), []
-        # overlapping windows; arg: the first window position (row-major)
-        # holding the max
-        arg = np.zeros(y.shape, dtype=np.min_scalar_type(len(geo.windows) - 1))
+        # each window's gradient goes to the first slab holding its max, with
+        # + 0.0 as in a sum from +0.0.  Its bits are multiplied by the 0/1
+        # hit mask, so every other element is +0.0 even where the gradient
+        # is not finite
+        bits = np.dtype(f"u{grad_out.itemsize}")
+        g = (grad_out + 0.0).view(bits)
+        gx = np.empty(slabs.shape, grad_out.dtype)
         unrouted = np.ones(y.shape, dtype=bool)
         hit = np.empty(y.shape, dtype=bool)
-        for i, window in enumerate(geo.windows):
-            np.equal(x[window], y, out=hit)
+        for slab, gslab in zip(slabs, gx):
+            np.equal(slab, y, out=hit)
             hit &= unrouted
             unrouted ^= hit
-            if i:
-                arg += hit.view(np.uint8) * arg.dtype.type(i)
-        # scatter every window's gradient onto its routed element at once
-        offsets, base, starts = geo.pool_index
-        idx = offsets.take(arg)
-        idx += base
-        idx += starts
-        # an element takes its terms in window-position order
-        order = np.argsort(arg, axis=None, kind="stable")
-        idx, weights = idx.ravel()[order], grad_out.ravel()[order]
-        gx = np.bincount(idx, weights=weights, minlength=x.size).astype(x.dtype, copy=False)
-        return gx.reshape(x.shape), []
+            np.multiply(g, hit, out=gslab.view(bits))
+        return (gx if grouping is None else _ungroup(gx, grouping)), []
 
     if kind == "relu":
         _, mask = cache

@@ -162,7 +162,7 @@ def test_criterion_4_cycle_time_cross_check(gaia11, nws22):
         delay = tp.DelayParams(model_size_bytes=8 * 31227, local_steps=1)
         overlay = tp.build_overlay_christofides(graph, delay)
         expected = tp.cycle_time(overlay, delay)
-        simulated = simnet.simulate_round(overlay, delay, "dfl_ring")
+        simulated = simnet.simulate_round(overlay, delay)
         assert simulated == expected, f"{name}: {simulated!r} != {expected!r}"
 
         clock = simnet.Clock()

@@ -347,7 +347,7 @@ class TestRunners:
             server_bandwidth_Bps=cfg.server_bandwidth_Bps,
             server_compute_s=cfg.server_compute_s)
         delay = tp.DelayParams(m_bytes, cfg.local_steps)
-        sfl_dur = simnet.simulate_round(star, delay, "sfl_star")
+        sfl_dur = simnet.simulate_round(star, delay)
         assert sfl_dur == pytest.approx(sfl_expected, rel=1e-12)
 
         overlay = tp.build_overlay_christofides(gaia11, delay)
@@ -489,9 +489,9 @@ class TestPrecision:
             seen["adam"].add((theta.dtype, m.dtype, v.dtype, grad.dtype))
             return real_adam(theta, m, v, grad, *rest)
 
-        def simulate_round(layout, delay, mode):
+        def simulate_round(layout, delay):
             seen["model_size_bytes"].append(delay.model_size_bytes)
-            return real_round(layout, delay, mode)
+            return real_round(layout, delay)
 
         monkeypatch.setattr(M, "loss_and_grad", loss_and_grad)
         monkeypatch.setattr(M, "predict", predict)

@@ -73,8 +73,9 @@ def test_bench_pairs_summary():
     pairs = [{"parent": bench_result(run_s=p, concurrency=p, gone=1.0),
               "change": bench_result(run_s=c, concurrency=c, gone=None)}
              for p, c in zip(parent, change)]
-    summary = bp.summarize(pairs, {"run_s": "lower", "concurrency": "higher"})
+    summary = bp.summarize(pairs, {"run_s": "lower", "concurrency": "higher"}, {})
     assert sorted(summary) == ["concurrency", "run_s"]  # a side without a value is left out
+    assert "verdict" not in summary["run_s"]  # a metric without a bound gets none
     s = summary["run_s"]
     assert (s["parent_q1"], s["parent_median"], s["parent_q3"]) == (2.0, 3.0, 4.0)
     assert (s["change_q1"], s["change_median"], s["change_q3"]) == (1.5, 3.0, 3.5)
@@ -83,6 +84,29 @@ def test_bench_pairs_summary():
     assert summary["concurrency"]["change_better_pairs"] == 1
     assert bp.quartiles([7.0]) == (7.0, 7.0, 7.0)
     assert "run_s" in bp.report(summary)
+
+    # ten pairs per metric, each metric with a bound of 10% of the parent's median
+    steady = [1.0, 1.001, 1.002, 1.003, 1.004, 1.005, 1.006, 1.007, 1.008, 1.009]
+    spread = [1.0, 1.3, 0.8, 1.2, 0.9, 1.1, 0.7, 1.4, 1.0, 1.05]  # IQR 0.25
+    sides = {
+        "slower": (steady, [v * 1.2 for v in steady]),
+        "within_bound": (steady, [v * 1.05 for v in steady]),
+        "faster": (steady, [v * 0.9 for v in steady]),
+        "faster_in_8_of_10": (steady, [v * 0.9 for v in steady[:8]] + steady[8:]),
+        "noisy": (spread, [v * 0.95 for v in spread]),
+        "noisy_but_every_run_faster": (spread, [v * 0.4 for v in spread]),
+        "throughput_lower": (steady, [v * 0.8 for v in steady]),
+    }
+    pairs = [{"parent": bench_result(**{name: p[i] for name, (p, _) in sides.items()}),
+              "change": bench_result(**{name: c[i] for name, (_, c) in sides.items()})}
+             for i in range(10)]
+    better = {name: "lower" for name in sides} | {"throughput_lower": "higher"}
+    summary = bp.summarize(pairs, better, dict.fromkeys(sides, 0.1))
+    assert {name: s["verdict"] for name, s in summary.items()} == {
+        "slower": "worse", "within_bound": "no worse", "faster": "better",
+        "faster_in_8_of_10": "no worse", "noisy": "unresolved",
+        "noisy_but_every_run_faster": "better", "throughput_lower": "worse"}
+    assert "unresolved" in bp.report(summary)
 
 
 def test_bench_pairs_alternate_and_record_each_pair_at_once(tmp_path, monkeypatch):

@@ -22,13 +22,13 @@ class TestSimulateRound:
     def test_ring_constant_delays(self):
         g = uniform_complete_graph(4, latency=0.5)
         o = tp.build_overlay_christofides(g, TINY_DELAY)
-        assert simnet.simulate_round(o, TINY_DELAY, "dfl_ring") == pytest.approx(0.5)
+        assert simnet.simulate_round(o, TINY_DELAY) == pytest.approx(0.5)
 
     def test_star_symmetric_legs(self):
         star = simnet.StarSpec(silo_compute_s=(0.0, 0.0, 0.0),
                                server_latency_s=0.2, server_bandwidth_Bps=1e30,
                                server_compute_s=0.0)
-        assert simnet.simulate_round(star, TINY_DELAY, "sfl_star") == pytest.approx(0.4)
+        assert simnet.simulate_round(star, TINY_DELAY) == pytest.approx(0.4)
 
     def test_star_formula(self):
         p = tp.DelayParams(model_size_bytes=1e6, local_steps=2)
@@ -37,16 +37,16 @@ class TestSimulateRound:
                                server_compute_s=0.03)
         per_leg = 1e6 / 1e7
         expected = max(2 * tc + 0.05 + per_leg + 0.05 + per_leg for tc in (0.1, 0.4, 0.2)) + 0.03
-        assert simnet.simulate_round(star, p, "sfl_star") == pytest.approx(expected)
+        assert simnet.simulate_round(star, p) == pytest.approx(expected)
 
     def test_single_node(self):
         p = tp.DelayParams(model_size_bytes=1.0, local_steps=3)
         node = simnet.SingleSpec(compute_time_s=0.2)
-        assert simnet.simulate_round(node, p, "cll_single") == pytest.approx(0.6)
+        assert simnet.simulate_round(node, p) == pytest.approx(0.6)
 
     def test_total_time_additivity(self):
         node = simnet.SingleSpec(compute_time_s=0.125)
-        d = simnet.simulate_round(node, TINY_DELAY, "cll_single")
+        d = simnet.simulate_round(node, TINY_DELAY)
         clock = simnet.Clock()
         for _ in range(7):
             clock.advance(d)
@@ -56,14 +56,8 @@ class TestSimulateRound:
         p = tp.DelayParams(model_size_bytes=8 * 31227, local_steps=1)
         for g in (gaia11, nws22):
             o = tp.build_overlay_christofides(g, p)
-            assert simnet.simulate_round(o, p, "dfl_ring") == tp.cycle_time(o, p)
+            assert simnet.simulate_round(o, p) == tp.cycle_time(o, p)
 
-    def test_mode_topology_mismatch(self):
-        g = uniform_complete_graph(3)
-        o = tp.build_overlay_christofides(g, TINY_DELAY)
-        with pytest.raises(ValueError, match="StarSpec"):
-            simnet.simulate_round(o, TINY_DELAY, "sfl_star")
-        with pytest.raises(ValueError, match="Overlay"):
-            simnet.simulate_round(simnet.SingleSpec(0.1), TINY_DELAY, "dfl_ring")
-        with pytest.raises(ValueError, match="mode"):
-            simnet.simulate_round(o, TINY_DELAY, "warp")
+    def test_unknown_layout(self):
+        with pytest.raises(ValueError, match="ConnectivityGraph"):
+            simnet.simulate_round(uniform_complete_graph(3), TINY_DELAY)
