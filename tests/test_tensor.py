@@ -144,6 +144,7 @@ class TestGradCheck:
         make_conv(kernel=1, stride=2, padding=0, cin=2, cout=4),
         make_conv(kernel=3, stride=1, padding=1, cin=1, cout=2, bias=False),
         T.LayerSpec("maxpool2d", kernel=2, stride=2),
+        T.LayerSpec("maxpool2d", kernel=3, stride=3),
         T.LayerSpec("relu"),
         T.LayerSpec("fc", in_features=5, out_features=2, bias=False),
         T.LayerSpec("residual_add"),
@@ -191,6 +192,16 @@ class TestShapeAlgebra:
         spec = make_pool(2, 2)
         with pytest.raises(T.ShapeError, match="slabs"):
             T.forward(spec, [], np.zeros((2, 1, 3, 3, 1)))
+
+    @pytest.mark.parametrize("k,s,p", [(2, 1, 0), (3, 1, 0), (4, 3, 0), (3, 2, 1), (1, 1, 1)],
+                             ids=lambda v: str(v))
+    def test_overlapping_or_padded_pool_rejected(self, k, s, p):
+        # every window a kernel > stride pool shares, and every padded pool,
+        # is refused at construction, standalone and as a conv's pool
+        with pytest.raises(T.ShapeError, match="neither overlap .* nor pad"):
+            make_pool(k, s, p)
+        with pytest.raises(T.ShapeError, match="neither overlap .* nor pad"):
+            make_conv(pool=make_pool(k, s, p))
 
     def test_bad_specs_rejected(self):
         with pytest.raises(T.ShapeError):
@@ -399,7 +410,7 @@ class TestKernelEquivalence:
 
     dtype = np.float64
 
-    @pytest.mark.parametrize("k,s", [(2, 2), (2, 3)])
+    @pytest.mark.parametrize("k,s", [(2, 2), (3, 3), (2, 3)])
     @pytest.mark.parametrize("inputs", ["random", "ties", "signed_zeros"])
     def test_maxpool_matches_reference(self, k, s, inputs):
         dtype = self.dtype
@@ -540,11 +551,12 @@ class TestKernelEquivalence:
             T.backward(spec, cache, np.ones_like(y))
         assert calls == []
 
-    @pytest.mark.parametrize("k,s", [(2, 2)])
+    @pytest.mark.parametrize("k,s", [(2, 2), (3, 3)])
     def test_infinite_gradient_lands_on_the_routed_elements_only(self, k, s):
         # each window's max is its bottom-right element, a different one per window
         spec = make_pool(k, s)
-        x = np.arange(25, dtype=self.dtype).reshape(1, 5, 5, 1)
+        n = 2 * k + 1
+        x = np.arange(n * n, dtype=self.dtype).reshape(1, n, n, 1)
         y, cache = T.forward(spec, [], x)
         gx, _ = T.backward(spec, cache, np.full(y.shape, np.inf, self.dtype))
         assert np.count_nonzero(gx == np.inf) == y.size
@@ -590,6 +602,7 @@ EVERY_KIND = [
     make_conv(kernel=3, stride=1, padding=1, cin=1, cout=8),
     make_conv(kernel=3, stride=1, padding=1, cin=1, cout=8, pool=make_pool(2, 2)),
     T.LayerSpec("maxpool2d", kernel=2, stride=2),
+    T.LayerSpec("maxpool2d", kernel=3, stride=3),
     T.LayerSpec("relu"),
     T.LayerSpec("fc", in_features=5, out_features=2),
     T.LayerSpec("gap"),
