@@ -15,9 +15,12 @@ Every finished pair is written to --out at once (a temporary file, then a
 rename), together with the summary of all pairs so far: per metric, each
 side's median and quartiles and the number of pairs the change won, and per
 end-to-end metric a verdict against its bound in BENCHMARK.json (see
-``verdict``).  An
-existing --out for the same parent is extended, so an untraced and a
-traced invocation can fill one file.  The summary is printed at the end.
+``verdict``).  An existing --out for the same parent is extended, so an
+untraced and a traced invocation can fill one file.  The summary is printed
+at the end, with each side's ``peak_rss_mb`` run by run and the number of
+runs on an upper RSS level, more than RSS_LEVEL_GAP_MB above that side's
+lowest run: glibc puts some runs 6-8 MiB above the usual level with no
+change in what the program holds.
 """
 from __future__ import annotations
 
@@ -35,6 +38,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TREE = ("src", "perfbench", "BENCHMARK.json")
+RSS_LEVEL_GAP_MB = 3.0
 
 
 def quartiles(values) -> tuple[float, float, float]:
@@ -71,12 +75,19 @@ def verdict(s: dict, better: str, bound: float) -> str:
     return "no worse"
 
 
+def upper_level_runs(values) -> int:
+    """How many of one side's runs lie more than RSS_LEVEL_GAP_MB above its lowest."""
+    low = min(values)
+    return sum(v > low + RSS_LEVEL_GAP_MB for v in values)
+
+
 def summarize(pairs: list[dict], better: dict[str, str], bounds: dict[str, float]) -> dict:
     """Per metric that every pair reports on both sides: the values, each
     side's quartiles, the pairs in which the change is strictly better
     (``better[name]`` is "lower" or "higher"; "lower" if not given), and
     the change of the median, absolute and relative to the parent's.  A
-    metric with an entry in ``bounds`` also gets its ``verdict``."""
+    metric with an entry in ``bounds`` also gets its ``verdict``, and
+    ``peak_rss_mb`` each side's ``upper_level_runs``."""
     def value(side, name):
         return (side.get("metrics", {}).get(name) or {}).get("value")
 
@@ -101,6 +112,9 @@ def summarize(pairs: list[dict], better: dict[str, str], bounds: dict[str, float
         if name in bounds:
             summary[name]["verdict"] = verdict(summary[name], better.get(name, "lower"),
                                                bounds[name])
+        if name == "peak_rss_mb":
+            summary[name]["upper_level_runs"] = {"parent": upper_level_runs(parent),
+                                                 "change": upper_level_runs(change)}
     return summary
 
 
@@ -122,6 +136,10 @@ def report(summary: dict) -> str:
             f"{'':>3s} {s['change_median']:>11.4g} ({s['change_q3'] - s['change_q1']:.3g})"
             f"{'':>3s} {rel:>7s} {s['change_better_pairs']}/{s['pairs']}"
             f"  {s.get('verdict', '')}".rstrip())
+    for name, s in summary.items():
+        for side, upper in s.get("upper_level_runs", {}).items():
+            lines.append(f"{name} {side}: {' '.join(f'{v:.2f}' for v in s[side])}; {upper} "
+                         f"of {s['pairs']} more than {RSS_LEVEL_GAP_MB:g} MiB above the lowest")
     return "\n".join(lines)
 
 

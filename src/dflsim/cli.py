@@ -47,6 +47,15 @@ _CONFIG_FIELDS: dict = {
        for cls in (P.TrainConfig, M.FADNetConfig) for f in fields(cls)},
 }
 
+# the keys with an upper bound, and the bound: past 2**53 a count is no
+# longer an exact float64, and past 2**31 - 1 a size is far beyond any
+# dataset or model this runs
+_UPPER_BOUNDS = {
+    "rounds": (P.MAX_COUNT, "2**53"), "local_steps": (P.MAX_COUNT, "2**53"),
+    **dict.fromkeys(("sample_count", "batch_size", "input_height", "input_width", "feature_dim"),
+                    (2 ** 31 - 1, "2**31 - 1")),
+}
+
 # settings that must agree across configs for a comparison to be meaningful
 _COMPARE_KEYS = (
     "model_kind", *(f.name for f in fields(M.FADNetConfig)), "data_source",
@@ -109,8 +118,9 @@ def validate_config(cfg: dict) -> dict:
     elif cfg["sample_count"] < 1:
         raise ConfigError(f"config field 'sample_count': must be >= 1, "
                           f"got {cfg['sample_count']}")
-    if cfg["rounds"] > P.MAX_ROUNDS:
-        raise ConfigError(f"config field 'rounds': must be at most 2**53, got {cfg['rounds']}")
+    for key, (bound, text) in _UPPER_BOUNDS.items():
+        if cfg[key] > bound:
+            raise ConfigError(f"config field {key!r}: must be at most {text}, got {cfg[key]}")
     if cfg["strategy"] in ("dfl", "sfl"):
         _topology_path(cfg["topology"])
     if cfg["out_dir"] is None:
@@ -118,9 +128,19 @@ def validate_config(cfg: dict) -> dict:
     # delegate numeric range checks to the dataclass validators
     try:
         _dataclass_config(P.TrainConfig, cfg)
-        _dataclass_config(M.FADNetConfig, cfg)
+        model_cfg = _dataclass_config(M.FADNetConfig, cfg)
     except ValueError as e:
         raise ConfigError(f"config validation: {e}") from e
+    # numpy refuses an array of more bytes than its index type holds
+    index_max = np.iinfo(np.intp).max
+    if cfg["data_source"] == "linesteer" and (
+            8 * cfg["sample_count"] * cfg["input_height"] * cfg["input_width"] > index_max):
+        raise ConfigError("config fields 'sample_count', 'input_height' and 'input_width': "
+                          "the float64 dataset they size is too big for numpy to index")
+    if 8 * M.param_count(cfg["model_kind"], model_cfg) > index_max:
+        raise ConfigError("config fields 'input_height', 'input_width', 'widths' and "
+                          "'feature_dim': the float64 parameter vector they size is too big "
+                          "for numpy to index")
     return cfg
 
 

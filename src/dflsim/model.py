@@ -16,6 +16,16 @@ then the fadnet blend vector ``head.accum.w``.  ``param_views`` gives each its
 shaped view.  ``init_params`` goes by layer kind: He-scaled conv kernels, fc
 weights 0.3/sqrt(fan_in), zero biases and a uniform 1/n blend.  A checkpoint
 stores the names and shapes in its manifest and is loaded only if they match.
+
+The plan also holds the step program, one ``Step`` per layer in forward
+order; each layer writes the activation named after it.  The forward pass is
+one loop over the program plus the product head.  The backward pass is the
+head's gradient plus one loop over it in reverse, in which each layer adds
+its parameter gradients into their views and passes its input gradients back
+to the activations it read.  An activation's gradients sum in the order that
+walk meets its readers: shortcuts are listed before their conv1 and branches
+right after their block, so a block output sums (next conv1 + next shortcut)
++ branch gap, and the last block's tail + branch gap.
 """
 from __future__ import annotations
 
@@ -26,6 +36,7 @@ from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
 from itertools import zip_longest
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,12 +95,22 @@ PAPER_SCALE_CONFIG = FADNetConfig(
 
 
 # --------------------------------------------------------------------------
-# Layer plan and parameter layout
+# Layer plan, step program and parameter layout
+
+
+class Step(NamedTuple):
+    """One layer of the step program; it writes the activation named after it."""
+    layer: str
+    reads: tuple[str, ...]  # in argument order
+    frees: tuple[str, ...]  # the reads no later layer or the head reads
+    backward: bool  # a parameter gradient depends on its output
+    input_grad: bool  # ... and on what it reads
+    flattens: tuple[int, ...]  # the per-sample shape of an input it flattens, or ()
 
 
 @lru_cache(maxsize=32)
 def _plan(kind: str, cfg: FADNetConfig) -> dict:
-    """Layer specs plus the flat parameter layout for a model kind/config."""
+    """Layer specs, step program and flat parameter layout for a model kind/config."""
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
     # the stem conv knows its pool, so it writes its output in the pool's
@@ -102,39 +123,47 @@ def _plan(kind: str, cfg: FADNetConfig) -> dict:
                                  pool=pool),
         "stem.pool": pool,
     }
-    c_in = cfg.widths[0]
-    for h, c_out in enumerate(cfg.widths, start=1):
-        specs[f"block{h}.conv1"] = T.LayerSpec("conv2d", kernel=3, stride=2, padding=1,
-                                               in_channels=c_in, out_channels=c_out)
-        specs[f"block{h}.relu"] = T.LayerSpec("relu")
-        specs[f"block{h}.conv2"] = T.LayerSpec("conv2d", kernel=3, stride=1, padding=1,
-                                               in_channels=c_out, out_channels=c_out)
-        specs[f"block{h}.shortcut"] = T.LayerSpec("conv2d", kernel=1, stride=2, padding=0,
-                                                  in_channels=c_in, out_channels=c_out)
-        specs[f"block{h}.add"] = T.LayerSpec("residual_add")
-        c_in = c_out
 
     def out_hw(hw, layer):
         spec = specs[layer]
         return T.conv_output_hw(*hw, spec.kernel, spec.stride, spec.padding)
 
-    # (H, W, C) after the stem pool and after each block, whose conv1 sets
-    # its output size
+    # the layers in forward order with the activations each reads (see the
+    # module docstring), the (H, W, C) after the stem pool and after each
+    # block, whose conv1 sets it, and the activations the product head reads
+    edges = [("norm", ("input",)), ("stem.conv", ("norm",)), ("stem.pool", ("stem.conv",))]
     hw = out_hw(out_hw((cfg.input_height, cfg.input_width), "stem.conv"), "stem.pool")
     dims = [(*hw, cfg.widths[0])]
+    head = ["tail.fc"]
+    branches: dict[str, T.LayerSpec] = {}  # stored after the tail
+    c_in, cur = cfg.widths[0], "stem.pool"
     for h, c_out in enumerate(cfg.widths, start=1):
-        hw = out_hw(hw, f"block{h}.conv1")
+        b = f"block{h}"
+        specs[f"{b}.conv1"] = T.LayerSpec("conv2d", kernel=3, stride=2, padding=1,
+                                          in_channels=c_in, out_channels=c_out)
+        specs[f"{b}.relu"] = T.LayerSpec("relu")
+        specs[f"{b}.conv2"] = T.LayerSpec("conv2d", kernel=3, stride=1, padding=1,
+                                          in_channels=c_out, out_channels=c_out)
+        specs[f"{b}.shortcut"] = T.LayerSpec("conv2d", kernel=1, stride=2, padding=0,
+                                             in_channels=c_in, out_channels=c_out)
+        specs[f"{b}.add"] = T.LayerSpec("residual_add")
+        edges += [(f"{b}.shortcut", (cur,)), (f"{b}.conv1", (cur,)),
+                  (f"{b}.relu", (f"{b}.conv1",)), (f"{b}.conv2", (f"{b}.relu",)),
+                  (f"{b}.add", (f"{b}.conv2", f"{b}.shortcut"))]
+        hw = out_hw(hw, f"{b}.conv1")
         dims.append((*hw, c_out))
-    flat_dim = math.prod(dims[-1])
-
-    if kind == "fadnet":
-        specs["tail.fc"] = T.LayerSpec("fc", in_features=flat_dim, out_features=cfg.feature_dim)
-        for h, c_out in enumerate(cfg.widths, start=1):
-            specs[f"branch{h}.gap"] = T.LayerSpec("gap")
-            specs[f"branch{h}.proj"] = T.LayerSpec("fc", in_features=c_out,
-                                                   out_features=cfg.feature_dim, bias=False)
-    else:
-        specs["tail.fc"] = T.LayerSpec("fc", in_features=flat_dim, out_features=1)
+        c_in, cur = c_out, f"{b}.add"
+        if kind == "fadnet":
+            gap, proj = f"branch{h}.gap", f"branch{h}.proj"
+            branches[gap] = T.LayerSpec("gap")
+            branches[proj] = T.LayerSpec("fc", in_features=c_out, out_features=cfg.feature_dim,
+                                         bias=False)
+            edges += [(gap, (cur,)), (proj, (gap,))]
+            head.append(proj)
+    edges.append(("tail.fc", (cur,)))
+    specs["tail.fc"] = T.LayerSpec("fc", in_features=math.prod(dims[-1]),
+                                   out_features=cfg.feature_dim if kind == "fadnet" else 1)
+    specs.update(branches)
 
     # the one table of parameter names and shapes, in storage order: each
     # layer's weight before its bias, layers in plan order, then the blend
@@ -151,8 +180,18 @@ def _plan(kind: str, cfg: FADNetConfig) -> dict:
         total += size
     # each layer's (offset, size, shape) triples, in storage order
     slots = {layer: tuple(layout[name] for name in shapes) for layer, shapes in params.items()}
+
+    last = {a: layer for layer, reads in edges for a in reads}  # each activation's last reader
+    carried: set[str] = set()  # the activations a parameter gradient depends on
+    program = []
+    for layer, reads in edges:
+        input_grad = any(a in carried for a in reads)
+        if input_grad or params[layer]:
+            carried.add(layer)
+        program.append(Step(layer, reads, tuple(a for a in reads if last[a] == layer),
+                            layer in carried, input_grad, dims[-1] if layer == "tail.fc" else ()))
     return {"specs": specs, "params": params, "layout": layout, "slots": slots,
-            "total": total, "dims": dims}
+            "total": total, "dims": dims, "program": tuple(program), "head": tuple(head)}
 
 
 def param_count(kind: str, cfg: FADNetConfig) -> int:
@@ -250,58 +289,35 @@ def aggregation(f_s, f_c):
 # Forward / backward
 
 
-def _run(name: str, plan: dict, flat: np.ndarray, x, caches: dict | None):
-    out, cache = T.forward(plan["specs"][name], _layer_views(plan, name, flat), x,
-                           keep_cache=caches is not None)
-    if caches is not None:
-        caches[name] = cache
-    return out
-
-
 def _forward(kind: str, cfg: FADNetConfig, params, x: np.ndarray,
              caches: dict | None = None) -> np.ndarray:
     """Run the whole network on the flat parameter vector ``params`` and
-    return its predictions, computed in the parameters' dtype.
-
-    Given a ``caches`` dict, each layer stores its backward cache there under
-    its layer name, and the product head stores its inputs under "head";
-    ``_backward_full`` reads them.  With None no cache is kept: each layer
-    runs its forward without one (convolutions then build their patch
-    matrices a block of samples at a time), and each activation is freed
-    as soon as no later layer reads it.
-    """
+    return its predictions, computed in the parameters' dtype.  Given a
+    ``caches`` dict, each layer that backward reaches stores its cache there
+    under its name, and the product head its inputs under "head".  With None
+    no cache is kept (convolutions then build their patch matrices a block of
+    samples at a time).  Each activation is dropped after its last reader."""
     plan = _plan(kind, cfg)
     flat = _checked_flat(plan, params)
     if x.shape[1:] != (cfg.input_height, cfg.input_width, cfg.input_channels):
         raise T.ShapeError(
             f"batch shape {x.shape[1:]} != config input "
             f"({cfg.input_height}, {cfg.input_width}, {cfg.input_channels})")
-    x = x.astype(flat.dtype, copy=False)
+    acts = {"input": x.astype(flat.dtype, copy=False)}
+    for step in plan["program"]:
+        x = [acts.pop(a) if a in step.frees else acts[a] for a in step.reads]
+        x = x[0] if len(x) == 1 else x  # a residual add reads two
+        if step.flattens:
+            x = x.reshape(len(x), -1)
+        acts[step.layer], cache = T.forward(plan["specs"][step.layer],
+                                            _layer_views(plan, step.layer, flat), x,
+                                            keep_cache=caches is not None and step.backward)
+        if cache is not None:
+            caches[step.layer] = cache
 
-    # one name for the running activation, so that without caches each
-    # full-batch stem output is freed as soon as the next layer has read it
-    cur = _run("norm", plan, flat, x, None)  # backward never reaches the input
-    cur = _run("stem.conv", plan, flat, cur, caches)
-    cur = _run("stem.pool", plan, flat, cur, caches)
-
-    block_outputs = []
-    for h in range(1, N_BLOCKS + 1):
-        t1 = _run(f"block{h}.conv1", plan, flat, cur, caches)
-        r1 = _run(f"block{h}.relu", plan, flat, t1, caches)
-        t2 = _run(f"block{h}.conv2", plan, flat, r1, caches)
-        sc = _run(f"block{h}.shortcut", plan, flat, cur, caches)
-        cur = _run(f"block{h}.add", plan, flat, (t2, sc), caches)
-        block_outputs.append(cur)
-
-    tail = _run("tail.fc", plan, flat, cur.reshape(x.shape[0], -1), caches)
-
+    tail, *branch_feats = (acts[a] for a in plan["head"])
     if kind == "backbone_only":
         return tail[:, 0]
-
-    branch_feats = []
-    for h in range(1, N_BLOCKS + 1):
-        g = _run(f"branch{h}.gap", plan, flat, block_outputs[h - 1], caches)
-        branch_feats.append(_run(f"branch{h}.proj", plan, flat, g, caches))
     (w,) = _layer_views(plan, "head.accum", flat)
     f_c = accumulation(branch_feats, w)
     preds = aggregation(tail, f_c)
@@ -310,51 +326,33 @@ def _forward(kind: str, cfg: FADNetConfig, params, x: np.ndarray,
     return preds
 
 
-def _back(name: str, plan: dict, caches, grad_out, grads: np.ndarray, input_grad: bool = True):
-    """Backward through one layer; its parameter gradients are added into
-    their views of the flat gradient ``grads``."""
-    gx, gparams = T.backward(plan["specs"][name], caches[name], grad_out, input_grad=input_grad)
-    for view, g in zip(_layer_views(plan, name, grads), gparams):
-        view += g
-    return gx
-
-
 def _backward_full(kind: str, cfg: FADNetConfig, caches: dict, gpred: np.ndarray) -> np.ndarray:
-    """The flat parameter gradient, one zeroed vector filled layer by layer."""
+    """The flat parameter gradient, one zeroed vector filled layer by layer
+    in one reverse walk of the program (see the module docstring)."""
     plan = _plan(kind, cfg)
     grads = np.zeros(plan["total"])
-
     if kind == "fadnet":
         tail, f_c, branch_feats, w = caches["head"]
-        gtail = gpred[:, None] * f_c / cfg.feature_dim
         gfc = gpred[:, None] * tail / cfg.feature_dim
         _layer_views(plan, "head.accum", grads)[0][:] = [
             float(np.add.reduce(gfc * f, axis=None)) for f in branch_feats]
-        gblocks_from_branches = []
-        for h in range(1, N_BLOCKS + 1):
-            gfh = gfc * w[h - 1]
-            ggap = _back(f"branch{h}.proj", plan, caches, gfh, grads)
-            gblocks_from_branches.append(_back(f"branch{h}.gap", plan, caches, ggap, grads))
+        ghead = [gpred[:, None] * f_c / cfg.feature_dim, *(gfc * wh for wh in w)]
     else:
-        gtail = gpred[:, None]
-        gblocks_from_branches = [0.0] * N_BLOCKS
+        ghead = [gpred[:, None]]
+    gacts = dict(zip(plan["head"], ghead))  # each activation's gradient so far
 
-    gflat = _back("tail.fc", plan, caches, gtail, grads)
-    gcur = gflat.reshape(gpred.shape[0], *plan["dims"][-1])
-
-    for h in range(N_BLOCKS, 0, -1):
-        gcur = gcur + gblocks_from_branches[h - 1]
-        gt2, gsc = _back(f"block{h}.add", plan, caches, gcur, grads)
-        gr1 = _back(f"block{h}.conv2", plan, caches, gt2, grads)
-        gt1 = _back(f"block{h}.relu", plan, caches, gr1, grads)
-        gin_main = _back(f"block{h}.conv1", plan, caches, gt1, grads)
-        gin_sc = _back(f"block{h}.shortcut", plan, caches, gsc, grads)
-        gcur = gin_main + gin_sc
-
-    gs1 = _back("stem.pool", plan, caches, gcur, grads)
-    # the input has no parameters upstream: neither the stem conv's input
-    # gradient nor the input_norm backward would be used
-    _back("stem.conv", plan, caches, gs1, grads, input_grad=False)
+    for step in reversed(plan["program"]):
+        if not step.backward:
+            continue
+        gx, gparams = T.backward(plan["specs"][step.layer], caches[step.layer],
+                                 gacts.pop(step.layer), input_grad=step.input_grad)
+        for view, g in zip(_layer_views(plan, step.layer, grads), gparams):
+            view += g
+        if step.input_grad:
+            if step.flattens:
+                gx = gx.reshape(len(gx), *step.flattens)
+            for a, g in zip(step.reads, gx if len(step.reads) > 1 else (gx,)):
+                gacts[a] = gacts[a] + g if a in gacts else g
     return grads
 
 

@@ -50,10 +50,10 @@ METRICS_HEADER = ("round", "sim_time_s", "train_loss", "test_rmse", "strategy")
 # few samples may take a small-matrix kernel that rounds differently.
 EVAL_BATCH = 256
 
-# Most rounds a run may ask for: above 2**53 a round count is no longer
-# exact as a float64, and neither is the simulated clock's total, rounds
-# times the round duration.
-MAX_ROUNDS = 2 ** 53
+# Most rounds, and most local steps per round, a run may ask for: above
+# 2**53 a count is no longer exact as a float64, and neither is the
+# simulated clock's total, rounds times the round duration.
+MAX_COUNT = 2 ** 53
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
 ADAM_BETA1 = 0.9
@@ -97,10 +97,12 @@ class TrainConfig:
             raise ValueError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
         if self.rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
-        if self.rounds > MAX_ROUNDS:
+        if self.rounds > MAX_COUNT:
             raise ValueError(f"rounds must be at most 2**53, got {self.rounds}")
         if self.local_steps < 1:
             raise ValueError(f"local_steps must be >= 1, got {self.local_steps}")
+        if self.local_steps > MAX_COUNT:
+            raise ValueError(f"local_steps must be at most 2**53, got {self.local_steps}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.seed < 0:

@@ -18,14 +18,13 @@ def write_config(tmp_path, payload, name="config.json"):
     return path
 
 
-def run_cli_child(args, timeout, **env):
+def run_cli_child(args, timeout, cap=2 << 30, **env):
     """``python -m dflsim.cli`` in a child with BLAS at 1 thread, the
-    package from this checkout, and an address-space cap of 2 GiB."""
+    package from this checkout, and an address-space cap of ``cap`` bytes."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", **env,
                PYTHONPATH=os.pathsep.join([src] + ([os.environ["PYTHONPATH"]]
                                                    if os.environ.get("PYTHONPATH") else [])))
-    cap = 2 << 30
     return subprocess.run(
         [sys.executable, "-m", "dflsim.cli", *args], env=env, capture_output=True, text=True,
         timeout=timeout, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
@@ -338,6 +337,7 @@ class TestRun:
 
 
 INT_FIELDS = [key for key, (_, parse) in cli._CONFIG_FIELDS.items() if parse is D.whole_number]
+SIZE_FIELDS = ["sample_count", "input_height", "input_width", "batch_size", "feature_dim"]
 
 
 class TestFieldTypes:
@@ -373,11 +373,44 @@ class TestFieldTypes:
         assert len(lines) == 1 and lines[0].startswith("error: config field 'rounds': ")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("value", [1e300, 2 ** 53 + 1], ids=["1e300", "2**53+1"])
+    @pytest.mark.parametrize("field", ["local_steps", *SIZE_FIELDS])
+    def test_huge_count_ends_in_one_line(self, tmp_path, field, value):
+        # past its bound a size key or local_steps exits 1 naming the key; a
+        # size numpy can index but memory cannot hold exits 2.  Either way
+        # the run ends at once, with one line and no traceback
+        cfg_path = write_config(tmp_path, {"strategy": "cll", **dict(FAST, **{field: value})})
+        proc = run_cli_child(["run", str(cfg_path), "--out", str(tmp_path / "out"), "--quiet"],
+                             timeout=30, cap=3 << 30)
+        assert proc.returncode in (1, 2)
+        assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+        if proc.returncode == 1:
+            assert f"config field '{field}'" in proc.stderr
+
     def test_rounds_up_to_2_53_accepted(self, tmp_path):
         cfg_path = write_config(tmp_path, {"strategy": "cll", **dict(FAST, rounds=2 ** 53)})
         assert cli.load_config(cfg_path)["rounds"] == 2 ** 53
         with pytest.raises(ValueError, match="rounds must be at most 2"):
             P.TrainConfig(rounds=2 ** 53 + 1)
+
+    def test_local_steps_up_to_2_53_accepted(self, tmp_path):
+        cfg_path = write_config(tmp_path, {"strategy": "cll", **dict(FAST, local_steps=2 ** 53)})
+        assert cli.load_config(cfg_path)["local_steps"] == 2 ** 53
+        with pytest.raises(ValueError, match="local_steps must be at most 2"):
+            P.TrainConfig(local_steps=2 ** 53 + 1)
+
+    @pytest.mark.parametrize("sizes, named", [
+        ({"input_height": 2 ** 31 - 1, "input_width": 2 ** 31 - 1}, "'sample_count'"),
+        ({"widths": [2, 3, 2 ** 31 - 1], "feature_dim": 2 ** 31 - 1}, "'widths'"),
+    ], ids=["dataset", "parameters"])
+    def test_array_past_numpy_index_range_names_its_fields(self, tmp_path, capsys, sizes,
+                                                           named):
+        # each key is within its bound, but together they size an array of
+        # more bytes than numpy can index
+        cfg_path = write_config(tmp_path, {"strategy": "cll", **dict(FAST, **sizes)})
+        assert cli.main(["run", str(cfg_path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and named in lines[0] and "too big for numpy" in lines[0]
 
     @pytest.mark.parametrize("field", INT_FIELDS)
     def test_boolean_int_rejected(self, tmp_path, capsys, field):

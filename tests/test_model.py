@@ -225,6 +225,51 @@ class TestForward:
             M.param_count("resnet50", M.TOY_CONFIG)
 
 
+@pytest.mark.parametrize("kind", M.MODEL_KINDS)
+class TestProgram:
+    def test_each_layer_once_each_activation_written_before_read(self, kind):
+        plan = M._plan(kind, M.TOY_CONFIG)
+        assert sorted(step.layer for step in plan["program"]) == sorted(plan["specs"])
+        written, freed = {"input"}, []
+        for step in plan["program"]:
+            assert set(step.reads) <= written and step.layer not in written
+            written.add(step.layer)
+            freed += step.frees
+        assert set(plan["head"]) <= written
+        # every activation but the head's is dropped once, by its last reader
+        assert sorted(freed) == sorted(written - set(plan["head"]))
+        for i, step in enumerate(plan["program"]):
+            later = {a for s in plan["program"][i + 1:] for a in s.reads}
+            assert set(step.frees) == set(step.reads) - later
+
+    def test_one_training_step_makes_each_tensor_call_once(self, kind, monkeypatch):
+        # every layer runs forward once and backward once, except that the
+        # input norm keeps no cache and has no backward, and only the stem
+        # conv skips its input gradient
+        plan = M._plan(kind, M.TOY_CONFIG)
+        real_forward, real_backward = T.forward, T.backward
+        forwards, backwards = [], []
+
+        def forward(spec, params, x, keep_cache=True):
+            forwards.append((spec, keep_cache))
+            return real_forward(spec, params, x, keep_cache=keep_cache)
+
+        def backward(spec, cache, grad_out, input_grad=True):
+            backwards.append((spec, input_grad))
+            return real_backward(spec, cache, grad_out, input_grad=input_grad)
+
+        monkeypatch.setattr(T, "forward", forward)
+        monkeypatch.setattr(T, "backward", backward)
+        theta = M.init_params(kind, M.TOY_CONFIG, 1).astype(np.float32)
+        M.loss_and_grad(kind, M.TOY_CONFIG, theta, toy_batch(n=4, seed=2))
+        assert len(forwards) == len(plan["specs"]) == {"fadnet": 25, "backbone_only": 19}[kind]
+        assert len(backwards) == len(forwards) - 1
+        norm, stem_conv = plan["specs"]["norm"], plan["specs"]["stem.conv"]
+        assert [spec for spec, keep in forwards if not keep] == [norm]
+        assert all(spec.kind != "input_norm" for spec, _ in backwards)
+        assert [spec for spec, input_grad in backwards if not input_grad] == [stem_conv]
+
+
 class TestLossAndGrad:
     def test_exact_fit_gives_zero_loss_and_grad(self):
         # zero parameters predict exactly 0; zero targets make the loss

@@ -108,6 +108,18 @@ def test_bench_pairs_summary():
         "noisy_but_every_run_faster": "better", "throughput_lower": "worse"}
     assert "unresolved" in bp.report(summary)
 
+    # peak RSS with runs on glibc's upper level, 6-8 MiB above the usual one
+    parent = [74.7, 74.6, 82.9, 74.8, 75.0]
+    change = [74.5, 82.4, 82.6, 74.6, 74.5]
+    pairs = [{"parent": bench_result(peak_rss_mb=p), "change": bench_result(peak_rss_mb=c)}
+             for p, c in zip(parent, change)]
+    summary = bp.summarize(pairs, {}, {"peak_rss_mb": 0.1})
+    assert summary["peak_rss_mb"]["upper_level_runs"] == {"parent": 1, "change": 2}
+    lines = bp.report(summary).splitlines()
+    assert "peak_rss_mb parent: 74.70 74.60 82.90 74.80 75.00; 1 of 5 more than 3 MiB" in lines[-2]
+    assert lines[-1].startswith("peak_rss_mb change: 74.50 82.40 82.60 74.60 74.50; 2 of 5 ")
+    assert bp.upper_level_runs([80.0, 81.0, 83.0]) == 0  # all within 3 MiB of the lowest
+
 
 def test_bench_pairs_alternate_and_record_each_pair_at_once(tmp_path, monkeypatch):
     bp = load_bench_pairs()
