@@ -21,6 +21,11 @@ at the end, with each side's ``peak_rss_mb`` run by run and the number of
 runs on an upper RSS level, more than RSS_LEVEL_GAP_MB above that side's
 lowest run: glibc puts some runs 6-8 MiB above the usual level with no
 change in what the program holds.
+
+The file also records each side's line count per Python module under
+``src/`` (``source_lines``), and the difference per module and in total is
+printed last: every benchmark child byte-compiles the package, so
+``peak_rss_mb`` moves with the length of the source.
 """
 from __future__ import annotations
 
@@ -143,6 +148,24 @@ def report(summary: dict) -> str:
     return "\n".join(lines)
 
 
+def source_lines(tree: Path) -> dict[str, int]:
+    """Line count of each Python module under ``tree/src``, by its path there."""
+    src = tree / "src"
+    return {p.relative_to(src).as_posix(): len(p.read_text().splitlines())
+            for p in sorted(src.rglob("*.py"))}
+
+
+def source_report(parent: dict[str, int], change: dict[str, int]) -> str:
+    """Each module's lines on both sides and the change's difference, then
+    the totals; a module missing from one side counts 0 lines there."""
+    lines = [f"{'src/ lines':44s} {'parent':>8s} {'change':>8s} {'diff':>7s}"]
+    for name in sorted(parent.keys() | change.keys()) + ["total"]:
+        p, c = ((sum(parent.values()), sum(change.values())) if name == "total"
+                else (parent.get(name, 0), change.get(name, 0)))
+        lines.append(f"{name:44s} {p:>8d} {c:>8d} {c - p:>+7d}")
+    return "\n".join(lines)
+
+
 def unpack_parent(ref: str, dest: Path) -> str:
     """``git archive ref`` unpacked into dest; returns the commit id."""
     sha = subprocess.run(["git", "rev-parse", "--verify", ref + "^{commit}"], cwd=ROOT,
@@ -207,6 +230,7 @@ def main(argv=None) -> int:
         data = json.loads(args.out.read_text()) if args.out.exists() else {"parent": sha}
         if data["parent"] != sha:
             raise SystemExit(f"{args.out} holds pairs against parent {data['parent']}, not {sha}")
+        data["source_lines"] = {side: source_lines(path) for side, path in sides.items()}
         data.setdefault("runs", {})
         for workload in workloads:
             entry = data["runs"].setdefault(workload, {}).setdefault(kind, {"pairs": []})
@@ -222,6 +246,7 @@ def main(argv=None) -> int:
                 print(f"{workload} {kind}: pair {len(entry['pairs'])} done", file=sys.stderr)
             print(f"{workload} {kind}, {len(entry['pairs'])} pairs:")
             print(report(entry["summary"]))
+        print(source_report(data["source_lines"]["parent"], data["source_lines"]["change"]))
     return 0
 
 

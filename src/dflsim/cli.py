@@ -120,7 +120,8 @@ def validate_config(cfg: dict) -> dict:
                           f"got {cfg['sample_count']}")
     for key, (bound, text) in _UPPER_BOUNDS.items():
         if cfg[key] > bound:
-            raise ConfigError(f"config field {key!r}: must be at most {text}, got {cfg[key]}")
+            raise ConfigError(f"config field {key!r}: must be at most {text}, "
+                              f"got {_compact(cfg[key])}")
     if cfg["strategy"] in ("dfl", "sfl"):
         _topology_path(cfg["topology"])
     if cfg["out_dir"] is None:
@@ -142,6 +143,13 @@ def validate_config(cfg: dict) -> dict:
                           "'feature_dim': the float64 parameter vector they size is too big "
                           "for numpy to index")
     return cfg
+
+
+def _compact(n: int) -> str:
+    """Whole number ``n`` as written, or past 15 digits in scientific
+    notation with its first four digits (1e300 reads 1.000e+300)."""
+    digits = str(n)
+    return digits if len(digits) <= 15 else f"{digits[0]}.{digits[1:4]}e+{len(digits) - 1}"
 
 
 def _dataclass_config(cls, cfg: dict):

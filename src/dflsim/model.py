@@ -62,12 +62,16 @@ class FADNetConfig:
     feature_dim: int = 64
 
     def __post_init__(self):
-        if len(self.widths) != N_BLOCKS:
-            raise ValueError(f"widths must list {N_BLOCKS} block widths, got {self.widths}")
-        if min(self.widths) < 1 or self.feature_dim < 1:
-            raise ValueError(f"widths and feature_dim must be positive: {self}")
-        if self.input_height < 8 or self.input_width < 8 or self.input_channels < 1:
-            raise ValueError(f"input shape too small: {self}")
+        # one check per key, whose message names that key alone
+        for key, low in (("input_height", 8), ("input_width", 8), ("input_channels", 1),
+                         ("feature_dim", 1)):
+            value = getattr(self, key)
+            if value < low:
+                need = "positive" if low == 1 else f"at least {low}"
+                raise ValueError(f"{key} must be {need}, got {value}")
+        if len(self.widths) != N_BLOCKS or min(self.widths) < 1:
+            raise ValueError(f"widths must list {N_BLOCKS} positive block widths, "
+                             f"got {list(self.widths)}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "FADNetConfig":

@@ -361,11 +361,7 @@ def _train(strategy: str, shards: list[Dataset], layout, first_k: int,
     theta0 = M.init_params(model_kind, model_cfg, cfg.seed)
     delay = DelayParams(model_size_bytes=8.0 * theta0.size, local_steps=cfg.local_steps)
     round_duration = simnet.simulate_round(layout, delay)
-    try:
-        total = cfg.rounds * round_duration
-    except OverflowError:  # rounds is an integer past the float range
-        total = math.inf
-    if not math.isfinite(total):
+    if not math.isfinite(cfg.rounds * round_duration):
         raise ClockOverflowError(
             f"config field 'rounds': {cfg.rounds} rounds of {round_duration!r} s each "
             f"overflow the simulated clock; fewer rounds or shorter compute, latency "

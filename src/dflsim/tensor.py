@@ -51,11 +51,13 @@ gradient with no copy; an NHWC input gets it back in NHWC by one copy.
 
 ``forward(..., keep_cache=False)`` is the inference path: every kind
 returns None in place of its cache, relu builds no mask, and conv2d never
-holds the whole patch matrix.  It builds the matrix for one block of whole
-samples at a time (see EVAL_BLOCK_BYTES), and for a pooled conv one slab of
-the block at a time, and writes each product into its rows of a
-preallocated output.  The output has the bits of the one-shot product; the
-bitwise kernel and model tests pin that.
+holds the whole patch matrix.  conv2d runs one loop over blocks of whole
+samples in both paths: one block when it keeps a cache, and blocks of about
+EVAL_BLOCK_BYTES of patch matrix without one.  Each block takes one im2col
+and one product, written in place where the block's rows are contiguous in
+the output (one block, or a conv without a pool) and otherwise copied once
+into the block's rows of each slab.  The output has the bits of the
+one-shot product; the bitwise kernel and model tests pin that.
 
 ``backward(..., input_grad=False)`` tells conv2d that the caller will
 discard the input gradient: it skips computing it and returns None in its
@@ -64,7 +66,6 @@ saves the input gradient's convolution.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -159,7 +160,6 @@ class _Geometry(NamedTuple):
     out_shape: tuple      # (b, oh, ow, c); with a pool: (k*k, *the pool's output shape)
     padded: tuple         # the zero-bordered input's shape (the input's own if unpadded)
     interior: tuple       # index of the input inside the padded buffer
-    view_shape: tuple     # the (b, oh, ow, k, k, c) im2col view of the padded buffer
     patches: tuple        # (shape, strides) of the view im2col copies (see _geometry)
     by_offset: tuple | None  # (shape, strides) of a first copy for transposed pooled patches
     grouping: tuple | None  # the pool's _pool_grouping of the NHWC output
@@ -233,7 +233,6 @@ def _geometry(spec: LayerSpec, shape: tuple, itemsize: int) -> _Geometry:
         out_shape=out_shape,
         padded=(b, hp, wp, c),
         interior=(slice(None), slice(p, p + h), slice(p, p + w)),
-        view_shape=view[0],
         patches=patches,
         by_offset=by_offset,
         grouping=grouping)
@@ -259,28 +258,20 @@ def _strided(a: np.ndarray, shape: tuple, strides: tuple) -> np.ndarray:
     return np.ndarray(shape, a.dtype, a, 0, strides)
 
 
-def _patch_source(x: np.ndarray, geo: _Geometry) -> np.ndarray:
-    """The buffer that ``geo.patches`` views: x in a C-contiguous buffer,
-    zero-bordered if the layer pads, and copied by row and column offset
-    if ``geo.by_offset`` says so."""
+def _im2col(x: np.ndarray, geo: _Geometry, transposed: bool) -> np.ndarray:
+    """The (N, k*k*c) patch matrix of x, columns in (a, bb, channel) order
+    and rows in the order of ``geo.patches``: one copy of a window view of x
+    in a C-contiguous buffer, zero-bordered if the layer pads and first
+    copied by row and column offset if ``geo.by_offset`` says so.  With
+    ``transposed`` it is the transpose of a C-ordered (K, N) buffer."""
     if geo.padded == x.shape:
-        xp = np.ascontiguousarray(x)
+        src = np.ascontiguousarray(x)
     else:
-        xp = np.zeros(geo.padded, x.dtype)
-        xp[geo.interior] = x
-    return xp if geo.by_offset is None else np.ascontiguousarray(_strided(xp, *geo.by_offset))
-
-
-def _im2col(src: np.ndarray, geo: _Geometry, transposed: bool,
-            slab: int | None = None) -> np.ndarray:
-    """The (N, k*k*c) patch matrix of x from its _patch_source, columns in
-    (a, bb, channel) order and rows in the order of ``geo.patches``, built
-    with one copy of a window view; with ``transposed`` it is the transpose
-    of a C-ordered (K, N) buffer.  Given ``slab``, only the rows of that
-    slab of a conv with a pool."""
+        src = np.zeros(geo.padded, x.dtype)
+        src[geo.interior] = x
+    if geo.by_offset is not None:
+        src = np.ascontiguousarray(_strided(src, *geo.by_offset))
     win = _strided(src, *geo.patches)
-    if slab is not None:
-        win = win[divmod(slab, win.shape[1])]
     *_, k, _, c = win.shape
     kk = k * k * c
     if transposed:
@@ -366,16 +357,12 @@ def _grad_conv(spec: LayerSpec, padded: tuple, itemsize: int) -> _GradConv:
         interior=(slice(None), slice(off, off + h), slice(off, off + w)))
 
 
-def _eval_block_samples(spec: LayerSpec, oh: int, ow: int, itemsize: int) -> int:
-    """Fewest samples in one block of conv2d without a cache, for an oh x ow
-    output: enough to fill EVAL_BLOCK_BYTES of patch matrix of
-    ``itemsize``-byte elements, and to lift each of the block's products
-    above SMALL_GEMM_MNK multiply-adds.  A conv with a pool builds and
-    multiplies a block's patches one slab at a time, each slab holding the
-    rows that one window position covers."""
-    rows, k = oh * ow, spec.kernel ** 2 * spec.in_channels
-    if spec.pool is not None:
-        rows = math.prod(conv_output_hw(oh, ow, spec.pool.kernel, spec.pool.stride, 0))
+def _eval_block_samples(spec: LayerSpec, rows: int, itemsize: int) -> int:
+    """Fewest samples in one block of conv2d without a cache, for ``rows``
+    patch rows per sample: enough to fill EVAL_BLOCK_BYTES of patch matrix
+    of ``itemsize``-byte elements, and to lift the block's product above
+    SMALL_GEMM_MNK multiply-adds."""
+    k = spec.kernel ** 2 * spec.in_channels
     return max(EVAL_BLOCK_BYTES // (rows * k * itemsize),
                SMALL_GEMM_MNK // (rows * k * spec.out_channels) + 1)
 
@@ -415,31 +402,28 @@ def forward(spec: LayerSpec, params: list[np.ndarray], x, keep_cache: bool = Tru
         if x.ndim != 4 or x.shape[3] != spec.in_channels:
             raise ShapeError(f"conv2d expects NHWC with C={spec.in_channels}, got {x.shape}")
         geo = _geometry(spec, x.shape, x.itemsize)
-        b, oh, ow = geo.view_shape[:3]
+        b, co = len(x), spec.out_channels
         # the output's rows: one slab, or one per window position of the
         # pool, each holding `rows` rows per sample
         slabs = geo.out_shape[0] if spec.pool is not None else 1
         rows = geo.out_shape[-3] * geo.out_shape[-2]
         # backward needs the whole patch matrix; without a cache it is built
         # in blocks of whole samples that differ in size by at most one
-        n_blocks = 1 if keep_cache else max(1, b // _eval_block_samples(spec, oh, ow, x.itemsize))
+        n = 1 if keep_cache else max(1, b // _eval_block_samples(spec, slabs * rows, x.itemsize))
         transposed = _transposed_patches(spec)
-        wmat = wgt.reshape(-1, spec.out_channels)
-        out = np.empty((slabs, b * rows, spec.out_channels), x.dtype)
-        if n_blocks == 1:
-            cols = _im2col(_patch_source(x, geo), geo, transposed)
-            np.matmul(cols, wmat, out=out.reshape(-1, spec.out_channels))
-        else:
-            # one product per block and slab, into its rows of the output
-            for i in range(n_blocks):
-                s0, s1 = i * b // n_blocks, (i + 1) * b // n_blocks
-                part = _geometry(spec, (s1 - s0, *x.shape[1:]), x.itemsize)
-                src = _patch_source(x[s0:s1], part)
-                for q in range(slabs):
-                    cols = _im2col(src, part, transposed, q if spec.pool is not None else None)
-                    np.matmul(cols, wmat, out=out[q, s0 * rows:s1 * rows])
+        wmat = wgt.reshape(-1, co)
+        out = np.empty((slabs, b * rows, co), x.dtype)
+        for i in range(n):
+            s0, s1 = i * b // n, (i + 1) * b // n
+            cols = _im2col(x[s0:s1], _geometry(spec, (s1 - s0, *x.shape[1:]), x.itemsize),
+                           transposed)
+            block = out[:, s0 * rows:s1 * rows]
+            if block.flags.c_contiguous:
+                np.matmul(cols, wmat, out=block.reshape(-1, co))
+            else:  # a pooled conv's block spans every slab
+                block[...] = (cols @ wmat).reshape(block.shape)
         if spec.bias:
-            _add_bias(out.reshape(-1, spec.out_channels), params[1])
+            _add_bias(out.reshape(-1, co), params[1])
         y = out.reshape(geo.out_shape)
         cache = (spec, cols, geo, wmat)
 
@@ -534,7 +518,7 @@ def backward(spec: LayerSpec, cache, grad_out, input_grad: bool = True):
         if geo.grouping is not None:
             grad_out = _ungroup(grad_out, geo.grouping)
         gc = _grad_conv(spec, geo.padded, grad_out.itemsize)
-        cols = _im2col(_patch_source(grad_out[gc.crop], gc.geo), gc.geo, False)
+        cols = _im2col(grad_out[gc.crop], gc.geo, False)
         # the phases' flipped taps side by side, gathered from the weight
         # bordered by a zero row and column k, and C-ordered (for a 1x1 conv
         # the transposed view has the same values but gives other bits)

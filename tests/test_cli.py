@@ -4,6 +4,7 @@ import resource
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -371,6 +372,8 @@ class TestFieldTypes:
                          "--quiet"]) == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: config field 'rounds': ")
+        # the value past the bound is shown compactly, not as 301 digits
+        assert "at most 2**53" in lines[0] and len(lines[0]) < 120
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("value", [1e300, 2 ** 53 + 1], ids=["1e300", "2**53+1"])
@@ -384,8 +387,10 @@ class TestFieldTypes:
                              timeout=30, cap=3 << 30)
         assert proc.returncode in (1, 2)
         assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+        assert len(proc.stderr.rstrip("\n")) < 120
         if proc.returncode == 1:
             assert f"config field '{field}'" in proc.stderr
+            assert f"at most {cli._UPPER_BOUNDS[field][1]}," in proc.stderr
 
     def test_rounds_up_to_2_53_accepted(self, tmp_path):
         cfg_path = write_config(tmp_path, {"strategy": "cll", **dict(FAST, rounds=2 ** 53)})
@@ -411,6 +416,21 @@ class TestFieldTypes:
         assert cli.main(["run", str(cfg_path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and named in lines[0] and "too big for numpy" in lines[0]
+
+    @pytest.mark.parametrize("field, value", [
+        ("input_height", 4), ("input_width", 7), ("input_channels", 0), ("widths", [2, 0, 4]),
+        ("feature_dim", 0)])
+    def test_model_key_out_of_range_names_that_key_alone(self, tmp_path, capsys, field, value):
+        # linesteer data fixes input_channels at 1, so that key is tried on
+        # external data, whose path is checked only for existence here
+        external = {"data_source": "external", "external_path": str(tmp_path)}
+        cfg_path = write_config(tmp_path, {"strategy": "cll", **FAST, field: value,
+                                           **(external if field == "input_channels" else {})})
+        assert cli.main(["run", str(cfg_path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and field in lines[0]
+        assert [f.name for f in fields(M.FADNetConfig)
+                if f.name != field and f.name in lines[0]] == []
 
     @pytest.mark.parametrize("field", INT_FIELDS)
     def test_boolean_int_rejected(self, tmp_path, capsys, field):

@@ -32,11 +32,12 @@ ODD_CFGS = {widths: M.FADNetConfig(input_height=9, input_width=11, widths=widths
 
 
 def stem_block(cfg, dtype):
-    """Fewest samples in one block of the stem conv run without a cache (its
-    output is as large as its input)."""
+    """Fewest samples in one block of the stem conv run without a cache: its
+    patch rows per sample are its output rows, in every pool slab."""
     spec = M._plan("fadnet", cfg)["specs"]["stem.conv"]
-    return T._eval_block_samples(spec, cfg.input_height, cfg.input_width,
-                                 np.dtype(dtype).itemsize)
+    itemsize = np.dtype(dtype).itemsize
+    geo = T._geometry(spec, (1, cfg.input_height, cfg.input_width, cfg.input_channels), itemsize)
+    return T._eval_block_samples(spec, int(np.prod(geo.out_shape[:-1])), itemsize)
 
 
 def toy_batch(n=3, seed=0, cfg=M.TOY_CONFIG):
@@ -189,6 +190,25 @@ class TestForward:
         finally:
             tracemalloc.stop()
         assert peak < 30e6
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_stem_inference_peak_memory(self, dtype):
+        # besides its output, the stem conv without a cache holds one block
+        # of whole samples at a time: its padded input, its copy by row and
+        # column offset, its patch matrix and its product (about 1.3 MiB at
+        # float32)
+        spec = M._plan("fadnet", M.TOY_CONFIG)["specs"]["stem.conv"]
+        rng = np.random.default_rng(8)
+        x = toy_batch(n=256, seed=8).inputs.astype(dtype)
+        params = [rng.standard_normal(s).astype(dtype) for s in T.param_shapes(spec)]
+        T.forward(spec, params, x, keep_cache=False)  # warm the geometry cache
+        tracemalloc.start()
+        try:
+            y, _ = T.forward(spec, params, x, keep_cache=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - y.nbytes <= T.EVAL_BLOCK_BYTES * np.dtype(dtype).itemsize
 
     @pytest.mark.parametrize("call, n", [("predict", EVAL_BATCH), ("loss_and_grad", 32)])
     def test_nothing_batch_sized_outlives_the_call(self, call, n):

@@ -137,6 +137,7 @@ def test_bench_pairs_alternate_and_record_each_pair_at_once(tmp_path, monkeypatc
     monkeypatch.setattr(bp, "unpack_parent", lambda ref, dest: "abc")
     args = ["--parent", "HEAD", "--out", str(out), "--workload", "dfl-nws22", "--pairs", "3"]
     assert bp.main(args) == 0
+    assert json.loads(out.read_text())["source_lines"] == {"parent": {}, "change": {}}
     assert calls == [("dfl-nws22", "parent", 0), ("dfl-nws22", "change", 0),
                      ("dfl-nws22", "change", 1), ("dfl-nws22", "parent", 1),
                      ("dfl-nws22", "parent", 2), ("dfl-nws22", "change", 2)]
@@ -150,3 +151,22 @@ def test_bench_pairs_alternate_and_record_each_pair_at_once(tmp_path, monkeypatc
     with pytest.raises(SystemExit, match="abc"):
         bp.main(args)
     assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_bench_pairs_source_lines(tmp_path):
+    bp = load_bench_pairs()
+    modules = {"parent": {"pkg/a.py": "x = 1\ny = 2\nz = 3\n", "pkg/b.py": "b = 1\n"},
+               "change": {"pkg/a.py": "x = 1\n", "pkg/c.py": "c = 1\nd = 2\n",
+                          "pkg/notes.txt": "not a module\n"}}
+    for side, files in modules.items():
+        for name, text in files.items():
+            path = tmp_path / side / "src" / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+    parent, change = bp.source_lines(tmp_path / "parent"), bp.source_lines(tmp_path / "change")
+    assert parent == {"pkg/a.py": 3, "pkg/b.py": 1}
+    assert change == {"pkg/a.py": 1, "pkg/c.py": 2}
+    assert bp.source_lines(tmp_path / "missing") == {}
+    rows = [line.split() for line in bp.source_report(parent, change).splitlines()[1:]]
+    assert rows == [["pkg/a.py", "3", "1", "-2"], ["pkg/b.py", "1", "0", "-1"],
+                    ["pkg/c.py", "0", "2", "+2"], ["total", "4", "3", "-1"]]

@@ -465,8 +465,10 @@ class TestKernelEquivalence:
     def test_blocked_conv_matches_cached_forward(self, geom):
         spec, h, w = geom
         dtype = self.dtype
-        oh, ow = T.conv_output_hw(h, w, spec.kernel, spec.stride, spec.padding)
-        block = T._eval_block_samples(spec, oh, ow, np.dtype(dtype).itemsize)
+        itemsize = np.dtype(dtype).itemsize
+        # the patch rows of one sample: its output rows, in every pool slab
+        rows = int(np.prod(T._geometry(spec, (1, h, w, spec.in_channels), itemsize).out_shape[:-1]))
+        block = T._eval_block_samples(spec, rows, itemsize)
         rng = np.random.default_rng(h * 10 + w)
         params = [rng.standard_normal(shape).astype(dtype) for shape in T.param_shapes(spec)]
         # one block, two equal blocks, and two blocks one sample apart
