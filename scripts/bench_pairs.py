@@ -19,8 +19,10 @@ end-to-end metric a verdict against its bound in BENCHMARK.json (see
 untraced and a traced invocation can fill one file.  The summary is printed
 at the end, with each side's ``peak_rss_mb`` run by run and the number of
 runs on an upper RSS level, more than RSS_LEVEL_GAP_MB above that side's
-lowest run: glibc puts some runs 6-8 MiB above the usual level with no
-change in what the program holds.
+lowest run (glibc puts some runs 6-8 MiB above the usual level with no
+change in what the program holds), and then each pair's change/parent ratio
+of every end-to-end metric, so that a reader can count the pairs a claimed
+gain won.
 
 The file also records each side's line count per Python module under
 ``src/`` (``source_lines``), and the difference per module and in total is
@@ -145,6 +147,10 @@ def report(summary: dict) -> str:
         for side, upper in s.get("upper_level_runs", {}).items():
             lines.append(f"{name} {side}: {' '.join(f'{v:.2f}' for v in s[side])}; {upper} "
                          f"of {s['pairs']} more than {RSS_LEVEL_GAP_MB:g} MiB above the lowest")
+    for name, s in summary.items():
+        if "verdict" in s:
+            lines.append(f"{name} change/parent by pair: " + " ".join(
+                f"{c / p:.3f}" if p else "-" for p, c in zip(s["parent"], s["change"])))
     return "\n".join(lines)
 
 

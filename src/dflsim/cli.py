@@ -96,8 +96,6 @@ def validate_config(cfg: dict) -> dict:
         if cfg[key] not in names:
             raise ConfigError(f"config field {key!r}: must be one of {list(names)}, "
                               f"got {cfg[key]!r}")
-    if len(cfg["widths"]) != 3:
-        raise ConfigError(f"config field 'widths': need 3 block widths, got {list(cfg['widths'])}")
     if cfg["eval_mask"] is not None and any(v not in (0, 1) for v in cfg["eval_mask"]):
         raise ConfigError("config field 'eval_mask': entries must be 0 or 1")
     if not 0.0 <= cfg["skew"] <= 1.0:

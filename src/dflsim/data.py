@@ -101,10 +101,15 @@ class Dataset:
     def count(self) -> int:
         return self.inputs.shape[0]
 
-    def subset(self, indices) -> "Dataset":
+    def subset(self, indices, out: np.ndarray | None = None) -> "Dataset":
+        """The rows ``indices`` (a slice, or in-range indices when ``out``
+        is given); with ``out`` their inputs are gathered into it, cast to
+        its dtype."""
         idx = indices if isinstance(indices, slice) else np.asarray(indices)
+        # "clip" (a no-op on in-range indices): numpy buffers ``out`` for "raise"
+        inputs = self.inputs[idx] if out is None else self.inputs.take(idx, 0, out, "clip")
         sub = object.__new__(Dataset)  # checked rows: the shapes only, no __post_init__
-        sub.__dict__.update(inputs=self.inputs[idx], targets=self.targets[idx])
+        sub.__dict__.update(inputs=inputs, targets=self.targets[idx])
         sub._check_shapes()
         return sub
 

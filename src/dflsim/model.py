@@ -26,6 +26,16 @@ to the activations it read.  An activation's gradients sum in the order that
 walk meets its readers: shortcuts are listed before their conv1 and branches
 right after their block, so a block output sums (next conv1 + next shortcut)
 + branch gap, and the last block's tail + branch gap.
+
+A training step (``loss_and_grad``) runs in a ``Workspace``: one block that
+holds every array the step writes, its parameters at the model dtype and
+its float64 gradient, with each layer's parameter and gradient views and
+kernel buffers (``tensor.layout``) bound once.  ``_work_plan`` places the
+arrays by when the program first writes and last reads each, so arrays
+whose lives do not overlap share memory (Chen et al., "Training Deep Nets
+with Sublinear Memory Cost", 2016).  The training loop keeps one workspace
+between evaluations; a call without one makes a throwaway workspace, so
+nothing batch-sized outlives it.  Prediction allocates per call.
 """
 from __future__ import annotations
 
@@ -293,36 +303,49 @@ def aggregation(f_s, f_c):
 # Forward / backward
 
 
+def _check_input(cfg: FADNetConfig, x: np.ndarray) -> None:
+    if x.shape[1:] != (cfg.input_height, cfg.input_width, cfg.input_channels):
+        raise T.ShapeError(
+            f"batch shape {x.shape[1:]} != config input "
+            f"({cfg.input_height}, {cfg.input_width}, {cfg.input_channels})")
+
+
 def _forward(kind: str, cfg: FADNetConfig, params, x: np.ndarray,
-             caches: dict | None = None) -> np.ndarray:
+             caches: dict | None = None, work: Workspace | None = None) -> np.ndarray:
     """Run the whole network on the flat parameter vector ``params`` and
     return its predictions, computed in the parameters' dtype.  Given a
     ``caches`` dict, each layer that backward reaches stores its cache there
     under its name, and the product head its inputs under "head".  With None
     no cache is kept (convolutions then build their patch matrices a block of
-    samples at a time).  Each activation is dropped after its last reader."""
+    samples at a time).  Each activation is dropped after its last reader.
+    With ``work``, whose parameters and inputs ``params`` and ``x`` are, the
+    layers run on its bound views and buffers; without it each kernel call
+    allocates its own."""
     plan = _plan(kind, cfg)
-    flat = _checked_flat(plan, params)
-    if x.shape[1:] != (cfg.input_height, cfg.input_width, cfg.input_channels):
-        raise T.ShapeError(
-            f"batch shape {x.shape[1:]} != config input "
-            f"({cfg.input_height}, {cfg.input_width}, {cfg.input_channels})")
-    acts = {"input": x.astype(flat.dtype, copy=False)}
+    _check_input(cfg, x)
+    if work is None:
+        flat = _checked_flat(plan, params)
+        views = {layer: _layer_views(plan, layer, flat) for layer in plan["slots"]}
+        layers = {}
+        x = x.astype(flat.dtype, copy=False)
+    else:
+        views, layers = work.param_views, work.layers
+    acts = {"input": x}
     for step in plan["program"]:
         x = [acts.pop(a) if a in step.frees else acts[a] for a in step.reads]
         x = x[0] if len(x) == 1 else x  # a residual add reads two
         if step.flattens:
             x = x.reshape(len(x), -1)
-        acts[step.layer], cache = T.forward(plan["specs"][step.layer],
-                                            _layer_views(plan, step.layer, flat), x,
-                                            keep_cache=caches is not None and step.backward)
+        acts[step.layer], cache = T.forward(plan["specs"][step.layer], views[step.layer], x,
+                                            keep_cache=caches is not None and step.backward,
+                                            work=layers.get(step.layer))
         if cache is not None:
             caches[step.layer] = cache
 
     tail, *branch_feats = (acts[a] for a in plan["head"])
     if kind == "backbone_only":
         return tail[:, 0]
-    (w,) = _layer_views(plan, "head.accum", flat)
+    (w,) = views["head.accum"]
     f_c = accumulation(branch_feats, w)
     preds = aggregation(tail, f_c)
     if caches is not None:
@@ -330,15 +353,17 @@ def _forward(kind: str, cfg: FADNetConfig, params, x: np.ndarray,
     return preds
 
 
-def _backward_full(kind: str, cfg: FADNetConfig, caches: dict, gpred: np.ndarray) -> np.ndarray:
-    """The flat parameter gradient, one zeroed vector filled layer by layer
-    in one reverse walk of the program (see the module docstring)."""
+def _backward_full(kind: str, cfg: FADNetConfig, caches: dict, gpred: np.ndarray,
+                   work: Workspace) -> np.ndarray:
+    """The flat parameter gradient, ``work``'s zeroed vector filled layer by
+    layer in one reverse walk of the program (see the module docstring)."""
     plan = _plan(kind, cfg)
-    grads = np.zeros(plan["total"])
+    grads = work.grads
+    grads.fill(0.0)
     if kind == "fadnet":
         tail, f_c, branch_feats, w = caches["head"]
         gfc = gpred[:, None] * tail / cfg.feature_dim
-        _layer_views(plan, "head.accum", grads)[0][:] = [
+        work.grad_views["head.accum"][0][:] = [
             float(np.add.reduce(gfc * f, axis=None)) for f in branch_feats]
         ghead = [gpred[:, None] * f_c / cfg.feature_dim, *(gfc * wh for wh in w)]
     else:
@@ -349,14 +374,15 @@ def _backward_full(kind: str, cfg: FADNetConfig, caches: dict, gpred: np.ndarray
         if not step.backward:
             continue
         gx, gparams = T.backward(plan["specs"][step.layer], caches[step.layer],
-                                 gacts.pop(step.layer), input_grad=step.input_grad)
-        for view, g in zip(_layer_views(plan, step.layer, grads), gparams):
+                                 gacts.pop(step.layer), input_grad=step.input_grad,
+                                 work=work.layers[step.layer])
+        for view, g in zip(work.grad_views[step.layer], gparams):
             view += g
         if step.input_grad:
             if step.flattens:
                 gx = gx.reshape(len(gx), *step.flattens)
             for a, g in zip(step.reads, gx if len(step.reads) > 1 else (gx,)):
-                gacts[a] = gacts[a] + g if a in gacts else g
+                gacts[a] = np.add(gacts[a], g, out=work.sums[step.layer, a]) if a in gacts else g
     return grads
 
 
@@ -365,15 +391,179 @@ def predict(kind: str, cfg: FADNetConfig, params, inputs: np.ndarray) -> np.ndar
     return _forward(kind, cfg, params, inputs)
 
 
-def loss_and_grad(kind: str, cfg: FADNetConfig, params, batch: Dataset):
+def loss_and_grad(kind: str, cfg: FADNetConfig, params, batch: Dataset,
+                  workspace: Workspace | None = None):
     """Mean squared error over the batch and its exact gradient with respect
-    to the flat parameter vector."""
+    to the flat parameter vector.
+
+    The step runs in ``workspace``, a ``Workspace`` of this kind and config
+    for the batch's size and the parameters' dtype, and returns its gradient
+    vector, which the next call through it overwrites.  The parameters and
+    inputs are copied into it unless they are its own.  Without one the call
+    makes a throwaway workspace and returns a copy of the gradient."""
+    plan = _plan(kind, cfg)
+    flat = _checked_flat(plan, params)
+    _check_input(cfg, batch.inputs)
+    key = (kind, cfg, batch.count, flat.dtype)
+    work = workspace if workspace is not None else Workspace(*key)
+    if work.key != key:
+        raise ValueError(f"a workspace for {work.key[0]} at batch {work.key[2]} and "
+                         f"{work.key[3]} cannot take {kind} at batch {key[2]} and {key[3]}")
+    if flat is not work.params:
+        np.copyto(work.params, flat)
+    if batch.inputs is not work.inputs:
+        np.copyto(work.inputs, batch.inputs)
     caches: dict = {}
-    preds = _forward(kind, cfg, params, batch.inputs, caches)
+    preds = _forward(kind, cfg, work.params, work.inputs, caches, work)
     residual = preds - batch.targets
     loss = float(np.add.reduce(residual ** 2) / batch.count)
     gpred = (2.0 * residual / batch.count).astype(preds.dtype, copy=False)
-    return loss, _backward_full(kind, cfg, caches, gpred)
+    grads = _backward_full(kind, cfg, caches, gpred, work)
+    return loss, grads if workspace is not None else grads.copy()
+
+
+# --------------------------------------------------------------------------
+# Step workspace
+
+# every buffer starts on a cache line
+ALIGN = 64
+
+
+class _WorkPlan(NamedTuple):
+    nbytes: int
+    kept: int  # the first ``kept`` bytes hold the arrays that live throughout
+    slots: dict  # key -> (byte offset, T.Buffer, (first, last) time, or None if kept)
+    consts: dict  # layer -> its layout's index data
+
+
+@lru_cache(maxsize=8)
+def _work_plan(kind: str, cfg: FADNetConfig, batch: int, dtype: np.dtype) -> _WorkPlan:
+    """Where each array of a training step sits in the workspace's block.
+
+    The keys are "params", "grads" and "input", (layer, name) for each
+    buffer of ``T.layout``, and ("sum", reader, activation) for the sum of an
+    activation's gradients that the reader's backward completes.  Time runs
+    over the program: forward step i at i, the head at n, backward step i at
+    2n - i.  Each array is live from the step that first writes it to the
+    last step that reads it, which the forward walk and then the reverse one
+    work out as ``_forward`` and ``_backward_full`` run them: an output is
+    read by its readers (until their backward, if their cache holds it) and
+    the head, and a gradient by the backward it is passed to and the sum
+    that takes it; a residual add passes its output gradient on as both its
+    input gradients.  Zeroed and filled buffers, the parameters and the
+    gradient vector live throughout and come first.  Then, largest first,
+    each other array takes the lowest offset clear of every array placed so
+    far whose life overlaps its own.
+    """
+    plan = _plan(kind, cfg)
+    program = plan["program"]
+    n = len(program)
+    shape = (batch, cfg.input_height, cfg.input_width, cfg.input_channels)
+    bufs = {"params": T.Buffer((plan["total"],), dtype, "zeros"),
+            "grads": T.Buffer((plan["total"],), np.dtype(np.float64), "zeros"),
+            "input": T.Buffer(shape, dtype, "out")}
+    spans = {"input": [-1, -1]}  # first and last time of each array that is not kept
+    shapes, outputs, consts = {"input": shape}, {"input": "input"}, {}
+
+    def read(key, t):
+        if key in spans:
+            spans[key][1] = max(spans[key][1], t)
+
+    for i, step in enumerate(program):
+        back = 2 * n - i if step.backward else i
+        shape = (batch, math.prod(step.flattens)) if step.flattens else shapes[step.reads[0]]
+        lay = T.layout(plan["specs"][step.layer], shape, dtype, step.input_grad)
+        consts[step.layer] = lay.consts
+        for a in step.reads:
+            read(outputs[a], back if "input" in lay.keeps else i)
+        life_spans = {"fwd": (i, i), "cache": (i, back), "bwd": (back, back),
+                      "grad": (back, back), "out": (i, back if "out" in lay.keeps else i)}
+        for name, buf in lay.buffers.items():
+            if step.backward or buf.life not in ("bwd", "grad"):
+                bufs[step.layer, name] = buf
+                if buf.life in life_spans:
+                    spans[step.layer, name] = list(life_spans[buf.life])
+        outputs[step.layer] = (step.layer, "out")
+        shapes[step.layer] = lay.buffers["out"].shape
+    for a in plan["head"]:
+        read(outputs[a], n)
+
+    grads = dict.fromkeys(plan["head"])  # the head's gradients are its own arrays
+    for i in reversed(range(n)):
+        step, t = program[i], 2 * n - i
+        if not step.backward:
+            continue
+        g = grads.pop(step.layer)
+        read(g, t)
+        if not step.input_grad:
+            continue
+        gx = (step.layer, "gx") if (step.layer, "gx") in bufs else g
+        for a in step.reads:
+            if a in grads:
+                read(grads[a], t)
+                grads[a] = ("sum", step.layer, a)
+                bufs[grads[a]] = T.Buffer(shapes[a], dtype, "grad")
+                spans[grads[a]] = [t, t]
+            else:
+                grads[a] = gx
+
+    def nbytes(key):
+        return -(-math.prod(bufs[key].shape) * bufs[key].dtype.itemsize // ALIGN) * ALIGN
+
+    # the arrays that live throughout first, one after another
+    slots, end = {}, 0
+    for key in bufs:
+        if key not in spans:
+            slots[key] = (end, bufs[key], None)
+            end += nbytes(key)
+    start, placed = end, []
+    for key in sorted(spans, key=nbytes, reverse=True):
+        size, (first, last) = nbytes(key), spans[key]
+        offset = start
+        for lo, hi in sorted([(lo, hi) for lo, hi, f, l in placed if f <= last and first <= l]):
+            if offset + size <= lo:
+                break
+            offset = max(offset, hi)
+        placed.append((offset, offset + size, first, last))
+        slots[key] = (offset, bufs[key], (first, last))
+        end = max(end, offset + size)
+    return _WorkPlan(end, start, slots, consts)
+
+
+class Workspace:
+    """Every batch-sized array of a training step, for one model kind,
+    config, batch size and dtype, in one block planned by ``_work_plan``,
+    with each layer's parameter and gradient views and index data bound
+    once.  ``params`` (the model-dtype parameters), ``inputs`` and
+    ``grads`` (the float64 gradient vector) are its arrays that callers
+    fill and read."""
+
+    def __init__(self, kind: str, cfg: FADNetConfig, batch: int, dtype=np.float32):
+        self.key = (kind, cfg, batch, np.dtype(dtype))
+        plan = _plan(kind, cfg)
+        work = _work_plan(*self.key)
+        # every other array is written before it is read
+        self.block = np.empty(work.nbytes, np.uint8)
+        self.block[:work.kept] = 0
+        self.layers = {layer: dict(consts) for layer, consts in work.consts.items()}
+        self.sums = {}
+        views = {}
+        for key, (offset, (shape, dtype, life), _) in work.slots.items():
+            view = views[key] = np.ndarray(shape, dtype, self.block, offset)
+            if life == "ones":
+                view.fill(1)
+            if isinstance(key, tuple) and key[0] == "sum":
+                self.sums[key[1:]] = view
+            elif isinstance(key, tuple):
+                self.layers[key[0]][key[1]] = view
+        self.params, self.grads, self.inputs = views["params"], views["grads"], views["input"]
+        self.param_views = {layer: _layer_views(plan, layer, self.params) for layer in plan["slots"]}
+        self.grad_views = {layer: _layer_views(plan, layer, self.grads) for layer in plan["slots"]}
+
+    def cast(self, theta: np.ndarray) -> np.ndarray:
+        """``params`` set to ``theta`` cast to the workspace's dtype."""
+        np.copyto(self.params, theta)
+        return self.params
 
 
 def rmse(predictions, targets) -> float:

@@ -130,7 +130,9 @@ class Silos:
     moments is silo i, which samples ``shards[i]`` with ``rngs[i]``; ``k`` is
     the iteration counter and ``t`` the Adam step, shared by all silos.
     ``adam_work`` is two rows of scratch for the Adam update, shared by the
-    silos, which step one after another."""
+    silos, which step one after another.  So is ``work``, the float32 step
+    workspace of ``model`` (kind and config; None for a stand-in loss), made
+    by the first step after each evaluation, which drops it."""
 
     theta: np.ndarray
     shards: list[Dataset]
@@ -140,16 +142,18 @@ class Silos:
     adam_work: np.ndarray | None = None
     k: int = 0
     t: int = 0
+    model: tuple[str, M.FADNetConfig] | None = None
+    work: M.Workspace | None = None
 
     @classmethod
     def start(cls, theta0: np.ndarray, shards: list[Dataset], cfg: TrainConfig,
-              k: int = 0) -> "Silos":
+              k: int = 0, model: tuple[str, M.FADNetConfig] | None = None) -> "Silos":
         """Every silo at the broadcast initial parameters, each with its own
         seeded sampler."""
         theta = np.tile(theta0, (len(shards), 1))
         rngs = [np.random.default_rng(np.random.SeedSequence([cfg.seed, _SAMPLER_TAG, i]))
                 for i in range(len(shards))]
-        silos = cls(theta, list(shards), rngs, k=k)
+        silos = cls(theta, list(shards), rngs, k=k, model=model)
         if cfg.optimizer == "adam":
             silos.adam_m = np.zeros_like(theta)
             silos.adam_v = np.zeros_like(theta)
@@ -284,10 +288,18 @@ def adam_update(theta: np.ndarray, m: np.ndarray, v: np.ndarray, grad: np.ndarra
 
 
 def _gradient_step(silos: Silos, i: int, cfg: TrainConfig, loss_grad_fn) -> float:
-    """One float32 mini-batch step of silo i on its own float64 row."""
+    """One float32 mini-batch step of silo i on its own float64 row, cast
+    and gathered into the silos' workspace when they train a model."""
     shard, theta = silos.shards[i], silos.theta[i]
     idx = silos.rngs[i].integers(0, shard.count, size=cfg.batch_size)
-    loss, grad = loss_grad_fn(theta.astype(np.float32), shard.subset(idx))
+    if silos.model is None:  # a stand-in loss
+        loss, grad = loss_grad_fn(theta.astype(np.float32), shard.subset(idx))
+    else:
+        if silos.work is None:
+            silos.work = M.Workspace(*silos.model, cfg.batch_size)
+        work = silos.work
+        loss, grad = loss_grad_fn(work.cast(theta), shard.subset(idx, out=work.inputs),
+                                  workspace=work)
     grad = np.asarray(grad, np.float64)  # the update runs in float64 whatever the grad's dtype
     if cfg.optimizer == "sgd":
         theta -= cfg.learning_rate * grad
@@ -324,8 +336,8 @@ def dpasgd_update(silos: Silos, mix, loss_grad_fn, cfg: TrainConfig) -> list | N
 
 
 def _loss_grad_fn(model_kind: str, model_cfg: M.FADNetConfig):
-    def fn(theta, batch):
-        return M.loss_and_grad(model_kind, model_cfg, theta, batch)
+    def fn(theta, batch, workspace=None):
+        return M.loss_and_grad(model_kind, model_cfg, theta, batch, workspace=workspace)
     return fn
 
 
@@ -366,11 +378,12 @@ def _train(strategy: str, shards: list[Dataset], layout, first_k: int,
             f"config field 'rounds': {cfg.rounds} rounds of {round_duration!r} s each "
             f"overflow the simulated clock; fewer rounds or shorter compute, latency "
             f"or transfer times are needed")
-    silos = Silos.start(theta0, shards, cfg, k=first_k)
+    silos = Silos.start(theta0, shards, cfg, k=first_k, model=(model_kind, model_cfg))
     clock = simnet.Clock()
     log = MetricsLog()
 
     def record(rnd: int, train_loss: float) -> None:
+        silos.work = None  # its block is free for the evaluation's arrays
         test_rmse = evaluate(model_kind, model_cfg, evaluated(silos.theta), test)
         if not math.isfinite(test_rmse):
             raise NanGradientError(f"non-finite test RMSE at round {rnd}: the evaluated "

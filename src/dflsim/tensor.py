@@ -17,9 +17,12 @@ A conv's input gradient is itself a convolution: the output gradient,
 zero-bordered, convolved at stride 1 with the flipped weight.  With stride
 s > 1 it splits into s*s phases, one per (row, column) offset modulo s; the
 phases' flipped taps stack side by side into one weight, zero where a phase
-lacks a tap, so one product computes them all (see _grad_conv) and one
-depth-to-space copy interleaves them into NHWC.  Phases that no tap reaches
-are not computed and stay +0.0.  Bias gradients are one product with a ones
+lacks a tap, gathered from the flat weight by one int32 index (see
+_grad_conv), so one product computes them all and one depth-to-space copy
+interleaves them into NHWC.  Phases that no tap reaches are not computed and
+stay +0.0.  An unpadded 1x1 conv skips all of that: its input gradient is
+the output gradient times the transposed weight, written into every s-th
+row and column of a zero array.  Bias gradients are one product with a ones
 vector.
 
 A conv whose spec names the max pool it feeds (``LayerSpec.pool``) orders
@@ -32,10 +35,16 @@ values; the weight and bias gradients sum their rows in slab order.
 
 The index arithmetic of a conv (output shape, the shapes and strides of the
 im2col and slab views) is worked out once per layer spec and input shape
-and cached (``_geometry``); none of it grows with the batch.  Every buffer
-that does grow with the batch (padded inputs, patch matrices, gradients) is
-allocated per call and freed with it, so nothing batch-sized outlives the
-call that made it.
+and cached (``_geometry``); none of it grows with the batch.  Every array a
+kernel writes, batch-sized or not, is named in ``layout(spec, input shape,
+dtype)`` with its shape and how long it lives, and the kernel takes it from
+its ``work`` argument: a dict of those buffers and of the layout's index
+data.  A caller that runs the same shapes again (the training step's
+workspace, ``model.Workspace``) binds them once, so a call allocates
+nothing that grows with the batch; a zero-bordered input keeps its zero
+border from call to call.  Called without ``work``, a kernel allocates each
+buffer when it first asks for it and frees it with its result and cache, so
+nothing batch-sized outlives that call.
 
 A max pool reads each input element at most once and pads nothing
 (``LayerSpec`` rejects kernel > stride and any padding), so every pool
@@ -66,6 +75,7 @@ saves the input gradient's convolution.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -258,41 +268,47 @@ def _strided(a: np.ndarray, shape: tuple, strides: tuple) -> np.ndarray:
     return np.ndarray(shape, a.dtype, a, 0, strides)
 
 
-def _im2col(x: np.ndarray, geo: _Geometry, transposed: bool) -> np.ndarray:
+def _im2col(x: np.ndarray, geo: _Geometry, transposed: bool, work: dict,
+            prefix: str = "") -> np.ndarray:
     """The (N, k*k*c) patch matrix of x, columns in (a, bb, channel) order
     and rows in the order of ``geo.patches``: one copy of a window view of x
-    in a C-contiguous buffer, zero-bordered if the layer pads and first
-    copied by row and column offset if ``geo.by_offset`` says so.  With
-    ``transposed`` it is the transpose of a C-ordered (K, N) buffer."""
+    into ``work[prefix + "cols"]``, read through the zero-bordered
+    ``work[prefix + "padded"]`` if the layer pads and first copied by row and
+    column offset into ``work[prefix + "offsets"]`` if ``geo.by_offset`` says
+    so.  With ``transposed`` it is the transpose of a C-ordered (K, N)
+    buffer."""
     if geo.padded == x.shape:
         src = np.ascontiguousarray(x)
     else:
-        src = np.zeros(geo.padded, x.dtype)
+        src = work[prefix + "padded"]
         src[geo.interior] = x
     if geo.by_offset is not None:
-        src = np.ascontiguousarray(_strided(src, *geo.by_offset))
+        view, src = _strided(src, *geo.by_offset), work[prefix + "offsets"]
+        np.copyto(src, view)
     win = _strided(src, *geo.patches)
     *_, k, _, c = win.shape
     kk = k * k * c
+    cols = work[prefix + "cols"]
     if transposed:
         d = win.ndim - 3
-        return np.ascontiguousarray(win.transpose(d, d + 1, d + 2, *range(d))).reshape(kk, -1).T
-    return win.reshape(-1, kk)
+        np.copyto(cols, win.transpose(d, d + 1, d + 2, *range(d)))
+        return cols.reshape(kk, -1).T
+    np.copyto(cols, win)
+    return cols.reshape(-1, kk)
 
 
-def _group(x: np.ndarray, grouping: tuple) -> np.ndarray:
-    """NHWC ``x`` copied once into contiguous (k*k, b, oh, ow, c) slabs, one
-    per window position of the pool whose ``grouping`` it is."""
+def _group(x: np.ndarray, grouping: tuple, out: np.ndarray) -> np.ndarray:
+    """NHWC ``x`` copied once into ``out``, contiguous (k*k, b, oh, ow, c)
+    slabs, one per window position of the pool whose ``grouping`` it is."""
     _, shape, strides = grouping
-    return np.ascontiguousarray(_strided(np.ascontiguousarray(x), shape, strides)).reshape(
-        -1, *shape[2:])
+    np.copyto(out.reshape(shape), _strided(np.ascontiguousarray(x), shape, strides))
+    return out
 
 
-def _ungroup(slabs: np.ndarray, grouping: tuple) -> np.ndarray:
-    """Adjoint of _group: the slabs written into a zero NHWC array in one
-    copy; elements that no window covers stay +0.0."""
-    nhwc, shape, strides = grouping
-    out = np.zeros(nhwc, slabs.dtype)
+def _ungroup(slabs: np.ndarray, grouping: tuple, out: np.ndarray) -> np.ndarray:
+    """Adjoint of _group: the slabs written into ``out``, a zero NHWC array,
+    in one copy; elements that no window covers stay +0.0."""
+    _, shape, strides = grouping
     _strided(out, shape, strides)[...] = slabs.reshape(shape)
     return out
 
@@ -302,7 +318,7 @@ class _GradConv(NamedTuple):
 
     crop: tuple           # the rows and columns of the output gradient it reads
     geo: _Geometry        # its D x D patches over the zero-bordered crop
-    kernel_rows: np.ndarray  # (D, n): the kernel row of each window row and phase, k for none
+    taps: np.ndarray      # int32 (D*D*c_out, n*n*c_in) index of the flipped taps (see below)
     split: tuple          # the product as (b, rows, cols, n, n, c_in): n phases per axis
     covered: slice        # the n phases per axis that some tap reaches
     interior: tuple       # the input gradient inside the (b, rows*s, cols*s, c_in) interleave
@@ -329,11 +345,9 @@ def _grad_conv(spec: LayerSpec, padded: tuple, itemsize: int) -> _GradConv:
     e = e[(e + p - off) % s < k]  # the phases with a tap
     d = -(-k // s)
     top = int(k - 1 - e[0] - p + off) // s  # L, the largest j of phase e[0]
-    # the kernel row of window row u and phase e; k (zero, in the weight that
-    # backward borders) where the phase has no tap
+    # the kernel row of window row u and phase e; k where the phase has no tap
     a = e + p - off + s * (top - np.arange(d)[:, None])
     a = np.where((0 <= a) & (a < k), a, k)
-    a.flags.writeable = False
 
     def axis(size, out):
         # product rows M enough to cover the input, the output-gradient rows
@@ -351,10 +365,29 @@ def _grad_conv(spec: LayerSpec, padded: tuple, itemsize: int) -> _GradConv:
     return _GradConv(
         crop=(slice(None), rows, cols),
         geo=geo,
-        kernel_rows=a,
+        taps=_tap_index(spec, tuple(map(tuple, a.tolist()))),
         split=(b, mh, mw, n, n, c),
         covered=slice(int(e[0]), int(e[-1]) + 1),
         interior=(slice(None), slice(off, off + h), slice(off, off + w)))
+
+
+@lru_cache(maxsize=128)
+def _tap_index(spec: LayerSpec, kernel_rows: tuple) -> np.ndarray:
+    """The phases' flipped taps side by side, C-ordered (D, D, c_out, n, n,
+    c_in), as the flat index of tap (a[u, e1], a[v, e2]) in the (k, k, c_in,
+    c_out) weight, or k*k*c_in*c_out, one past it (a zero), where a phase has
+    no tap; ``kernel_rows`` is a, the (D, n) kernel rows of _grad_conv.  It
+    does not depend on the batch, so every batch size shares it."""
+    k, c, co = spec.kernel, spec.in_channels, spec.out_channels
+    a = np.array(kernel_rows)
+    d, n = a.shape
+    ar = a[:, None, None, :, None, None]
+    ac = a[None, :, None, None, :, None]
+    taps = ((ar * k + ac) * c + np.arange(c)) * co + np.arange(co)[:, None, None, None]
+    taps = np.where((ar < k) & (ac < k), taps, k * k * c * co).astype(np.int32)
+    taps = taps.reshape(d * d * co, n * n * c)
+    taps.flags.writeable = False
+    return taps
 
 
 def _eval_block_samples(spec: LayerSpec, rows: int, itemsize: int) -> int:
@@ -379,10 +412,160 @@ def _add_bias(out: np.ndarray, bias: np.ndarray) -> None:
     out[wide:] += bias
 
 
-def forward(spec: LayerSpec, params: list[np.ndarray], x, keep_cache: bool = True):
+class Buffer(NamedTuple):
+    """One array that a layer's kernels write, and how long it lives:
+    "zeros" and "ones" are filled once and keep that fill wherever the
+    kernels do not write; "fwd" and "bwd" die inside the forward or the
+    backward call; "cache" lives from forward to backward; "out" (the
+    output) and "grad" (the input gradient) live as long as the caller
+    reads them."""
+
+    shape: tuple
+    dtype: np.dtype
+    life: str
+
+
+class Layout(NamedTuple):
+    """What one layer's kernels use on one input shape and dtype."""
+
+    buffers: dict  # name -> Buffer; the output is "out" and the input gradient "gx"
+    consts: dict  # index data the kernels reuse: the conv geometry, the tap index
+    keeps: frozenset  # "input" and "out", if the cache holds them until backward
+
+
+@lru_cache(maxsize=256)
+def layout(spec: LayerSpec, shape: tuple, dtype: np.dtype, input_grad: bool = True) -> Layout:
+    """The buffers and index data of ``spec`` on an input of ``shape`` (each
+    of a residual add's two) and ``dtype``.  Without ``input_grad`` a conv
+    leaves out what only its input gradient uses."""
+    dtype = np.dtype(dtype)
+    b = shape[0]
+    buffers, consts, keeps = {}, {}, ()
+
+    def add(name, buf_shape, life, buf_dtype=dtype):
+        buffers[name] = Buffer(tuple(buf_shape), np.dtype(buf_dtype), life)
+
+    if spec.kind == "input_norm":
+        flat = (b, math.prod(shape[1:]))
+        add("centered", flat, "cache")
+        add("sq", flat, "fwd")
+        add("out", shape, "out")
+        add("t1", flat, "bwd")
+        add("t2", flat, "bwd")
+        add("gx", shape, "grad")
+    elif spec.kind == "conv2d":
+        geo = _geometry(spec, shape, dtype.itemsize)
+        transposed = _transposed_patches(spec)
+        consts.update(geo=geo, transposed=transposed)
+        k, s, c, co = spec.kernel, spec.stride, spec.in_channels, spec.out_channels
+        if geo.padded != shape:
+            add("padded", geo.padded, "zeros")
+        if geo.by_offset is not None:
+            add("offsets", geo.by_offset[0], "fwd")
+        win = geo.patches[0]
+        d = len(win) - 3
+        add("cols", win[d:] + win[:d] if transposed else win, "cache")
+        add("out", geo.out_shape, "out")
+        add("gw", (co, k * k * c), "bwd")
+        rows = math.prod(geo.out_shape[:-1])
+        if spec.bias:
+            add("ones", (rows,), "ones")
+        if input_grad:
+            nhwc = geo.grouping[0] if geo.grouping is not None else geo.out_shape
+            if geo.grouping is not None:
+                add("ungrouped", nhwc, "zeros")
+            if k == 1 and spec.padding == 0:
+                add("wt", (co, c), "bwd")
+                add("gprod", (math.prod(nhwc[:-1]), c), "bwd")
+                add("gx", shape, "zeros")
+            else:
+                gc = _grad_conv(spec, geo.padded, dtype.itemsize)
+                consts["gc"] = gc
+                crop = tuple(len(range(*sl.indices(n))) for sl, n in zip(gc.crop, nhwc))
+                if gc.geo.padded != (*crop, co):
+                    add("gpadded", gc.geo.padded, "zeros")
+                add("gcols", gc.geo.patches[0], "bwd")
+                add("wz", (k * k * c * co + 1,), "zeros")
+                add("taps", gc.taps.shape, "bwd")
+                _, mh, mw, n, _, _ = gc.split
+                if s == 1:
+                    add("gx", (b, mh, mw, c), "grad")
+                else:
+                    add("gprod", (b * mh * mw, n * n * c), "bwd")
+                    add("gx", (b, mh, s, mw, s, c), "zeros" if n < s else "grad")
+    elif spec.kind == "maxpool2d":
+        if len(shape) == 5:  # a pooled conv's slabs
+            slabs, keeps = shape, ("input", "out")
+        else:
+            grouping = _pool_grouping(shape, dtype.itemsize, spec)
+            consts["grouping"] = grouping
+            slabs, keeps = (spec.kernel ** 2, *grouping[1][2:]), ("out",)
+            add("slabs", slabs, "cache")
+        y = slabs[1:]
+        add("out", y, "out")
+        add("g", y, "bwd")
+        add("unrouted", y, "bwd", bool)
+        add("hit", y, "bwd", bool)
+        if len(shape) == 5:
+            add("gx", slabs, "grad")
+        else:
+            add("gslabs", slabs, "bwd")
+            add("gx", shape, "zeros")
+    elif spec.kind == "relu":
+        add("out", shape, "out")
+        add("mask", shape, "cache", bool)
+        add("gx", shape, "grad")
+    elif spec.kind == "fc":
+        keeps = ("input",)
+        add("out", (b, spec.out_features), "out")
+        add("gw", (spec.in_features, spec.out_features), "bwd")
+        if spec.bias:
+            add("ones", (b,), "ones")
+        add("gx", shape, "grad")
+    elif spec.kind == "gap":
+        add("out", (b, shape[3]), "out")
+        add("gx", shape, "grad")
+    else:  # a residual add passes its output gradient back as both input gradients
+        add("out", shape, "out")
+    return Layout(buffers, consts, frozenset(keeps))
+
+
+class _Fresh(dict):
+    """The work of a kernel call made without one: each buffer is allocated
+    (and filled, as its life says) when the kernel first asks for it, so the
+    call holds only what it uses and frees it with its result and cache."""
+
+    def __init__(self, spec: LayerSpec, shape: tuple, dtype, input_grad: bool):
+        super().__init__()
+        self._key = (spec, tuple(shape), np.dtype(dtype), input_grad)
+        self._layout = None  # looked up once, on the first name asked for
+
+    def __missing__(self, name: str):
+        if self._layout is None:
+            self._layout = layout(*self._key)
+        lay = self._layout
+        if name in lay.consts:
+            value = lay.consts[name]
+        else:
+            shape, dtype, life = lay.buffers[name]
+            value = {"zeros": np.zeros, "ones": np.ones}.get(life, np.empty)(shape, dtype)
+        self[name] = value
+        return value
+
+
+def forward(spec: LayerSpec, params: list[np.ndarray], x, keep_cache: bool = True,
+            work: dict | None = None):
     """Run the layer; returns (output, cache) with cache bound to this call,
-    or (output, None) when ``keep_cache`` is false."""
+    or (output, None) when ``keep_cache`` is false.
+
+    ``work`` maps the names of ``layout(spec, input shape, input dtype)`` to
+    its buffers and index data; the output is its "out" buffer and the cache
+    holds its buffers, so the next call through the same work overwrites
+    both.  Without it the call allocates what it uses (see _Fresh)."""
     kind = spec.kind
+    if work is None:
+        first = x[0] if kind == "residual_add" else x
+        work = _Fresh(spec, first.shape, first.dtype, False)
 
     if kind == "input_norm":
         if x.ndim != 4:
@@ -392,16 +575,18 @@ def forward(spec: LayerSpec, params: list[np.ndarray], x, keep_cache: bool = Tru
         n = flat.shape[1]
         # np.mean of float64 is this sum divided by the count, bit for bit
         mu = np.add.reduce(flat, axis=1, keepdims=True) / n
-        centered = flat - mu
-        sigma = np.sqrt(np.add.reduce(centered ** 2, axis=1, keepdims=True) / n)
-        y = (centered / (sigma + NORM_EPS)).reshape(x.shape)
+        centered = np.subtract(flat, mu, out=work["centered"])
+        sq = np.square(centered, out=work["sq"])
+        sigma = np.sqrt(np.add.reduce(sq, axis=1, keepdims=True) / n)
+        y = work["out"]
+        np.divide(centered, sigma + NORM_EPS, out=y.reshape(b, -1))
         cache = (spec, x.shape, centered, sigma)
 
     elif kind == "conv2d":
         wgt = params[0]
         if x.ndim != 4 or x.shape[3] != spec.in_channels:
             raise ShapeError(f"conv2d expects NHWC with C={spec.in_channels}, got {x.shape}")
-        geo = _geometry(spec, x.shape, x.itemsize)
+        geo = work["geo"]
         b, co = len(x), spec.out_channels
         # the output's rows: one slab, or one per window position of the
         # pool, each holding `rows` rows per sample
@@ -410,13 +595,13 @@ def forward(spec: LayerSpec, params: list[np.ndarray], x, keep_cache: bool = Tru
         # backward needs the whole patch matrix; without a cache it is built
         # in blocks of whole samples that differ in size by at most one
         n = 1 if keep_cache else max(1, b // _eval_block_samples(spec, slabs * rows, x.itemsize))
-        transposed = _transposed_patches(spec)
         wmat = wgt.reshape(-1, co)
-        out = np.empty((slabs, b * rows, co), x.dtype)
+        y = work["out"]
+        out = y.reshape(slabs, b * rows, co)
         for i in range(n):
             s0, s1 = i * b // n, (i + 1) * b // n
-            cols = _im2col(x[s0:s1], _geometry(spec, (s1 - s0, *x.shape[1:]), x.itemsize),
-                           transposed)
+            block_work = work if n == 1 else _Fresh(spec, (s1 - s0, *x.shape[1:]), x.dtype, False)
+            cols = _im2col(x[s0:s1], block_work["geo"], work["transposed"], block_work)
             block = out[:, s0 * rows:s1 * rows]
             if block.flags.c_contiguous:
                 np.matmul(cols, wmat, out=block.reshape(-1, co))
@@ -424,49 +609,49 @@ def forward(spec: LayerSpec, params: list[np.ndarray], x, keep_cache: bool = Tru
                 block[...] = (cols @ wmat).reshape(block.shape)
         if spec.bias:
             _add_bias(out.reshape(-1, co), params[1])
-        y = out.reshape(geo.out_shape)
-        cache = (spec, cols, geo, wmat)
+        cache = (spec, x.shape, cols, geo, wmat)
 
     elif kind == "maxpool2d":
         if x.ndim == 5 and x.shape[0] == spec.kernel ** 2:
             grouping, slabs = None, x  # a pooled conv's output, already in slabs
         elif x.ndim == 4:
-            grouping = _pool_grouping(x.shape, x.itemsize, spec)
-            slabs = _group(x, grouping)
+            grouping = work["grouping"]
+            slabs = _group(x, grouping, work["slabs"])
         else:
             raise ShapeError(f"maxpool2d expects NHWC or its {spec.kernel ** 2} window-position "
                              f"slabs, got shape {x.shape}")
-        y = slabs[0].copy()
+        y = work["out"]
+        np.copyto(y, slabs[0])
         for slab in slabs[1:]:
             # np.maximum returns its second operand when the two compare
             # equal, so the earlier window position keeps the signed zero
             np.maximum(slab, y, out=y)
-        cache = (spec, slabs, y, grouping)
+        cache = (spec, x.shape, slabs, y, grouping)
 
     elif kind == "relu":
-        y = np.maximum(x, 0.0)
-        cache = (spec, x > 0) if keep_cache else None
+        y = np.maximum(x, 0.0, out=work["out"])
+        cache = (spec, x.shape, np.greater(x, 0, out=work["mask"])) if keep_cache else None
 
     elif kind == "fc":
         wgt = params[0]
         if x.ndim != 2 or x.shape[1] != spec.in_features:
             raise ShapeError(f"fc expects (batch, {spec.in_features}), got {x.shape}")
-        y = x @ wgt
+        y = np.matmul(x, wgt, out=work["out"])
         if spec.bias:
             y += params[1]
-        cache = (spec, x, wgt)
+        cache = (spec, x.shape, x, wgt)
 
     elif kind == "gap":
         if x.ndim != 4:
             raise ShapeError(f"gap expects NHWC, got shape {x.shape}")
-        y = np.add.reduce(x, axis=(1, 2)) / (x.shape[1] * x.shape[2])
+        y = np.divide(np.add.reduce(x, axis=(1, 2)), x.shape[1] * x.shape[2], out=work["out"])
         cache = (spec, x.shape)
 
     elif kind == "residual_add":
         a, b = x
         if a.shape != b.shape:
             raise ShapeError(f"residual_add shape mismatch: {a.shape} vs {b.shape}")
-        y = a + b
+        y = np.add(a, b, out=work["out"])
         cache = (spec, a.shape)
 
     else:
@@ -474,18 +659,22 @@ def forward(spec: LayerSpec, params: list[np.ndarray], x, keep_cache: bool = Tru
     return y, cache if keep_cache else None
 
 
-def backward(spec: LayerSpec, cache, grad_out, input_grad: bool = True):
+def backward(spec: LayerSpec, cache, grad_out, input_grad: bool = True,
+             work: dict | None = None):
     """Exact gradients of the forward pass: returns (grad_input, grad_params).
 
     For residual_add the grad_input is the (grad_a, grad_b) pair, both
     grad_out itself: no kind's backward writes to its grad_out.  Max pooling
     routes each window's gradient to the first-encountered argmax.  With
     input_grad=False, conv2d returns None as grad_input without computing
-    it; the other kinds ignore the flag.
+    it; the other kinds ignore the flag.  ``work`` is the forward's (see
+    ``forward``); the gradients are its buffers.
     """
     if not isinstance(cache, tuple) or not cache or (cache[0] is not spec and cache[0] != spec):
         raise ShapeError("stale or mismatched cache for backward")
     kind = spec.kind
+    if work is None:
+        work = _Fresh(spec, cache[1], grad_out.dtype, input_grad)
 
     if kind == "input_norm":
         _, x_shape, centered, sigma = cache
@@ -495,48 +684,57 @@ def backward(spec: LayerSpec, cache, grad_out, input_grad: bool = True):
         g = grad_out.reshape(b, -1)
         n = g.shape[1]
         denom = sigma + NORM_EPS
-        gc = (g - np.add.reduce(g, axis=1, keepdims=True) / n) / denom
-        dot = (g * centered).sum(axis=1, keepdims=True)
+        gc = np.subtract(g, np.add.reduce(g, axis=1, keepdims=True) / n, out=work["t1"])
+        gc /= denom
+        dot = np.multiply(g, centered, out=work["t2"]).sum(axis=1, keepdims=True)
         safe_sigma = np.where(sigma > 0.0, sigma, 1.0)
         scale = np.where(sigma > 0.0, dot / (denom ** 2 * n * safe_sigma), 0.0)
-        gx = gc - centered * scale
-        return gx.reshape(x_shape), []
+        gx = work["gx"]
+        np.subtract(gc, np.multiply(centered, scale, out=work["t2"]), out=gx.reshape(b, -1))
+        return gx, []
 
     if kind == "conv2d":
-        _, cols, geo, wmat = cache
+        _, _, cols, geo, wmat = cache
         if grad_out.shape != geo.out_shape:
             raise ShapeError(f"grad shape {grad_out.shape} != {geo.out_shape}")
+        k, s, c, co = spec.kernel, spec.stride, spec.in_channels, spec.out_channels
         # with a pool, rows (of grad_out and cols alike) come in slabs
-        gmat = grad_out.reshape(-1, spec.out_channels)
+        gmat = grad_out.reshape(-1, co)
         # this order, unlike cols.T @ gmat, gives both patch layouts equal sgemm bits
-        gw = (gmat.T @ cols).T.reshape(spec.kernel, spec.kernel, -1, spec.out_channels)
+        gw = np.matmul(gmat.T, cols, out=work["gw"]).T.reshape(k, k, -1, co)
         grads = [gw]
         if spec.bias:
-            grads.append(np.ones(len(gmat), gmat.dtype) @ gmat)
+            grads.append(work["ones"] @ gmat)
         if not input_grad:
             return None, grads
         if geo.grouping is not None:
-            grad_out = _ungroup(grad_out, geo.grouping)
-        gc = _grad_conv(spec, geo.padded, grad_out.itemsize)
-        cols = _im2col(grad_out[gc.crop], gc.geo, False)
-        # the phases' flipped taps side by side, gathered from the weight
-        # bordered by a zero row and column k, and C-ordered (for a 1x1 conv
-        # the transposed view has the same values but gives other bits)
-        k, s, c, co = spec.kernel, spec.stride, spec.in_channels, spec.out_channels
-        wz = np.zeros((k + 1, k + 1, c, co), wmat.dtype)
-        wz[:k, :k] = wmat.reshape(k, k, c, co)
-        a = gc.kernel_rows
-        taps = wz[a[:, None, :, None], a[None, :, None, :]].transpose(0, 1, 5, 2, 3, 4)
-        gx = cols @ np.ascontiguousarray(taps).reshape(len(a) ** 2 * co, -1)
-        b, mh, mw, n, _, _ = gc.split
+            grad_out = _ungroup(grad_out, geo.grouping, work["ungrouped"])
+        gx = work["gx"]
+        if k == 1 and spec.padding == 0:
+            # one product, written at the input positions the windows read;
+            # the others keep the buffer's +0.0
+            wt = work["wt"]
+            np.copyto(wt, wmat.T)
+            view = gx[:, ::s, ::s]
+            view[...] = np.matmul(grad_out.reshape(-1, co), wt,
+                                  out=work["gprod"]).reshape(view.shape)
+            return gx, grads
+        gc = work["gc"]
+        cols = _im2col(grad_out[gc.crop], gc.geo, False, work, "g")
+        # the flipped taps gathered from the flat weight and one zero after it
+        wz = work["wz"]
+        wz[:-1] = wmat.ravel()
+        taps = wz.take(gc.taps, out=work["taps"], mode="clip")  # "raise" would buffer out
         if s == 1:
-            return gx.reshape(b, mh, mw, c), grads
-        buf = (np.zeros if n < s else np.empty)((b, mh, s, mw, s, c), gx.dtype)
-        buf[:, :, gc.covered, :, gc.covered] = gx.reshape(gc.split).transpose(0, 1, 3, 2, 4, 5)
-        return buf.reshape(b, mh * s, mw * s, c)[gc.interior], grads
+            np.matmul(cols, taps, out=gx.reshape(len(cols), -1))
+            return gx, grads
+        b, mh, mw, _, _, _ = gc.split
+        prod = np.matmul(cols, taps, out=work["gprod"])
+        gx[:, :, gc.covered, :, gc.covered] = prod.reshape(gc.split).transpose(0, 1, 3, 2, 4, 5)
+        return gx.reshape(b, mh * s, mw * s, c)[gc.interior], grads
 
     if kind == "maxpool2d":
-        _, slabs, y, grouping = cache
+        _, _, slabs, y, grouping = cache
         if grad_out.shape != y.shape:
             raise ShapeError(f"grad shape {grad_out.shape} != forward shape {y.shape}")
         # each window's gradient goes to the first slab holding its max, with
@@ -544,42 +742,38 @@ def backward(spec: LayerSpec, cache, grad_out, input_grad: bool = True):
         # hit mask, so every other element is +0.0 even where the gradient
         # is not finite
         bits = np.dtype(f"u{grad_out.itemsize}")
-        g = (grad_out + 0.0).view(bits)
-        gx = np.empty(slabs.shape, grad_out.dtype)
-        unrouted = np.ones(y.shape, dtype=bool)
-        hit = np.empty(y.shape, dtype=bool)
+        g = np.add(grad_out, 0.0, out=work["g"]).view(bits)
+        gx = work["gx"] if grouping is None else work["gslabs"]
+        unrouted, hit = work["unrouted"], work["hit"]
+        unrouted.fill(True)
         for slab, gslab in zip(slabs, gx):
             np.equal(slab, y, out=hit)
             hit &= unrouted
             unrouted ^= hit
             np.multiply(g, hit, out=gslab.view(bits))
-        return (gx if grouping is None else _ungroup(gx, grouping)), []
+        return (gx if grouping is None else _ungroup(gx, grouping, work["gx"])), []
 
     if kind == "relu":
-        _, mask = cache
+        _, _, mask = cache
         if grad_out.shape != mask.shape:
             raise ShapeError(f"grad shape {grad_out.shape} != forward shape {mask.shape}")
-        return grad_out * mask, []
+        return np.multiply(grad_out, mask, out=work["gx"]), []
 
     if kind == "fc":
-        _, x, wgt = cache
+        _, _, x, wgt = cache
         if grad_out.shape != (x.shape[0], spec.out_features):
             raise ShapeError(f"grad shape {grad_out.shape} != ({x.shape[0]},{spec.out_features})")
-        gw = x.T @ grad_out
-        gx = grad_out @ wgt.T
-        grads = [gw]
+        grads = [np.matmul(x.T, grad_out, out=work["gw"])]
         if spec.bias:
-            grads.append(np.ones(len(grad_out), grad_out.dtype) @ grad_out)
-        return gx, grads
+            grads.append(work["ones"] @ grad_out)
+        return np.matmul(grad_out, wgt.T, out=work["gx"]), grads
 
     if kind == "gap":
         _, x_shape = cache
         b, h, w, c = x_shape
         if grad_out.shape != (b, c):
             raise ShapeError(f"grad shape {grad_out.shape} != ({b},{c})")
-        gx = np.empty(x_shape, grad_out.dtype)
-        np.divide(grad_out[:, None, None, :], h * w, out=gx)
-        return gx, []
+        return np.divide(grad_out[:, None, None, :], h * w, out=work["gx"]), []
 
     if kind == "residual_add":
         _, shape = cache
@@ -588,4 +782,3 @@ def backward(spec: LayerSpec, cache, grad_out, input_grad: bool = True):
         return (grad_out, grad_out), []
 
     raise ShapeError(f"unknown layer kind {kind!r}")
-

@@ -122,10 +122,10 @@ def _kink_margin(kind: str, cfg: M.FADNetConfig, flat: np.ndarray, x: np.ndarray
     caches: dict = {}
     M._forward(kind, cfg, flat, x, caches)
     views = M.param_views(kind, cfg, flat)
-    margin = _pool_margin(caches["stem.pool"][1], 2, 2)  # the stem conv's slabs
+    margin = _pool_margin(caches["stem.pool"][2], 2, 2)  # the stem conv's slabs
     for h in range(1, M.N_BLOCKS + 1):
         name = f"block{h}.conv1"
-        _, cols, _, wmat = caches[name]
+        _, _, cols, _, wmat = caches[name]
         # the relu input, in the conv forward's own op order
         t1 = cols @ wmat
         t1 += views[f"{name}.b"]

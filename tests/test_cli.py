@@ -419,7 +419,7 @@ class TestFieldTypes:
 
     @pytest.mark.parametrize("field, value", [
         ("input_height", 4), ("input_width", 7), ("input_channels", 0), ("widths", [2, 0, 4]),
-        ("feature_dim", 0)])
+        ("widths", [2, 3]), ("feature_dim", 0)])
     def test_model_key_out_of_range_names_that_key_alone(self, tmp_path, capsys, field, value):
         # linesteer data fixes input_channels at 1, so that key is tried on
         # external data, whose path is checked only for existence here

@@ -270,13 +270,13 @@ class TestProgram:
         real_forward, real_backward = T.forward, T.backward
         forwards, backwards = [], []
 
-        def forward(spec, params, x, keep_cache=True):
+        def forward(spec, params, x, keep_cache=True, work=None):
             forwards.append((spec, keep_cache))
-            return real_forward(spec, params, x, keep_cache=keep_cache)
+            return real_forward(spec, params, x, keep_cache=keep_cache, work=work)
 
-        def backward(spec, cache, grad_out, input_grad=True):
+        def backward(spec, cache, grad_out, input_grad=True, work=None):
             backwards.append((spec, input_grad))
-            return real_backward(spec, cache, grad_out, input_grad=input_grad)
+            return real_backward(spec, cache, grad_out, input_grad=input_grad, work=work)
 
         monkeypatch.setattr(T, "forward", forward)
         monkeypatch.setattr(T, "backward", backward)
@@ -340,6 +340,55 @@ class TestLossAndGrad:
     def test_full_model_gradient_vs_finite_differences(self, kind):
         seed = find_smooth_seed(kind, SMALL_CFG)
         assert model_grad_check(kind, SMALL_CFG, seed) < 1e-4
+
+
+@pytest.mark.parametrize("kind", M.MODEL_KINDS)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+class TestWorkspace:
+    @pytest.mark.parametrize("garbage", [0, 255])
+    def test_calls_through_one_workspace_match_calls_without_one(self, kind, dtype, garbage):
+        # a workspace's arrays carry over from call to call; nothing one call
+        # leaves there may reach another's loss or gradient: other batches,
+        # two silos' parameters in turn, a predict in between, and a short
+        # probe batch through a workspace of its own.  Nor may the bytes a
+        # new block starts with (NaN or 0.0, true or false)
+        thetas = [M.init_params(kind, M.TOY_CONFIG, seed).astype(dtype) for seed in (1, 2)]
+        batches = [toy_batch(n=4, seed=seed) for seed in (11, 12, 13)]
+        work = M.Workspace(kind, M.TOY_CONFIG, 4, dtype)
+        probe = M.Workspace(kind, M.TOY_CONFIG, 3, dtype)
+        for ws in (work, probe):
+            ws.block[M._work_plan(*ws.key).kept:] = garbage
+        calls = [(work, 0, batches[0]), (work, 1, batches[1]), "predict", (probe, 0, batches[2]),
+                 (work, 0, batches[2]), (probe, 1, batches[1]), (work, 1, batches[0])]
+        for call in calls:
+            if call == "predict":
+                M.predict(kind, M.TOY_CONFIG, thetas[1], toy_batch(n=7, seed=5).inputs)
+                continue
+            ws, i, batch = call
+            batch = batch.subset(range(ws.key[2]))
+            loss, grads = M.loss_and_grad(kind, M.TOY_CONFIG, thetas[i], batch, workspace=ws)
+            assert grads is ws.grads
+            ref_loss, ref_grads = M.loss_and_grad(kind, M.TOY_CONFIG, thetas[i], batch)
+            assert not np.shares_memory(ref_grads, ws.block)
+            assert loss == ref_loss and grads.tobytes() == ref_grads.tobytes()
+
+    def test_workspace_of_another_step_rejected(self, kind, dtype):
+        theta = M.init_params(kind, M.TOY_CONFIG, 1).astype(dtype)
+        work = M.Workspace(kind, M.TOY_CONFIG, 4, dtype)
+        with pytest.raises(ValueError, match="batch 4"):
+            M.loss_and_grad(kind, M.TOY_CONFIG, theta, toy_batch(n=3), workspace=work)
+
+    def test_arrays_whose_lives_overlap_never_share_memory(self, kind, dtype):
+        work = M._work_plan(kind, M.TOY_CONFIG, 32, np.dtype(dtype))
+        placed = [(offset, offset + buf.dtype.itemsize * int(np.prod(buf.shape)), span, key)
+                  for key, (offset, buf, span) in work.slots.items()]
+        assert all(lo % M.ALIGN == 0 and hi <= work.nbytes for lo, hi, _, _ in placed)
+        for (lo, hi, span, key), (lo2, hi2, span2, key2) in itertools.combinations(placed, 2):
+            # a kept array (zeroed or filled once, parameters, gradient) lives throughout
+            if span is None or span2 is None or (span[0] <= span2[1] and span2[0] <= span[1]):
+                assert hi <= lo2 or hi2 <= lo, (key, key2)
+        # the block is well under the arrays' total: lives that do not overlap share
+        assert work.nbytes < 0.75 * sum(hi - lo for lo, hi, _, _ in placed)
 
 
 @pytest.mark.parametrize("widths", sorted(ODD_CFGS), ids=lambda w: "-".join(map(str, w)))

@@ -1,6 +1,10 @@
 import csv
 import json
+import os
+import subprocess
 import sys
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -475,8 +479,8 @@ class TestPrecision:
         real_loss_and_grad, real_predict = M.loss_and_grad, M.predict
         real_adam, real_round = P.adam_update, P.simnet.simulate_round
 
-        def loss_and_grad(kind, cfg, params, batch):
-            loss, grad = real_loss_and_grad(kind, cfg, params, batch)
+        def loss_and_grad(kind, cfg, params, batch, workspace=None):
+            loss, grad = real_loss_and_grad(kind, cfg, params, batch, workspace=workspace)
             seen["model"].add(("loss_and_grad", params.dtype, grad.dtype))
             return loss, grad
 
@@ -517,3 +521,91 @@ class TestPrecision:
         assert path.stat().st_size == 4 + hlen + 8 * n_params
         _, _, loaded = M.load_checkpoint(path)
         assert loaded.dtype == f64
+
+
+# Steps of the toy fadnet at batch 32 in a fresh process, with no evaluation
+# and no large free before them, then again after an evaluation; prints the
+# minor page faults and ms per step of each.  glibc maps every allocation of
+# 128 KiB or more afresh until a large free lifts that threshold, so steps
+# that allocate their arrays fault on every page of them (about 1,500 per
+# step before the workspace).
+STEP_FAULTS_CHILD = """
+import resource, time
+import numpy as np
+from dflsim import model as M, protocol as P
+from dflsim.data import Dataset
+
+rng = np.random.default_rng(0)
+shard = Dataset(inputs=rng.standard_normal((256, 32, 32, 1), dtype=np.float32),
+                targets=rng.uniform(-1, 1, 256))
+cfg = P.TrainConfig(batch_size=32)
+silos = P.Silos.start(M.init_params("fadnet", M.TOY_CONFIG, 1), [shard], cfg,
+                      model=("fadnet", M.TOY_CONFIG))
+fn = P._loss_grad_fn("fadnet", M.TOY_CONFIG)
+
+def steps(n):
+    f0, t0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt, time.perf_counter()
+    for _ in range(n):
+        silos.t += 1
+        P._gradient_step(silos, 0, cfg, fn)
+    return ((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0) / n,
+            1e3 * (time.perf_counter() - t0) / n)
+
+steps(3)  # the workspace and the per-shape plans
+fresh = steps(40)
+silos.work = None
+P.evaluate("fadnet", M.TOY_CONFIG, silos.theta[0], shard)
+print(*fresh, *steps(40))
+"""
+
+
+class TestWorkspace:
+    def test_steps_take_few_page_faults_without_a_warm_heap(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+        env.update(OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])))
+        out = subprocess.run([sys.executable, "-c", STEP_FAULTS_CHILD], env=env,
+                             capture_output=True, text=True, timeout=120, check=True)
+        fresh_faults, fresh_ms, after_faults, after_ms = map(float, out.stdout.split())
+        print(f"steps before any evaluation: {fresh_faults:.1f} faults, {fresh_ms:.2f} ms; "
+              f"after one: {after_faults:.1f} faults, {after_ms:.2f} ms")
+        assert fresh_faults <= 50
+
+    def test_steps_through_the_workspace_match_steps_without_one(self):
+        # silos that train a model cast their row and gather their batch into
+        # the workspace; dropping it, as an evaluation does, changes nothing
+        shards = [tiny_shard(count=10, seed=3), tiny_shard(count=20, seed=4)]
+        cfg = P.TrainConfig(batch_size=4, local_steps=2)
+        theta0 = M.init_params("fadnet", SMALL_CFG, 0)
+        fn = P._loss_grad_fn("fadnet", SMALL_CFG)
+        with_work = P.Silos.start(theta0, shards, cfg, model=("fadnet", SMALL_CFG))
+        without = P.Silos.start(theta0, shards, cfg)
+        mix = P.matrix_mix(TWO_RING)
+        for k in range(7):
+            assert P.dpasgd_update(with_work, mix, fn, cfg) == P.dpasgd_update(without, mix, fn, cfg)
+            assert with_work.theta.tobytes() == without.theta.tobytes()
+            if k == 3:
+                with_work.work = None
+        assert with_work.work is not None and without.work is None
+
+    def test_no_workspace_lives_while_evaluate_runs(self, monkeypatch):
+        made, alive = [], []
+        real_evaluate = P.evaluate
+
+        class Tracked(M.Workspace):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(weakref.ref(self))
+
+        def evaluate(*args):
+            alive.append(sum(ref() is not None for ref in made))
+            return real_evaluate(*args)
+
+        monkeypatch.setattr(M, "Workspace", Tracked)
+        monkeypatch.setattr(P, "evaluate", evaluate)
+        cfg = P.TrainConfig(strategy="cll", rounds=3, eval_interval=1, seed=1, batch_size=4)
+        P.run_cll("fadnet", SMALL_CFG, tiny_shard(count=30, seed=4),
+                  tiny_shard(count=10, seed=5), cfg)
+        # the round-0 probe's throwaway and one workspace per round of steps
+        assert len(made) == 1 + cfg.rounds and alive == [0] * (cfg.rounds + 1)

@@ -84,6 +84,7 @@ def test_bench_pairs_summary():
     assert summary["concurrency"]["change_better_pairs"] == 1
     assert bp.quartiles([7.0]) == (7.0, 7.0, 7.0)
     assert "run_s" in bp.report(summary)
+    assert "change/parent" not in bp.report(summary)  # only end-to-end metrics get ratios
 
     # ten pairs per metric, each metric with a bound of 10% of the parent's median
     steady = [1.0, 1.001, 1.002, 1.003, 1.004, 1.005, 1.006, 1.007, 1.008, 1.009]
@@ -107,6 +108,14 @@ def test_bench_pairs_summary():
         "faster_in_8_of_10": "no worse", "noisy": "unresolved",
         "noisy_but_every_run_faster": "better", "throughput_lower": "worse"}
     assert "unresolved" in bp.report(summary)
+    # each end-to-end metric's change/parent ratio per pair, after the table
+    lines = bp.report(summary).splitlines()
+    ratios = dict(line.split(" change/parent by pair: ") for line in lines
+                  if "change/parent" in line)
+    assert sorted(ratios) == sorted(sides)
+    assert ratios["faster"] == " ".join(["0.900"] * 10)
+    assert ratios["faster_in_8_of_10"].split()[-3:] == ["0.900", "1.000", "1.000"]
+    assert ratios["slower"].split()[0] == "1.200"
 
     # peak RSS with runs on glibc's upper level, 6-8 MiB above the usual one
     parent = [74.7, 74.6, 82.9, 74.8, 75.0]
@@ -116,8 +125,9 @@ def test_bench_pairs_summary():
     summary = bp.summarize(pairs, {}, {"peak_rss_mb": 0.1})
     assert summary["peak_rss_mb"]["upper_level_runs"] == {"parent": 1, "change": 2}
     lines = bp.report(summary).splitlines()
-    assert "peak_rss_mb parent: 74.70 74.60 82.90 74.80 75.00; 1 of 5 more than 3 MiB" in lines[-2]
-    assert lines[-1].startswith("peak_rss_mb change: 74.50 82.40 82.60 74.60 74.50; 2 of 5 ")
+    assert "peak_rss_mb parent: 74.70 74.60 82.90 74.80 75.00; 1 of 5 more than 3 MiB" in lines[-3]
+    assert lines[-2].startswith("peak_rss_mb change: 74.50 82.40 82.60 74.60 74.50; 2 of 5 ")
+    assert lines[-1] == "peak_rss_mb change/parent by pair: 0.997 1.105 0.996 0.997 0.993"
     assert bp.upper_level_runs([80.0, 81.0, 83.0]) == 0  # all within 3 MiB of the lowest
 
 

@@ -401,6 +401,25 @@ def assert_same_bits(a, b):
     assert np.array_equal(np.signbit(a), np.signbit(b))
 
 
+def transposed_conv_input_grad(spec, grad, weight, in_shape):
+    """conv2d's general input gradient, which a 1x1 conv took before it
+    became one product: the output gradient, zero-bordered, as patches of a
+    stride-1 convolution with the phases' flipped taps (gathered from the
+    flat weight and a zero by ``_grad_conv``'s index), interleaved by phase
+    into a zero array."""
+    dtype = grad.dtype
+    geo = T._geometry(spec, in_shape, dtype.itemsize)
+    gc = T._grad_conv(spec, geo.padded, dtype.itemsize)
+    work = {"padded": np.zeros(gc.geo.padded, dtype), "cols": np.empty(gc.geo.patches[0], dtype)}
+    cols = T._im2col(grad[gc.crop], gc.geo, False, work)
+    gx = cols @ np.concatenate([weight.ravel(), np.zeros(1, dtype)])[gc.taps]
+    b, mh, mw, _, _, c = gc.split
+    s = spec.stride
+    buf = np.zeros((b, mh, s, mw, s, c), dtype)
+    buf[:, :, gc.covered, :, gc.covered] = gx.reshape(gc.split).transpose(0, 1, 3, 2, 4, 5)
+    return buf.reshape(b, mh * s, mw * s, c)[gc.interior]
+
+
 class TestKernelEquivalence:
     """The window-view im2col (both patch layouts), the slab max pool and
     the input_grad=False conv backward give exactly the bits of the kernels
@@ -589,6 +608,24 @@ class TestKernelEquivalence:
         assert len(gp) == len(gp_full)
         for a, b in zip(gp, gp_full):
             assert_same_bits(a, b)
+
+
+    @pytest.mark.parametrize("batch", [1, 4, 32])
+    @pytest.mark.parametrize("cin,cout", [(8, 8), (8, 16), (16, 32), (3, 5), (4, 4)])
+    @pytest.mark.parametrize("stride,h,w", [(1, 4, 4), (2, 7, 9), (2, 16, 16), (3, 5, 11)])
+    def test_pointwise_input_grad_matches_transposed_conv(self, batch, cin, cout, stride, h, w):
+        # a 1x1 conv's input gradient is one product written into every
+        # stride-th row and column; the general path convolves the output
+        # gradient with the gathered taps and interleaves the phases
+        spec = make_conv(kernel=1, stride=stride, padding=0, cin=cin, cout=cout)
+        rng = np.random.default_rng(batch * 100 + cin + cout + h)
+        x = rng.standard_normal((batch, h, w, cin)).astype(self.dtype)
+        params = [rng.standard_normal(shape).astype(self.dtype) for shape in T.param_shapes(spec)]
+        y, cache = T.forward(spec, params, x)
+        grad = (rng.standard_normal(y.shape)
+                * rng.choice([1.0, 1.0, 0.0, -0.0], y.shape)).astype(self.dtype)
+        gx, _ = T.backward(spec, cache, grad)
+        assert_same_bits(gx, transposed_conv_input_grad(spec, grad, params[0], x.shape))
 
 
 class TestKernelEquivalenceFloat32(TestKernelEquivalence):
