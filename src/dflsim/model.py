@@ -30,7 +30,9 @@ right after their block, so a block output sums (next conv1 + next shortcut)
 A training step (``loss_and_grad``) runs in a ``Workspace``: one block that
 holds every array the step writes, its parameters at the model dtype and
 its float64 gradient, with each layer's parameter and gradient views and
-kernel buffers (``tensor.layout``) bound once.  ``_work_plan`` places the
+its ``tensor.layout`` (kernel buffers and index data) bound once.  Each
+buffer lives as its layout says, and an activation is its writer's "out"
+buffer (or the input), read by its readers.  ``_work_plan`` places the
 arrays by when the program first writes and last reads each, so arrays
 whose lives do not overlap share memory (Chen et al., "Training Deep Nets
 with Sublinear Memory Cost", 2016).  The training loop keeps one workspace
@@ -461,9 +463,9 @@ def _work_plan(kind: str, cfg: FADNetConfig, batch: int, dtype: np.dtype) -> _Wo
     shape = (batch, cfg.input_height, cfg.input_width, cfg.input_channels)
     bufs = {"params": T.Buffer((plan["total"],), dtype, "zeros"),
             "grads": T.Buffer((plan["total"],), np.dtype(np.float64), "zeros"),
-            "input": T.Buffer(shape, dtype, "out")}
+            "input": T.Buffer(shape, dtype, "fwd")}
     spans = {"input": [-1, -1]}  # first and last time of each array that is not kept
-    shapes, outputs, consts = {"input": shape}, {"input": "input"}, {}
+    shapes, consts = {"input": shape}, {}
 
     def read(key, t):
         if key in spans:
@@ -475,18 +477,16 @@ def _work_plan(kind: str, cfg: FADNetConfig, batch: int, dtype: np.dtype) -> _Wo
         lay = T.layout(plan["specs"][step.layer], shape, dtype, step.input_grad)
         consts[step.layer] = lay.consts
         for a in step.reads:
-            read(outputs[a], back if "input" in lay.keeps else i)
-        life_spans = {"fwd": (i, i), "cache": (i, back), "bwd": (back, back),
-                      "grad": (back, back), "out": (i, back if "out" in lay.keeps else i)}
+            read(a if a == "input" else (a, "out"), back if lay.keeps_input else i)
+        life_spans = {"fwd": (i, i), "cache": (i, back), "bwd": (back, back)}
         for name, buf in lay.buffers.items():
-            if step.backward or buf.life not in ("bwd", "grad"):
+            if step.backward or buf.life != "bwd":
                 bufs[step.layer, name] = buf
                 if buf.life in life_spans:
                     spans[step.layer, name] = list(life_spans[buf.life])
-        outputs[step.layer] = (step.layer, "out")
-        shapes[step.layer] = lay.buffers["out"].shape
+        shapes[step.layer] = lay.consts["out_shape"]
     for a in plan["head"]:
-        read(outputs[a], n)
+        read((a, "out"), n)
 
     grads = dict.fromkeys(plan["head"])  # the head's gradients are its own arrays
     for i in reversed(range(n)):
@@ -502,7 +502,7 @@ def _work_plan(kind: str, cfg: FADNetConfig, batch: int, dtype: np.dtype) -> _Wo
             if a in grads:
                 read(grads[a], t)
                 grads[a] = ("sum", step.layer, a)
-                bufs[grads[a]] = T.Buffer(shapes[a], dtype, "grad")
+                bufs[grads[a]] = T.Buffer(shapes[a], dtype, "bwd")
                 spans[grads[a]] = [t, t]
             else:
                 grads[a] = gx
@@ -559,11 +559,6 @@ class Workspace:
         self.params, self.grads, self.inputs = views["params"], views["grads"], views["input"]
         self.param_views = {layer: _layer_views(plan, layer, self.params) for layer in plan["slots"]}
         self.grad_views = {layer: _layer_views(plan, layer, self.grads) for layer in plan["slots"]}
-
-    def cast(self, theta: np.ndarray) -> np.ndarray:
-        """``params`` set to ``theta`` cast to the workspace's dtype."""
-        np.copyto(self.params, theta)
-        return self.params
 
 
 def rmse(predictions, targets) -> float:

@@ -298,7 +298,8 @@ def _gradient_step(silos: Silos, i: int, cfg: TrainConfig, loss_grad_fn) -> floa
         if silos.work is None:
             silos.work = M.Workspace(*silos.model, cfg.batch_size)
         work = silos.work
-        loss, grad = loss_grad_fn(work.cast(theta), shard.subset(idx, out=work.inputs),
+        np.copyto(work.params, theta)
+        loss, grad = loss_grad_fn(work.params, shard.subset(idx, out=work.inputs),
                                   workspace=work)
     grad = np.asarray(grad, np.float64)  # the update runs in float64 whatever the grad's dtype
     if cfg.optimizer == "sgd":

@@ -33,13 +33,13 @@ window covers are not computed.  A row's product has the same bits wherever
 the row sits in the patch matrix, so the slabs hold exactly the NHWC conv's
 values; the weight and bias gradients sum their rows in slab order.
 
-The index arithmetic of a conv (output shape, the shapes and strides of the
-im2col and slab views) is worked out once per layer spec and input shape
-and cached (``_geometry``); none of it grows with the batch.  Every array a
-kernel writes, batch-sized or not, is named in ``layout(spec, input shape,
-dtype)`` with its shape and how long it lives, and the kernel takes it from
-its ``work`` argument: a dict of those buffers and of the layout's index
-data.  A caller that runs the same shapes again (the training step's
+``layout(spec, input shape, dtype)`` is the one description of a layer
+call, cached per spec, shape and dtype: every array a kernel writes, with
+its shape and life (``Buffer``), and the call's index data: its output
+shape (``backward`` checks the output gradient against it, for every kind)
+and a conv's index arithmetic (``_geometry``, ``_grad_conv``), none of
+which grows with the batch.  A kernel takes both from its ``work``
+argument.  A caller that runs the same shapes again (the training step's
 workspace, ``model.Workspace``) binds them once, so a call allocates
 nothing that grows with the batch; a zero-bordered input keeps its zero
 border from call to call.  Called without ``work``, a kernel allocates each
@@ -194,7 +194,6 @@ def _pool_grouping(shape: tuple, itemsize: int, pool: LayerSpec) -> tuple:
     return (shape, *_by_window(shape, strides, pool.kernel, pool.stride))
 
 
-@lru_cache(maxsize=128)
 def _geometry(spec: LayerSpec, shape: tuple, itemsize: int) -> _Geometry:
     """The geometry of conv2d ``spec`` on an NHWC input of ``shape`` whose
     elements take ``itemsize`` bytes, worked out once.
@@ -324,7 +323,6 @@ class _GradConv(NamedTuple):
     interior: tuple       # the input gradient inside the (b, rows*s, cols*s, c_in) interleave
 
 
-@lru_cache(maxsize=128)
 def _grad_conv(spec: LayerSpec, padded: tuple, itemsize: int) -> _GradConv:
     """The input gradient of ``spec`` on an input whose zero-bordered shape
     is ``padded``, as a stride-1 convolution of the output gradient.
@@ -365,21 +363,18 @@ def _grad_conv(spec: LayerSpec, padded: tuple, itemsize: int) -> _GradConv:
     return _GradConv(
         crop=(slice(None), rows, cols),
         geo=geo,
-        taps=_tap_index(spec, tuple(map(tuple, a.tolist()))),
+        taps=_tap_index(spec, a),
         split=(b, mh, mw, n, n, c),
         covered=slice(int(e[0]), int(e[-1]) + 1),
         interior=(slice(None), slice(off, off + h), slice(off, off + w)))
 
 
-@lru_cache(maxsize=128)
-def _tap_index(spec: LayerSpec, kernel_rows: tuple) -> np.ndarray:
+def _tap_index(spec: LayerSpec, a: np.ndarray) -> np.ndarray:
     """The phases' flipped taps side by side, C-ordered (D, D, c_out, n, n,
     c_in), as the flat index of tap (a[u, e1], a[v, e2]) in the (k, k, c_in,
     c_out) weight, or k*k*c_in*c_out, one past it (a zero), where a phase has
-    no tap; ``kernel_rows`` is a, the (D, n) kernel rows of _grad_conv.  It
-    does not depend on the batch, so every batch size shares it."""
+    no tap; ``a`` is the (D, n) kernel rows of _grad_conv."""
     k, c, co = spec.kernel, spec.in_channels, spec.out_channels
-    a = np.array(kernel_rows)
     d, n = a.shape
     ar = a[:, None, None, :, None, None]
     ac = a[None, :, None, None, :, None]
@@ -415,10 +410,10 @@ def _add_bias(out: np.ndarray, bias: np.ndarray) -> None:
 class Buffer(NamedTuple):
     """One array that a layer's kernels write, and how long it lives:
     "zeros" and "ones" are filled once and keep that fill wherever the
-    kernels do not write; "fwd" and "bwd" die inside the forward or the
-    backward call; "cache" lives from forward to backward; "out" (the
-    output) and "grad" (the input gradient) live as long as the caller
-    reads them."""
+    kernels do not write; "fwd" and "bwd" are written in the forward or the
+    backward call and die with it, unless they are its result (the output
+    "out", the input gradient "gx"), which lives as long as the caller reads
+    it; "cache" lives from forward to backward."""
 
     shape: tuple
     dtype: np.dtype
@@ -429,8 +424,8 @@ class Layout(NamedTuple):
     """What one layer's kernels use on one input shape and dtype."""
 
     buffers: dict  # name -> Buffer; the output is "out" and the input gradient "gx"
-    consts: dict  # index data the kernels reuse: the conv geometry, the tap index
-    keeps: frozenset  # "input" and "out", if the cache holds them until backward
+    consts: dict  # index data the kernels reuse: the output shape, the conv geometry, ...
+    keeps_input: bool  # whether the cache holds the input until backward
 
 
 @lru_cache(maxsize=256)
@@ -440,7 +435,7 @@ def layout(spec: LayerSpec, shape: tuple, dtype: np.dtype, input_grad: bool = Tr
     leaves out what only its input gradient uses."""
     dtype = np.dtype(dtype)
     b = shape[0]
-    buffers, consts, keeps = {}, {}, ()
+    buffers, consts, keeps_input = {}, {}, False
 
     def add(name, buf_shape, life, buf_dtype=dtype):
         buffers[name] = Buffer(tuple(buf_shape), np.dtype(buf_dtype), life)
@@ -449,10 +444,10 @@ def layout(spec: LayerSpec, shape: tuple, dtype: np.dtype, input_grad: bool = Tr
         flat = (b, math.prod(shape[1:]))
         add("centered", flat, "cache")
         add("sq", flat, "fwd")
-        add("out", shape, "out")
+        add("out", shape, "fwd")
         add("t1", flat, "bwd")
         add("t2", flat, "bwd")
-        add("gx", shape, "grad")
+        add("gx", shape, "bwd")
     elif spec.kind == "conv2d":
         geo = _geometry(spec, shape, dtype.itemsize)
         transposed = _transposed_patches(spec)
@@ -465,7 +460,7 @@ def layout(spec: LayerSpec, shape: tuple, dtype: np.dtype, input_grad: bool = Tr
         win = geo.patches[0]
         d = len(win) - 3
         add("cols", win[d:] + win[:d] if transposed else win, "cache")
-        add("out", geo.out_shape, "out")
+        add("out", geo.out_shape, "fwd")
         add("gw", (co, k * k * c), "bwd")
         rows = math.prod(geo.out_shape[:-1])
         if spec.bias:
@@ -489,45 +484,46 @@ def layout(spec: LayerSpec, shape: tuple, dtype: np.dtype, input_grad: bool = Tr
                 add("taps", gc.taps.shape, "bwd")
                 _, mh, mw, n, _, _ = gc.split
                 if s == 1:
-                    add("gx", (b, mh, mw, c), "grad")
+                    add("gx", (b, mh, mw, c), "bwd")
                 else:
                     add("gprod", (b * mh * mw, n * n * c), "bwd")
-                    add("gx", (b, mh, s, mw, s, c), "zeros" if n < s else "grad")
+                    add("gx", (b, mh, s, mw, s, c), "zeros" if n < s else "bwd")
     elif spec.kind == "maxpool2d":
         if len(shape) == 5:  # a pooled conv's slabs
-            slabs, keeps = shape, ("input", "out")
+            slabs, keeps_input = shape, True
         else:
             grouping = _pool_grouping(shape, dtype.itemsize, spec)
             consts["grouping"] = grouping
-            slabs, keeps = (spec.kernel ** 2, *grouping[1][2:]), ("out",)
+            slabs = (spec.kernel ** 2, *grouping[1][2:])
             add("slabs", slabs, "cache")
         y = slabs[1:]
-        add("out", y, "out")
+        add("out", y, "cache")  # backward compares the slabs with it
         add("g", y, "bwd")
         add("unrouted", y, "bwd", bool)
         add("hit", y, "bwd", bool)
         if len(shape) == 5:
-            add("gx", slabs, "grad")
+            add("gx", slabs, "bwd")
         else:
             add("gslabs", slabs, "bwd")
             add("gx", shape, "zeros")
     elif spec.kind == "relu":
-        add("out", shape, "out")
+        add("out", shape, "fwd")
         add("mask", shape, "cache", bool)
-        add("gx", shape, "grad")
+        add("gx", shape, "bwd")
     elif spec.kind == "fc":
-        keeps = ("input",)
-        add("out", (b, spec.out_features), "out")
+        keeps_input = True
+        add("out", (b, spec.out_features), "fwd")
         add("gw", (spec.in_features, spec.out_features), "bwd")
         if spec.bias:
             add("ones", (b,), "ones")
-        add("gx", shape, "grad")
+        add("gx", shape, "bwd")
     elif spec.kind == "gap":
-        add("out", (b, shape[3]), "out")
-        add("gx", shape, "grad")
+        add("out", (b, shape[3]), "fwd")
+        add("gx", shape, "bwd")
     else:  # a residual add passes its output gradient back as both input gradients
-        add("out", shape, "out")
-    return Layout(buffers, consts, frozenset(keeps))
+        add("out", shape, "fwd")
+    consts["out_shape"] = buffers["out"].shape
+    return Layout(buffers, consts, keeps_input)
 
 
 class _Fresh(dict):
@@ -536,20 +532,13 @@ class _Fresh(dict):
     call holds only what it uses and frees it with its result and cache."""
 
     def __init__(self, spec: LayerSpec, shape: tuple, dtype, input_grad: bool):
-        super().__init__()
-        self._key = (spec, tuple(shape), np.dtype(dtype), input_grad)
-        self._layout = None  # looked up once, on the first name asked for
+        lay = layout(spec, tuple(shape), np.dtype(dtype), input_grad)
+        super().__init__(lay.consts)
+        self._buffers = lay.buffers
 
     def __missing__(self, name: str):
-        if self._layout is None:
-            self._layout = layout(*self._key)
-        lay = self._layout
-        if name in lay.consts:
-            value = lay.consts[name]
-        else:
-            shape, dtype, life = lay.buffers[name]
-            value = {"zeros": np.zeros, "ones": np.ones}.get(life, np.empty)(shape, dtype)
-        self[name] = value
+        shape, dtype, life = self._buffers[name]
+        value = self[name] = {"zeros": np.zeros, "ones": np.ones}.get(life, np.empty)(shape, dtype)
         return value
 
 
@@ -563,13 +552,22 @@ def forward(spec: LayerSpec, params: list[np.ndarray], x, keep_cache: bool = Tru
     holds its buffers, so the next call through the same work overwrites
     both.  Without it the call allocates what it uses (see _Fresh)."""
     kind = spec.kind
+    if kind in ("input_norm", "gap") and x.ndim != 4:
+        raise ShapeError(f"{kind} expects NHWC, got shape {x.shape}")
+    if kind == "conv2d" and (x.ndim != 4 or x.shape[3] != spec.in_channels):
+        raise ShapeError(f"conv2d expects NHWC with C={spec.in_channels}, got {x.shape}")
+    if kind == "maxpool2d" and x.ndim != 4 and (x.ndim != 5 or x.shape[0] != spec.kernel ** 2):
+        raise ShapeError(f"maxpool2d expects NHWC or its {spec.kernel ** 2} window-position "
+                         f"slabs, got shape {x.shape}")
+    if kind == "fc" and (x.ndim != 2 or x.shape[1] != spec.in_features):
+        raise ShapeError(f"fc expects (batch, {spec.in_features}), got {x.shape}")
+    if kind == "residual_add" and x[0].shape != x[1].shape:
+        raise ShapeError(f"residual_add shape mismatch: {x[0].shape} vs {x[1].shape}")
     if work is None:
         first = x[0] if kind == "residual_add" else x
         work = _Fresh(spec, first.shape, first.dtype, False)
 
     if kind == "input_norm":
-        if x.ndim != 4:
-            raise ShapeError(f"input_norm expects NHWC, got shape {x.shape}")
         b = x.shape[0]
         flat = x.reshape(b, -1)
         n = flat.shape[1]
@@ -584,8 +582,6 @@ def forward(spec: LayerSpec, params: list[np.ndarray], x, keep_cache: bool = Tru
 
     elif kind == "conv2d":
         wgt = params[0]
-        if x.ndim != 4 or x.shape[3] != spec.in_channels:
-            raise ShapeError(f"conv2d expects NHWC with C={spec.in_channels}, got {x.shape}")
         geo = work["geo"]
         b, co = len(x), spec.out_channels
         # the output's rows: one slab, or one per window position of the
@@ -612,14 +608,11 @@ def forward(spec: LayerSpec, params: list[np.ndarray], x, keep_cache: bool = Tru
         cache = (spec, x.shape, cols, geo, wmat)
 
     elif kind == "maxpool2d":
-        if x.ndim == 5 and x.shape[0] == spec.kernel ** 2:
+        if x.ndim == 5:
             grouping, slabs = None, x  # a pooled conv's output, already in slabs
-        elif x.ndim == 4:
+        else:
             grouping = work["grouping"]
             slabs = _group(x, grouping, work["slabs"])
-        else:
-            raise ShapeError(f"maxpool2d expects NHWC or its {spec.kernel ** 2} window-position "
-                             f"slabs, got shape {x.shape}")
         y = work["out"]
         np.copyto(y, slabs[0])
         for slab in slabs[1:]:
@@ -634,23 +627,17 @@ def forward(spec: LayerSpec, params: list[np.ndarray], x, keep_cache: bool = Tru
 
     elif kind == "fc":
         wgt = params[0]
-        if x.ndim != 2 or x.shape[1] != spec.in_features:
-            raise ShapeError(f"fc expects (batch, {spec.in_features}), got {x.shape}")
         y = np.matmul(x, wgt, out=work["out"])
         if spec.bias:
             y += params[1]
         cache = (spec, x.shape, x, wgt)
 
     elif kind == "gap":
-        if x.ndim != 4:
-            raise ShapeError(f"gap expects NHWC, got shape {x.shape}")
         y = np.divide(np.add.reduce(x, axis=(1, 2)), x.shape[1] * x.shape[2], out=work["out"])
         cache = (spec, x.shape)
 
     elif kind == "residual_add":
         a, b = x
-        if a.shape != b.shape:
-            raise ShapeError(f"residual_add shape mismatch: {a.shape} vs {b.shape}")
         y = np.add(a, b, out=work["out"])
         cache = (spec, a.shape)
 
@@ -675,11 +662,11 @@ def backward(spec: LayerSpec, cache, grad_out, input_grad: bool = True,
     kind = spec.kind
     if work is None:
         work = _Fresh(spec, cache[1], grad_out.dtype, input_grad)
+    if grad_out.shape != work["out_shape"]:
+        raise ShapeError(f"grad shape {grad_out.shape} != output shape {work['out_shape']}")
 
     if kind == "input_norm":
         _, x_shape, centered, sigma = cache
-        if grad_out.shape != x_shape:
-            raise ShapeError(f"grad shape {grad_out.shape} != forward shape {x_shape}")
         b = x_shape[0]
         g = grad_out.reshape(b, -1)
         n = g.shape[1]
@@ -695,8 +682,6 @@ def backward(spec: LayerSpec, cache, grad_out, input_grad: bool = True,
 
     if kind == "conv2d":
         _, _, cols, geo, wmat = cache
-        if grad_out.shape != geo.out_shape:
-            raise ShapeError(f"grad shape {grad_out.shape} != {geo.out_shape}")
         k, s, c, co = spec.kernel, spec.stride, spec.in_channels, spec.out_channels
         # with a pool, rows (of grad_out and cols alike) come in slabs
         gmat = grad_out.reshape(-1, co)
@@ -735,8 +720,6 @@ def backward(spec: LayerSpec, cache, grad_out, input_grad: bool = True,
 
     if kind == "maxpool2d":
         _, _, slabs, y, grouping = cache
-        if grad_out.shape != y.shape:
-            raise ShapeError(f"grad shape {grad_out.shape} != forward shape {y.shape}")
         # each window's gradient goes to the first slab holding its max, with
         # + 0.0 as in a sum from +0.0.  Its bits are multiplied by the 0/1
         # hit mask, so every other element is +0.0 even where the gradient
@@ -755,30 +738,20 @@ def backward(spec: LayerSpec, cache, grad_out, input_grad: bool = True,
 
     if kind == "relu":
         _, _, mask = cache
-        if grad_out.shape != mask.shape:
-            raise ShapeError(f"grad shape {grad_out.shape} != forward shape {mask.shape}")
         return np.multiply(grad_out, mask, out=work["gx"]), []
 
     if kind == "fc":
         _, _, x, wgt = cache
-        if grad_out.shape != (x.shape[0], spec.out_features):
-            raise ShapeError(f"grad shape {grad_out.shape} != ({x.shape[0]},{spec.out_features})")
         grads = [np.matmul(x.T, grad_out, out=work["gw"])]
         if spec.bias:
             grads.append(work["ones"] @ grad_out)
         return np.matmul(grad_out, wgt.T, out=work["gx"]), grads
 
     if kind == "gap":
-        _, x_shape = cache
-        b, h, w, c = x_shape
-        if grad_out.shape != (b, c):
-            raise ShapeError(f"grad shape {grad_out.shape} != ({b},{c})")
+        _, (_, h, w, _) = cache
         return np.divide(grad_out[:, None, None, :], h * w, out=work["gx"]), []
 
     if kind == "residual_add":
-        _, shape = cache
-        if grad_out.shape != shape:
-            raise ShapeError(f"grad shape {grad_out.shape} != forward shape {shape}")
         return (grad_out, grad_out), []
 
     raise ShapeError(f"unknown layer kind {kind!r}")

@@ -1,7 +1,23 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from dflsim import topology as tp
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def child_env(**extra) -> dict:
+    """The environment of a child process that runs this checkout: ``src/``
+    first on PYTHONPATH, BLAS, OpenMP and MKL at one thread, no ``MALLOC_*``
+    variable, and ``extra``."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+    path = [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1", **extra,
+               PYTHONPATH=os.pathsep.join(path))
+    return env
 
 
 def random_metric_graph(n: int, seed: int, sparse: bool = False) -> tp.ConnectivityGraph:

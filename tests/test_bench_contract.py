@@ -3,13 +3,13 @@ through ``perfbench/child.py`` makes exactly the calls that
 ``perfbench/layers.py`` expects, so renaming or bypassing a traced function
 fails here rather than in the benchmark's traced run."""
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from conftest import child_env
 from dflsim import topology as tp
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -56,15 +56,11 @@ def traced_metrics(tmp_path, cfg: dict) -> dict:
     call-count mismatch."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps(cfg))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(
-                   [str(ROOT / "src")] + ([os.environ["PYTHONPATH"]]
-                                          if os.environ.get("PYTHONPATH") else [])))
     spans_path = tmp_path / "spans.json"
     proc = subprocess.run(
         [sys.executable, str(PERFBENCH / "child.py"), str(config), str(tmp_path / "out"),
          str(tmp_path / "result.json"), str(spans_path)],
-        env=env, capture_output=True, text=True, timeout=300)
+        env=child_env(), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
     metrics, failures = layers.analyse(json.loads(spans_path.read_text()), facts(cfg))

@@ -1,5 +1,4 @@
 import json
-import os
 import resource
 import subprocess
 import sys
@@ -10,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import child_env
 from dflsim import cli, data as D, model as M, protocol as P, topology as tp
 
 
@@ -20,15 +20,12 @@ def write_config(tmp_path, payload, name="config.json"):
 
 
 def run_cli_child(args, timeout, cap=2 << 30, **env):
-    """``python -m dflsim.cli`` in a child with BLAS at 1 thread, the
-    package from this checkout, and an address-space cap of ``cap`` bytes."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", **env,
-               PYTHONPATH=os.pathsep.join([src] + ([os.environ["PYTHONPATH"]]
-                                                   if os.environ.get("PYTHONPATH") else [])))
+    """``python -m dflsim.cli`` in a child (see ``child_env``) with ``env``
+    added and an address-space cap of ``cap`` bytes."""
     return subprocess.run(
-        [sys.executable, "-m", "dflsim.cli", *args], env=env, capture_output=True, text=True,
-        timeout=timeout, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+        [sys.executable, "-m", "dflsim.cli", *args], env=child_env(**env), capture_output=True,
+        text=True, timeout=timeout,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
 
 
 FAST = {"sample_count": 120, "rounds": 3, "eval_interval": 1, "batch_size": 4,

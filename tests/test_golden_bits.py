@@ -26,20 +26,17 @@ defect.  A change that alters the bits on purpose updates the digests here
 and says why."""
 import hashlib
 import json
-import os
 import platform
 import struct
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import child_env
 from dflsim import model as M
 from dflsim.data import generate_linesteer
-
-ROOT = Path(__file__).resolve().parent.parent
 
 TINY = {"sample_count": 120, "rounds": 3, "eval_interval": 1, "local_steps": 2,
         "batch_size": 4, "input_height": 8, "input_width": 8, "widths": [2, 3, 4],
@@ -92,15 +89,10 @@ def test_outputs_match_committed_digests(tmp_path, strategy):
     payload, metrics_md5, ckpt_md5 = GOLDEN[strategy]
     config = tmp_path / "config.json"
     config.write_text(json.dumps(payload))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(
-                   [str(ROOT / "src")] + ([os.environ["PYTHONPATH"]]
-                                          if os.environ.get("PYTHONPATH") else [])))
     out = tmp_path / "out"
     proc = subprocess.run(
         [sys.executable, "-m", "dflsim.cli", "run", str(config), "--out", str(out), "--quiet"],
-        env=env, capture_output=True, text=True, timeout=120)
+        env=child_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
     assert (out / "metrics.csv").read_text().splitlines()[1] == ROUND0[strategy], (

@@ -31,6 +31,15 @@ ODD_CFGS = {widths: M.FADNetConfig(input_height=9, input_width=11, widths=widths
             for widths in ((8, 16, 32), (2, 3, 4))}
 
 
+# (block bytes, bytes kept throughout) of the toy step's workspace by batch
+TOY_WORK_PLANS = {
+    ("fadnet", "float32"): {32: (6_992_384, 2_283_008), 4: (1_331_392, 678_208)},
+    ("fadnet", "float64"): {32: (13_705_856, 4_315_776), 4: (2_408_896, 1_106_112)},
+    ("backbone_only", "float32"): {32: (6_848_768, 2_142_464), 4: (1_190_464, 537_664)},
+    ("backbone_only", "float64"): {32: (13_512_320, 4_128_384), 4: (2_220_736, 918_720)},
+}
+
+
 def stem_block(cfg, dtype):
     """Fewest samples in one block of the stem conv run without a cache: its
     patch rows per sample are its output rows, in every pool slab."""
@@ -217,7 +226,7 @@ class TestForward:
         # the evaluation that follows training
         theta = M.init_params("fadnet", M.TOY_CONFIG, 1)
         batch = toy_batch(n=n, seed=9)
-        T._geometry.cache_clear()  # the call fills the per-shape caches itself
+        T.layout.cache_clear()  # the call fills the per-shape cache itself
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -377,6 +386,13 @@ class TestWorkspace:
         work = M.Workspace(kind, M.TOY_CONFIG, 4, dtype)
         with pytest.raises(ValueError, match="batch 4"):
             M.loss_and_grad(kind, M.TOY_CONFIG, theta, toy_batch(n=3), workspace=work)
+
+    def test_toy_plan_is_pinned(self, kind, dtype):
+        # the block's bytes and how many of them live throughout, at batch
+        # 32 and 4: a change that moves where a buffer goes shows here
+        for batch, sizes in TOY_WORK_PLANS[kind, np.dtype(dtype).name].items():
+            work = M._work_plan(kind, M.TOY_CONFIG, batch, np.dtype(dtype))
+            assert (work.nbytes, work.kept) == sizes
 
     def test_arrays_whose_lives_overlap_never_share_memory(self, kind, dtype):
         work = M._work_plan(kind, M.TOY_CONFIG, 32, np.dtype(dtype))

@@ -1,16 +1,15 @@
 import csv
 import json
-import os
 import subprocess
 import sys
 import weakref
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import child_env
 from dflsim import data as D
 from dflsim import model as M
 from dflsim import protocol as P
@@ -561,11 +560,7 @@ print(*fresh, *steps(40))
 
 class TestWorkspace:
     def test_steps_take_few_page_faults_without_a_warm_heap(self):
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
-        env.update(OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
-            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])))
-        out = subprocess.run([sys.executable, "-c", STEP_FAULTS_CHILD], env=env,
+        out = subprocess.run([sys.executable, "-c", STEP_FAULTS_CHILD], env=child_env(),
                              capture_output=True, text=True, timeout=120, check=True)
         fresh_faults, fresh_ms, after_faults, after_ms = map(float, out.stdout.split())
         print(f"steps before any evaluation: {fresh_faults:.1f} faults, {fresh_ms:.2f} ms; "

@@ -7,12 +7,13 @@ benchmark-pairs script is checked in process, with its benchmark
 invocations replaced, so no benchmark runs here."""
 import importlib.util
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import child_env
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -28,13 +29,8 @@ EXPECTED = {
 
 
 def run_script(script, *args):
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(
-                   [str(ROOT / "src")] + ([os.environ["PYTHONPATH"]]
-                                          if os.environ.get("PYTHONPATH") else [])))
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=child_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 

@@ -47,6 +47,34 @@ EXTRA_CONV_GEOMETRIES = [
 ]
 
 
+# each kind's cases: the layer, its input shape and the FADNet layer of
+# that kind, if there is one
+GRAD_SHAPE_CASES = {
+    "input_norm": (T.LayerSpec("input_norm"), (2, 6, 6, 1), "norm"),
+    "conv2d": (make_conv(stride=2), (2, 7, 6, 2), "block1.conv1"),
+    "conv2d_1x1": (make_conv(kernel=1, stride=2, padding=0), (2, 7, 6, 2), "block1.shortcut"),
+    "conv2d_pool": (make_conv(cin=1, cout=8, pool=make_pool(2, 2)), (2, 6, 6, 1), "stem.conv"),
+    "maxpool2d_nhwc": (make_pool(2, 2), (2, 6, 6, 3), None),
+    "maxpool2d_slabs": (make_pool(2, 2), (4, 2, 3, 3, 8), "stem.pool"),
+    "relu": (T.LayerSpec("relu"), (2, 4, 4, 3), "block1.relu"),
+    "fc": (T.LayerSpec("fc", in_features=5, out_features=3), (2, 5), "tail.fc"),
+    "gap": (T.LayerSpec("gap"), (2, 3, 3, 4), "branch1.gap"),
+    "residual_add": (T.LayerSpec("residual_add"), (2, 4, 4, 3), "block1.add"),
+}
+
+
+@pytest.fixture(scope="module")
+def toy_training_forward():
+    """A batch-2 toy fadnet workspace after one training forward pass, and
+    the caches that pass kept."""
+    work = M.Workspace("fadnet", M.TOY_CONFIG, 2)
+    np.copyto(work.params, M.init_params("fadnet", M.TOY_CONFIG, 0))
+    work.inputs[...] = np.random.default_rng(0).standard_normal(work.inputs.shape)
+    caches = {}
+    M._forward("fadnet", M.TOY_CONFIG, work.params, work.inputs, caches, work)
+    return work, caches
+
+
 class TestForwardExamples:
     def test_gap_is_spatial_mean(self):
         x = np.array([[[[1.0], [2.0]], [[3.0], [4.0]]]])
@@ -110,12 +138,26 @@ class TestBackwardExamples:
         with pytest.raises(T.ShapeError, match="cache"):
             T.backward(spec_b, cache, np.ones((1, 2)))
 
-    def test_grad_shape_mismatch(self):
-        spec = T.LayerSpec("gap")
-        x = np.ones((2, 3, 3, 4))
-        _, cache = T.forward(spec, [], x)
+    @pytest.mark.parametrize("case", sorted(GRAD_SHAPE_CASES))
+    def test_grad_shape_mismatch(self, case, toy_training_forward):
+        # an output gradient one channel too wide, alone and, for a layer
+        # FADNet has, through that layer's buffers in a training workspace
+        spec, shape, layer = GRAD_SHAPE_CASES[case]
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal(shape)
+        params = [rng.standard_normal(s) for s in T.param_shapes(spec)]
+        y, cache = T.forward(spec, params, (x, x) if spec.kind == "residual_add" else x)
         with pytest.raises(T.ShapeError, match="grad shape"):
-            T.backward(spec, cache, np.ones((2, 5)))
+            T.backward(spec, cache, np.ones((*y.shape[:-1], y.shape[-1] + 1)))
+        if layer is None:
+            return
+        work, caches = toy_training_forward
+        spec, lay = M._plan("fadnet", M.TOY_CONFIG)["specs"][layer], work.layers[layer]
+        if layer not in caches:  # the norm, which backward does not reach
+            caches[layer] = T.forward(spec, [], work.inputs, work=lay)[1]
+        *rest, c = lay["out_shape"]
+        with pytest.raises(T.ShapeError, match="grad shape"):
+            T.backward(spec, caches[layer], np.ones((*rest, c + 1), np.float32), work=lay)
 
 
 class TestGradCheck:
@@ -178,6 +220,18 @@ class TestShapeAlgebra:
         with pytest.raises(T.ShapeError, match="C=2"):
             T.forward(spec, [np.zeros(s) for s in T.param_shapes(spec)],
                       np.zeros((1, 6, 6, 3)))
+
+    @pytest.mark.parametrize("spec, shape", [
+        (T.LayerSpec("input_norm"), (6, 6, 1)),
+        (make_conv(), (6, 6, 2)),
+        (make_pool(2, 2), (6, 6, 3)),
+        (T.LayerSpec("fc", in_features=5, out_features=3), (2, 1, 5)),
+        (T.LayerSpec("gap"), (3, 3, 4)),
+    ], ids=lambda v: v.kind if isinstance(v, T.LayerSpec) else "x".join(map(str, v)))
+    def test_input_of_the_wrong_rank_rejected(self, spec, shape):
+        # checked before the call looks up its layout for that shape
+        with pytest.raises(T.ShapeError, match="expects"):
+            T.forward(spec, [np.zeros(s) for s in T.param_shapes(spec)], np.zeros(shape))
 
     def test_only_a_conv_feeds_a_pool_without_overlap(self):
         # overlapping (k3/s2) and padded (k2/s2/p1) windows, standalone and
