@@ -35,9 +35,12 @@ buffer lives as its layout says, and an activation is its writer's "out"
 buffer (or the input), read by its readers.  ``_work_plan`` places the
 arrays by when the program first writes and last reads each, so arrays
 whose lives do not overlap share memory (Chen et al., "Training Deep Nets
-with Sublinear Memory Cost", 2016).  The training loop keeps one workspace
-between evaluations; a call without one makes a throwaway workspace, so
-nothing batch-sized outlives it.  Prediction allocates per call.
+with Sublinear Memory Cost", 2016).  A prediction runs in an inference
+workspace, the plan of the forward walk alone: no caches or gradients, and
+only the parameters kept (as Pisarchyk and Lee, "Efficient Memory
+Management for Deep Neural Net Inference", 2020, plan inference).  The
+training loop keeps one workspace between evaluations; a call without one
+makes a throwaway workspace, so nothing batch-sized outlives it.
 """
 from __future__ import annotations
 
@@ -118,7 +121,6 @@ class Step(NamedTuple):
     """One layer of the step program; it writes the activation named after it."""
     layer: str
     reads: tuple[str, ...]  # in argument order
-    frees: tuple[str, ...]  # the reads no later layer or the head reads
     backward: bool  # a parameter gradient depends on its output
     input_grad: bool  # ... and on what it reads
     flattens: tuple[int, ...]  # the per-sample shape of an input it flattens, or ()
@@ -197,15 +199,14 @@ def _plan(kind: str, cfg: FADNetConfig) -> dict:
     # each layer's (offset, size, shape) triples, in storage order
     slots = {layer: tuple(layout[name] for name in shapes) for layer, shapes in params.items()}
 
-    last = {a: layer for layer, reads in edges for a in reads}  # each activation's last reader
     carried: set[str] = set()  # the activations a parameter gradient depends on
     program = []
     for layer, reads in edges:
         input_grad = any(a in carried for a in reads)
         if input_grad or params[layer]:
             carried.add(layer)
-        program.append(Step(layer, reads, tuple(a for a in reads if last[a] == layer),
-                            layer in carried, input_grad, dims[-1] if layer == "tail.fc" else ()))
+        program.append(Step(layer, reads, layer in carried, input_grad,
+                            dims[-1] if layer == "tail.fc" else ()))
     return {"specs": specs, "params": params, "layout": layout, "slots": slots,
             "total": total, "dims": dims, "program": tuple(program), "head": tuple(head)}
 
@@ -305,49 +306,30 @@ def aggregation(f_s, f_c):
 # Forward / backward
 
 
-def _check_input(cfg: FADNetConfig, x: np.ndarray) -> None:
-    if x.shape[1:] != (cfg.input_height, cfg.input_width, cfg.input_channels):
-        raise T.ShapeError(
-            f"batch shape {x.shape[1:]} != config input "
-            f"({cfg.input_height}, {cfg.input_width}, {cfg.input_channels})")
-
-
-def _forward(kind: str, cfg: FADNetConfig, params, x: np.ndarray,
-             caches: dict | None = None, work: Workspace | None = None) -> np.ndarray:
-    """Run the whole network on the flat parameter vector ``params`` and
-    return its predictions, computed in the parameters' dtype.  Given a
-    ``caches`` dict, each layer that backward reaches stores its cache there
-    under its name, and the product head its inputs under "head".  With None
-    no cache is kept (convolutions then build their patch matrices a block of
-    samples at a time).  Each activation is dropped after its last reader.
-    With ``work``, whose parameters and inputs ``params`` and ``x`` are, the
-    layers run on its bound views and buffers; without it each kernel call
-    allocates its own."""
+def _forward(kind: str, cfg: FADNetConfig, work: Workspace,
+             caches: dict | None = None) -> np.ndarray:
+    """Run the whole network on ``work``'s parameters and inputs, through its
+    views and buffers, and return its predictions, in the parameters' dtype.
+    Given a ``caches`` dict (and a training workspace), each layer that
+    backward reaches stores its cache there under its name, and the product
+    head its inputs under "head"; with None (inference) none is kept."""
     plan = _plan(kind, cfg)
-    _check_input(cfg, x)
-    if work is None:
-        flat = _checked_flat(plan, params)
-        views = {layer: _layer_views(plan, layer, flat) for layer in plan["slots"]}
-        layers = {}
-        x = x.astype(flat.dtype, copy=False)
-    else:
-        views, layers = work.param_views, work.layers
-    acts = {"input": x}
+    acts = {"input": work.inputs}
     for step in plan["program"]:
-        x = [acts.pop(a) if a in step.frees else acts[a] for a in step.reads]
+        x = [acts[a] for a in step.reads]
         x = x[0] if len(x) == 1 else x  # a residual add reads two
         if step.flattens:
             x = x.reshape(len(x), -1)
-        acts[step.layer], cache = T.forward(plan["specs"][step.layer], views[step.layer], x,
-                                            keep_cache=caches is not None and step.backward,
-                                            work=layers.get(step.layer))
+        acts[step.layer], cache = T.forward(
+            plan["specs"][step.layer], work.param_views[step.layer], x,
+            keep_cache=caches is not None and step.backward, work=work.layers[step.layer])
         if cache is not None:
             caches[step.layer] = cache
 
     tail, *branch_feats = (acts[a] for a in plan["head"])
     if kind == "backbone_only":
         return tail[:, 0]
-    (w,) = views["head.accum"]
+    (w,) = work.param_views["head.accum"]
     f_c = accumulation(branch_feats, w)
     preds = aggregation(tail, f_c)
     if caches is not None:
@@ -388,9 +370,31 @@ def _backward_full(kind: str, cfg: FADNetConfig, caches: dict, gpred: np.ndarray
     return grads
 
 
+def _loaded(kind: str, cfg: FADNetConfig, params, inputs: np.ndarray,
+            workspace: Workspace | None, train: bool) -> Workspace:
+    """``workspace`` (or a throwaway one) checked against this call, with
+    ``params`` and ``inputs`` copied in unless they are its own."""
+    flat = _checked_flat(_plan(kind, cfg), params)
+    want = (cfg.input_height, cfg.input_width, cfg.input_channels)
+    if inputs.shape[1:] != want:
+        raise T.ShapeError(f"batch shape {inputs.shape[1:]} != config input {want}")
+    key = (kind, cfg, len(inputs), flat.dtype, train)
+    work = workspace if workspace is not None else Workspace(*key)
+    if work.key != key:
+        said = [f"{'training' if k[4] else 'prediction'} of {k[0]} at batch {k[2]} and {k[3]}"
+                for k in (work.key, key)]
+        raise ValueError(f"a workspace for {said[0]} cannot take {said[1]}")
+    if flat is not work.params:
+        np.copyto(work.params, flat)
+    if inputs is not work.inputs:
+        np.copyto(work.inputs, inputs)
+    return work
+
+
 def predict(kind: str, cfg: FADNetConfig, params, inputs: np.ndarray) -> np.ndarray:
-    """Predictions for a batch of inputs; keeps no backward caches."""
-    return _forward(kind, cfg, params, inputs)
+    """Predictions for a batch of inputs, made in a throwaway inference
+    ``Workspace`` and returned in an array of their own."""
+    return _forward(kind, cfg, _loaded(kind, cfg, params, inputs, None, False)).copy()
 
 
 def loss_and_grad(kind: str, cfg: FADNetConfig, params, batch: Dataset,
@@ -398,25 +402,14 @@ def loss_and_grad(kind: str, cfg: FADNetConfig, params, batch: Dataset,
     """Mean squared error over the batch and its exact gradient with respect
     to the flat parameter vector.
 
-    The step runs in ``workspace``, a ``Workspace`` of this kind and config
-    for the batch's size and the parameters' dtype, and returns its gradient
-    vector, which the next call through it overwrites.  The parameters and
-    inputs are copied into it unless they are its own.  Without one the call
-    makes a throwaway workspace and returns a copy of the gradient."""
-    plan = _plan(kind, cfg)
-    flat = _checked_flat(plan, params)
-    _check_input(cfg, batch.inputs)
-    key = (kind, cfg, batch.count, flat.dtype)
-    work = workspace if workspace is not None else Workspace(*key)
-    if work.key != key:
-        raise ValueError(f"a workspace for {work.key[0]} at batch {work.key[2]} and "
-                         f"{work.key[3]} cannot take {kind} at batch {key[2]} and {key[3]}")
-    if flat is not work.params:
-        np.copyto(work.params, flat)
-    if batch.inputs is not work.inputs:
-        np.copyto(work.inputs, batch.inputs)
+    The step runs in ``workspace``, a training ``Workspace`` for the batch's
+    size and the parameters' dtype, and returns its gradient vector, which
+    the next call through it overwrites.  The parameters and inputs are
+    copied into it unless they are its own.  Without one the call makes a
+    throwaway workspace and returns a copy of the gradient."""
+    work = _loaded(kind, cfg, params, batch.inputs, workspace, True)
     caches: dict = {}
-    preds = _forward(kind, cfg, work.params, work.inputs, caches, work)
+    preds = _forward(kind, cfg, work, caches)
     residual = preds - batch.targets
     loss = float(np.add.reduce(residual ** 2) / batch.count)
     gpred = (2.0 * residual / batch.count).astype(preds.dtype, copy=False)
@@ -425,7 +418,7 @@ def loss_and_grad(kind: str, cfg: FADNetConfig, params, batch: Dataset,
 
 
 # --------------------------------------------------------------------------
-# Step workspace
+# Step and prediction workspaces
 
 # every buffer starts on a cache line
 ALIGN = 64
@@ -439,8 +432,10 @@ class _WorkPlan(NamedTuple):
 
 
 @lru_cache(maxsize=8)
-def _work_plan(kind: str, cfg: FADNetConfig, batch: int, dtype: np.dtype) -> _WorkPlan:
-    """Where each array of a training step sits in the workspace's block.
+def _work_plan(kind: str, cfg: FADNetConfig, batch: int, dtype: np.dtype,
+               train: bool = True) -> _WorkPlan:
+    """Where each array of a training step, or with ``train`` false of a
+    prediction (the forward walk alone), sits in the workspace's block.
 
     The keys are "params", "grads" and "input", (layer, name) for each
     buffer of ``T.layout``, and ("sum", reader, activation) for the sum of an
@@ -464,6 +459,8 @@ def _work_plan(kind: str, cfg: FADNetConfig, batch: int, dtype: np.dtype) -> _Wo
     bufs = {"params": T.Buffer((plan["total"],), dtype, "zeros"),
             "grads": T.Buffer((plan["total"],), np.dtype(np.float64), "zeros"),
             "input": T.Buffer(shape, dtype, "fwd")}
+    if not train:
+        del bufs["grads"]
     spans = {"input": [-1, -1]}  # first and last time of each array that is not kept
     shapes, consts = {"input": shape}, {}
 
@@ -472,24 +469,24 @@ def _work_plan(kind: str, cfg: FADNetConfig, batch: int, dtype: np.dtype) -> _Wo
             spans[key][1] = max(spans[key][1], t)
 
     for i, step in enumerate(program):
-        back = 2 * n - i if step.backward else i
+        keep_cache = train and step.backward
+        back = 2 * n - i if keep_cache else i
         shape = (batch, math.prod(step.flattens)) if step.flattens else shapes[step.reads[0]]
-        lay = T.layout(plan["specs"][step.layer], shape, dtype, step.input_grad)
+        lay = T.layout(plan["specs"][step.layer], shape, dtype, step.input_grad, keep_cache)
         consts[step.layer] = lay.consts
         for a in step.reads:
             read(a if a == "input" else (a, "out"), back if lay.keeps_input else i)
         life_spans = {"fwd": (i, i), "cache": (i, back), "bwd": (back, back)}
         for name, buf in lay.buffers.items():
-            if step.backward or buf.life != "bwd":
-                bufs[step.layer, name] = buf
-                if buf.life in life_spans:
-                    spans[step.layer, name] = list(life_spans[buf.life])
+            bufs[step.layer, name] = buf
+            if buf.life in life_spans:
+                spans[step.layer, name] = list(life_spans[buf.life])
         shapes[step.layer] = lay.consts["out_shape"]
     for a in plan["head"]:
         read((a, "out"), n)
 
     grads = dict.fromkeys(plan["head"])  # the head's gradients are its own arrays
-    for i in reversed(range(n)):
+    for i in reversed(range(n if train else 0)):
         step, t = program[i], 2 * n - i
         if not step.backward:
             continue
@@ -531,15 +528,16 @@ def _work_plan(kind: str, cfg: FADNetConfig, batch: int, dtype: np.dtype) -> _Wo
 
 
 class Workspace:
-    """Every batch-sized array of a training step, for one model kind,
-    config, batch size and dtype, in one block planned by ``_work_plan``,
-    with each layer's parameter and gradient views and index data bound
-    once.  ``params`` (the model-dtype parameters), ``inputs`` and
-    ``grads`` (the float64 gradient vector) are its arrays that callers
-    fill and read."""
+    """Every batch-sized array of a training step (or with ``train`` false,
+    of a prediction), for one model kind, config, batch size and dtype, in
+    one block planned by ``_work_plan``, with each layer's parameter (and
+    gradient) views and index data bound once.  ``params`` (the model-dtype
+    parameters), ``inputs`` and a training workspace's ``grads`` (the float64
+    gradient vector) are its arrays that callers fill and read."""
 
-    def __init__(self, kind: str, cfg: FADNetConfig, batch: int, dtype=np.float32):
-        self.key = (kind, cfg, batch, np.dtype(dtype))
+    def __init__(self, kind: str, cfg: FADNetConfig, batch: int, dtype=np.float32,
+                 train: bool = True):
+        self.key = (kind, cfg, batch, np.dtype(dtype), train)
         plan = _plan(kind, cfg)
         work = _work_plan(*self.key)
         # every other array is written before it is read
@@ -556,9 +554,12 @@ class Workspace:
                 self.sums[key[1:]] = view
             elif isinstance(key, tuple):
                 self.layers[key[0]][key[1]] = view
-        self.params, self.grads, self.inputs = views["params"], views["grads"], views["input"]
+        self.params, self.inputs = views["params"], views["input"]
         self.param_views = {layer: _layer_views(plan, layer, self.params) for layer in plan["slots"]}
-        self.grad_views = {layer: _layer_views(plan, layer, self.grads) for layer in plan["slots"]}
+        if train:
+            self.grads = views["grads"]
+            self.grad_views = {layer: _layer_views(plan, layer, self.grads)
+                               for layer in plan["slots"]}
 
 
 def rmse(predictions, targets) -> float:

@@ -33,18 +33,17 @@ window covers are not computed.  A row's product has the same bits wherever
 the row sits in the patch matrix, so the slabs hold exactly the NHWC conv's
 values; the weight and bias gradients sum their rows in slab order.
 
-``layout(spec, input shape, dtype)`` is the one description of a layer
-call, cached per spec, shape and dtype: every array a kernel writes, with
-its shape and life (``Buffer``), and the call's index data: its output
-shape (``backward`` checks the output gradient against it, for every kind)
-and a conv's index arithmetic (``_geometry``, ``_grad_conv``), none of
-which grows with the batch.  A kernel takes both from its ``work``
-argument.  A caller that runs the same shapes again (the training step's
-workspace, ``model.Workspace``) binds them once, so a call allocates
-nothing that grows with the batch; a zero-bordered input keeps its zero
-border from call to call.  Called without ``work``, a kernel allocates each
-buffer when it first asks for it and frees it with its result and cache, so
-nothing batch-sized outlives that call.
+``layout(spec, input shape, dtype, ...)`` is the one description of a
+layer call, cached per argument: every array a kernel writes, with its
+shape and life (``Buffer``), and the call's index data: its input and
+output shapes (``forward`` checks the input against the one and
+``backward`` the output gradient against the other, for every kind) and a
+conv's index arithmetic (``_geometry``, ``_grad_conv``), none of which
+grows with the batch.  A kernel takes both from its ``work`` argument.  A
+caller that runs the same shapes again (``model.Workspace``, for a training
+step or a prediction) binds them once, so a call allocates nothing that
+grows with the batch.  Called without ``work``, a kernel allocates the
+layout's buffers for that call alone (``_fresh``).
 
 A max pool reads each input element at most once and pads nothing
 (``LayerSpec`` rejects kernel > stride and any padding), so every pool
@@ -60,13 +59,14 @@ gradient with no copy; an NHWC input gets it back in NHWC by one copy.
 
 ``forward(..., keep_cache=False)`` is the inference path: every kind
 returns None in place of its cache, relu builds no mask, and conv2d never
-holds the whole patch matrix.  conv2d runs one loop over blocks of whole
-samples in both paths: one block when it keeps a cache, and blocks of about
-EVAL_BLOCK_BYTES of patch matrix without one.  Each block takes one im2col
-and one product, written in place where the block's rows are contiguous in
-the output (one block, or a conv without a pool) and otherwise copied once
-into the block's rows of each slab.  The output has the bits of the
-one-shot product; the bitwise kernel and model tests pin that.
+holds the whole patch matrix.  conv2d runs one loop over blocks of m whole
+samples: one block with a cache, and without one blocks of about
+EVAL_BLOCK_BYTES of patch matrix, the last overlapping the one before.
+Each block takes one im2col (the zero-bordered input is one block's, zeroed
+once per inference call) and one product, written in place where the
+block's rows are contiguous in the output (one block, or a conv without a
+pool) and otherwise copied once into the block's rows of each slab.  A
+row's bits do not depend on its block; the bitwise tests pin that.
 
 ``backward(..., input_grad=False)`` tells conv2d that the caller will
 discard the input gradient: it skips computing it and returns None in its
@@ -429,16 +429,20 @@ class Layout(NamedTuple):
 
 
 @lru_cache(maxsize=256)
-def layout(spec: LayerSpec, shape: tuple, dtype: np.dtype, input_grad: bool = True) -> Layout:
+def layout(spec: LayerSpec, shape: tuple, dtype: np.dtype, input_grad: bool = True,
+           keep_cache: bool = True) -> Layout:
     """The buffers and index data of ``spec`` on an input of ``shape`` (each
     of a residual add's two) and ``dtype``.  Without ``input_grad`` a conv
-    leaves out what only its input gradient uses."""
+    leaves out what only its input gradient uses; without ``keep_cache`` every
+    kind leaves out what forward does not write, and a conv's "block" (m
+    samples and their geometry) sizes its padded input, offsets and patches."""
     dtype = np.dtype(dtype)
     b = shape[0]
-    buffers, consts, keeps_input = {}, {}, False
+    buffers, consts, keeps_input = {}, {"in_shape": shape}, False
 
     def add(name, buf_shape, life, buf_dtype=dtype):
-        buffers[name] = Buffer(tuple(buf_shape), np.dtype(buf_dtype), life)
+        if keep_cache or life in ("fwd", "cache"):
+            buffers[name] = Buffer(tuple(buf_shape), np.dtype(buf_dtype), life)
 
     if spec.kind == "input_norm":
         flat = (b, math.prod(shape[1:]))
@@ -450,22 +454,25 @@ def layout(spec: LayerSpec, shape: tuple, dtype: np.dtype, input_grad: bool = Tr
         add("gx", shape, "bwd")
     elif spec.kind == "conv2d":
         geo = _geometry(spec, shape, dtype.itemsize)
+        rows = math.prod(geo.out_shape[:-1])
+        n = 1 if keep_cache else max(1, b // _eval_block_samples(spec, rows // b, dtype.itemsize))
+        m = -(-b // n)
+        block = geo if m == b else _geometry(spec, (m, *shape[1:]), dtype.itemsize)
         transposed = _transposed_patches(spec)
-        consts.update(geo=geo, transposed=transposed)
+        consts.update(geo=geo, block=(m, block), transposed=transposed)
         k, s, c, co = spec.kernel, spec.stride, spec.in_channels, spec.out_channels
         if geo.padded != shape:
-            add("padded", geo.padded, "zeros")
+            add("padded", block.padded, "zeros" if keep_cache else "fwd")
         if geo.by_offset is not None:
-            add("offsets", geo.by_offset[0], "fwd")
-        win = geo.patches[0]
+            add("offsets", block.by_offset[0], "fwd")
+        win = block.patches[0]
         d = len(win) - 3
         add("cols", win[d:] + win[:d] if transposed else win, "cache")
         add("out", geo.out_shape, "fwd")
         add("gw", (co, k * k * c), "bwd")
-        rows = math.prod(geo.out_shape[:-1])
         if spec.bias:
             add("ones", (rows,), "ones")
-        if input_grad:
+        if input_grad and keep_cache:
             nhwc = geo.grouping[0] if geo.grouping is not None else geo.out_shape
             if geo.grouping is not None:
                 add("ungrouped", nhwc, "zeros")
@@ -508,7 +515,8 @@ def layout(spec: LayerSpec, shape: tuple, dtype: np.dtype, input_grad: bool = Tr
             add("gx", shape, "zeros")
     elif spec.kind == "relu":
         add("out", shape, "fwd")
-        add("mask", shape, "cache", bool)
+        if keep_cache:
+            add("mask", shape, "cache", bool)
         add("gx", shape, "bwd")
     elif spec.kind == "fc":
         keeps_input = True
@@ -526,20 +534,14 @@ def layout(spec: LayerSpec, shape: tuple, dtype: np.dtype, input_grad: bool = Tr
     return Layout(buffers, consts, keeps_input)
 
 
-class _Fresh(dict):
-    """The work of a kernel call made without one: each buffer is allocated
-    (and filled, as its life says) when the kernel first asks for it, so the
-    call holds only what it uses and frees it with its result and cache."""
-
-    def __init__(self, spec: LayerSpec, shape: tuple, dtype, input_grad: bool):
-        lay = layout(spec, tuple(shape), np.dtype(dtype), input_grad)
-        super().__init__(lay.consts)
-        self._buffers = lay.buffers
-
-    def __missing__(self, name: str):
-        shape, dtype, life = self._buffers[name]
-        value = self[name] = {"zeros": np.zeros, "ones": np.ones}.get(life, np.empty)(shape, dtype)
-        return value
+def _fresh(lay: Layout) -> dict:
+    """The work of a kernel call made without one: ``lay``'s index data and
+    buffers, allocated (and filled, as each life says) for this call alone;
+    a buffer the call does not write costs no page."""
+    work = dict(lay.consts)
+    for name, (shape, dtype, life) in lay.buffers.items():
+        work[name] = {"zeros": np.zeros, "ones": np.ones}.get(life, np.empty)(shape, dtype)
+    return work
 
 
 def forward(spec: LayerSpec, params: list[np.ndarray], x, keep_cache: bool = True,
@@ -547,10 +549,10 @@ def forward(spec: LayerSpec, params: list[np.ndarray], x, keep_cache: bool = Tru
     """Run the layer; returns (output, cache) with cache bound to this call,
     or (output, None) when ``keep_cache`` is false.
 
-    ``work`` maps the names of ``layout(spec, input shape, input dtype)`` to
-    its buffers and index data; the output is its "out" buffer and the cache
-    holds its buffers, so the next call through the same work overwrites
-    both.  Without it the call allocates what it uses (see _Fresh)."""
+    ``work`` maps the names of ``layout(spec, input shape, input dtype,
+    keep_cache=keep_cache)`` to its buffers and index data; the output is its
+    "out" buffer and the cache holds its buffers, so the next call through
+    the same work overwrites both.  Without it the call allocates its own."""
     kind = spec.kind
     if kind in ("input_norm", "gap") and x.ndim != 4:
         raise ShapeError(f"{kind} expects NHWC, got shape {x.shape}")
@@ -561,11 +563,12 @@ def forward(spec: LayerSpec, params: list[np.ndarray], x, keep_cache: bool = Tru
                          f"slabs, got shape {x.shape}")
     if kind == "fc" and (x.ndim != 2 or x.shape[1] != spec.in_features):
         raise ShapeError(f"fc expects (batch, {spec.in_features}), got {x.shape}")
-    if kind == "residual_add" and x[0].shape != x[1].shape:
-        raise ShapeError(f"residual_add shape mismatch: {x[0].shape} vs {x[1].shape}")
+    inputs = x if kind == "residual_add" else (x,)
     if work is None:
-        first = x[0] if kind == "residual_add" else x
-        work = _Fresh(spec, first.shape, first.dtype, False)
+        work = _fresh(layout(spec, inputs[0].shape, inputs[0].dtype, False, keep_cache))
+    for t in inputs:
+        if t.shape != work["in_shape"]:
+            raise ShapeError(f"{kind} laid out for input shape {work['in_shape']}, got {t.shape}")
 
     if kind == "input_norm":
         b = x.shape[0]
@@ -588,17 +591,18 @@ def forward(spec: LayerSpec, params: list[np.ndarray], x, keep_cache: bool = Tru
         # pool, each holding `rows` rows per sample
         slabs = geo.out_shape[0] if spec.pool is not None else 1
         rows = geo.out_shape[-3] * geo.out_shape[-2]
-        # backward needs the whole patch matrix; without a cache it is built
-        # in blocks of whole samples that differ in size by at most one
-        n = 1 if keep_cache else max(1, b // _eval_block_samples(spec, slabs * rows, x.itemsize))
         wmat = wgt.reshape(-1, co)
         y = work["out"]
         out = y.reshape(slabs, b * rows, co)
-        for i in range(n):
-            s0, s1 = i * b // n, (i + 1) * b // n
-            block_work = work if n == 1 else _Fresh(spec, (s1 - s0, *x.shape[1:]), x.dtype, False)
-            cols = _im2col(x[s0:s1], block_work["geo"], work["transposed"], block_work)
-            block = out[:, s0 * rows:s1 * rows]
+        if not keep_cache and "padded" in work:
+            work["padded"].fill(0)  # the block's border, which each block keeps
+        # backward needs the whole patch matrix; without a cache it is built
+        # in blocks of m whole samples, the last one overlapping the one before
+        m, bgeo = work["block"]
+        for s0 in range(0, b, m):
+            s0 = min(s0, b - m)
+            cols = _im2col(x[s0:s0 + m], bgeo, work["transposed"], work)
+            block = out[:, s0 * rows:(s0 + m) * rows]
             if block.flags.c_contiguous:
                 np.matmul(cols, wmat, out=block.reshape(-1, co))
             else:  # a pooled conv's block spans every slab
@@ -636,13 +640,10 @@ def forward(spec: LayerSpec, params: list[np.ndarray], x, keep_cache: bool = Tru
         y = np.divide(np.add.reduce(x, axis=(1, 2)), x.shape[1] * x.shape[2], out=work["out"])
         cache = (spec, x.shape)
 
-    elif kind == "residual_add":
+    else:  # a residual add (LayerSpec admits no other kind)
         a, b = x
         y = np.add(a, b, out=work["out"])
         cache = (spec, a.shape)
-
-    else:
-        raise ShapeError(f"unknown layer kind {kind!r}")
     return y, cache if keep_cache else None
 
 
@@ -661,7 +662,7 @@ def backward(spec: LayerSpec, cache, grad_out, input_grad: bool = True,
         raise ShapeError("stale or mismatched cache for backward")
     kind = spec.kind
     if work is None:
-        work = _Fresh(spec, cache[1], grad_out.dtype, input_grad)
+        work = _fresh(layout(spec, cache[1], grad_out.dtype, input_grad))
     if grad_out.shape != work["out_shape"]:
         raise ShapeError(f"grad shape {grad_out.shape} != output shape {work['out_shape']}")
 
@@ -751,7 +752,4 @@ def backward(spec: LayerSpec, cache, grad_out, input_grad: bool = True,
         _, (_, h, w, _) = cache
         return np.divide(grad_out[:, None, None, :], h * w, out=work["gx"]), []
 
-    if kind == "residual_add":
-        return (grad_out, grad_out), []
-
-    raise ShapeError(f"unknown layer kind {kind!r}")
+    return (grad_out, grad_out), []  # a residual add (LayerSpec admits no other kind)

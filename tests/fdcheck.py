@@ -120,7 +120,7 @@ def _kink_margin(kind: str, cfg: M.FADNetConfig, flat: np.ndarray, x: np.ndarray
     """Smallest distance of any relu input or stem pooling decision to its
     kink, read from the caches of one training forward pass."""
     caches: dict = {}
-    M._forward(kind, cfg, flat, x, caches)
+    M._forward(kind, cfg, M._loaded(kind, cfg, flat, x, None, True), caches)
     views = M.param_views(kind, cfg, flat)
     margin = _pool_margin(caches["stem.pool"][2], 2, 2)  # the stem conv's slabs
     for h in range(1, M.N_BLOCKS + 1):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import struct
@@ -38,6 +39,58 @@ TOY_WORK_PLANS = {
     ("backbone_only", "float32"): {32: (6_848_768, 2_142_464), 4: (1_190_464, 537_664)},
     ("backbone_only", "float64"): {32: (13_512_320, 4_128_384), 4: (2_220_736, 918_720)},
 }
+
+# the same of the toy prediction's workspace, at evaluation's batch of 256
+# and a last batch of 144: only the parameters are kept
+TOY_INFER_PLANS = {
+    ("fadnet", "float32"): {256: (10_610_688, 124_928), 144: (6_301_440, 124_928)},
+    ("fadnet", "float64"): {256: (21_221_376, 249_856), 144: (12_602_880, 249_856)},
+    ("backbone_only", "float32"): {256: (10_563_840, 78_080), 144: (6_254_592, 78_080)},
+    ("backbone_only", "float64"): {256: (21_127_680, 156_160), 144: (12_509_184, 156_160)},
+}
+
+# sha256 (first 16 hex digits) of the listing of every training-plan slot
+# (see slot_listing) at batches 1, 4 and 32, by kind, config and dtype
+SLOT_DIGEST_CFGS = {"toy": M.TOY_CONFIG, "odd-2-3-4": ODD_CFGS[2, 3, 4]}
+TRAIN_SLOT_DIGESTS = {
+    ("fadnet", "toy", "float32"): "37c9a0ca5fb16543",
+    ("fadnet", "toy", "float64"): "45a88efb986f2d00",
+    ("fadnet", "odd-2-3-4", "float32"): "ff1100ba911c0deb",
+    ("fadnet", "odd-2-3-4", "float64"): "1a9bf80595050758",
+    ("backbone_only", "toy", "float32"): "af417275e40ba1ef",
+    ("backbone_only", "toy", "float64"): "3f8ae550c22a5ebc",
+    ("backbone_only", "odd-2-3-4", "float32"): "54775905a9aa26ad",
+    ("backbone_only", "odd-2-3-4", "float64"): "2b81867b8bcd66e4",
+}
+
+
+def slot_listing(work) -> str:
+    """One line per slot of a work plan, in key order: its key, byte offset,
+    shape, dtype and span (None for a kept array)."""
+    return "\n".join(f"{key!r} {offset} {buf.shape} {buf.dtype} {span}"
+                     for key, (offset, buf, span) in sorted(work.slots.items(),
+                                                            key=lambda kv: repr(kv[0])))
+
+
+def assert_no_overlap(work):
+    """Arrays of a work plan whose lives overlap never share memory, and each
+    is aligned and inside the block."""
+    placed = [(offset, offset + buf.dtype.itemsize * int(np.prod(buf.shape)), span, key)
+              for key, (offset, buf, span) in work.slots.items()]
+    assert all(lo % M.ALIGN == 0 and hi <= work.nbytes for lo, hi, _, _ in placed)
+    for (lo, hi, span, key), (lo2, hi2, span2, key2) in itertools.combinations(placed, 2):
+        # a kept array (zeroed or filled once, parameters, gradient) lives throughout
+        if span is None or span2 is None or (span[0] <= span2[1] and span2[0] <= span[1]):
+            assert hi <= lo2 or hi2 <= lo, (key, key2)
+    return placed
+
+
+def training_forward(kind, cfg, theta, inputs):
+    """The predictions of a training step's forward pass, which keeps caches."""
+    caches = {}
+    preds = M._forward(kind, cfg, M._loaded(kind, cfg, theta, inputs, None, True), caches)
+    assert caches
+    return preds.copy()
 
 
 def stem_block(cfg, dtype):
@@ -177,10 +230,9 @@ class TestForward:
             block = stem_block(cfg, dtype)
             for n in (1, 4, block - 1, block, block + 1, 2 * block + 1, 256):
                 inputs = toy_batch(n=n, seed=n, cfg=cfg).inputs
-                caches = {}
-                train_preds = M._forward(kind, cfg, theta, inputs, caches)
-                eval_preds = M._forward(kind, cfg, theta, inputs)
-                assert caches
+                train_preds = training_forward(kind, cfg, theta, inputs)
+                work = M._loaded(kind, cfg, theta, inputs, None, False)
+                eval_preds = M._forward(kind, cfg, work)
                 assert np.array_equal(train_preds, eval_preds)
                 assert np.array_equal(np.signbit(train_preds), np.signbit(eval_preds))
                 assert np.array_equal(M.predict(kind, cfg, theta, inputs), eval_preds)
@@ -259,17 +311,13 @@ class TestProgram:
     def test_each_layer_once_each_activation_written_before_read(self, kind):
         plan = M._plan(kind, M.TOY_CONFIG)
         assert sorted(step.layer for step in plan["program"]) == sorted(plan["specs"])
-        written, freed = {"input"}, []
+        written = {"input"}
         for step in plan["program"]:
             assert set(step.reads) <= written and step.layer not in written
             written.add(step.layer)
-            freed += step.frees
         assert set(plan["head"]) <= written
-        # every activation but the head's is dropped once, by its last reader
-        assert sorted(freed) == sorted(written - set(plan["head"]))
-        for i, step in enumerate(plan["program"]):
-            later = {a for s in plan["program"][i + 1:] for a in s.reads}
-            assert set(step.frees) == set(step.reads) - later
+        # every activation is read, by a layer or the head
+        assert {a for step in plan["program"] for a in step.reads} | set(plan["head"]) == written
 
     def test_one_training_step_makes_each_tensor_call_once(self, kind, monkeypatch):
         # every layer runs forward once and backward once, except that the
@@ -381,11 +429,36 @@ class TestWorkspace:
             assert not np.shares_memory(ref_grads, ws.block)
             assert loss == ref_loss and grads.tobytes() == ref_grads.tobytes()
 
+    @pytest.mark.parametrize("garbage", [0, 255])
+    def test_predictions_on_dirty_memory_match_the_training_forward(self, kind, dtype, garbage):
+        # an inference block starts with whatever bytes it is given (NaN or
+        # 0.0, true or false) and shares memory between layers; each conv
+        # zeroes its padded input's border itself.  Batch sizes on both sides
+        # of one stem block, and evaluation's 256
+        theta = M.init_params(kind, M.TOY_CONFIG, 2).astype(dtype)
+        block = stem_block(M.TOY_CONFIG, dtype)
+        for n in (1, 4, block - 1, block + 1, 256):
+            inputs = toy_batch(n=n, seed=n).inputs
+            work = M.Workspace(kind, M.TOY_CONFIG, n, dtype, train=False)
+            work.block[M._work_plan(*work.key).kept:] = garbage
+            work = M._loaded(kind, M.TOY_CONFIG, theta, inputs, work, False)
+            preds = M._forward(kind, M.TOY_CONFIG, work)
+            ref = training_forward(kind, M.TOY_CONFIG, theta, inputs)
+            assert preds.dtype == dtype
+            assert preds.tobytes() == ref.tobytes() == M.predict(kind, M.TOY_CONFIG, theta,
+                                                                 inputs).tobytes()
+
     def test_workspace_of_another_step_rejected(self, kind, dtype):
         theta = M.init_params(kind, M.TOY_CONFIG, 1).astype(dtype)
+        batch = toy_batch(n=4)
         work = M.Workspace(kind, M.TOY_CONFIG, 4, dtype)
         with pytest.raises(ValueError, match="batch 4"):
             M.loss_and_grad(kind, M.TOY_CONFIG, theta, toy_batch(n=3), workspace=work)
+        with pytest.raises(ValueError, match="training .* cannot take prediction"):
+            M._loaded(kind, M.TOY_CONFIG, theta, batch.inputs, work, False)
+        infer = M.Workspace(kind, M.TOY_CONFIG, 4, dtype, train=False)
+        with pytest.raises(ValueError, match="prediction .* cannot take training"):
+            M.loss_and_grad(kind, M.TOY_CONFIG, theta, batch, workspace=infer)
 
     def test_toy_plan_is_pinned(self, kind, dtype):
         # the block's bytes and how many of them live throughout, at batch
@@ -393,16 +466,29 @@ class TestWorkspace:
         for batch, sizes in TOY_WORK_PLANS[kind, np.dtype(dtype).name].items():
             work = M._work_plan(kind, M.TOY_CONFIG, batch, np.dtype(dtype))
             assert (work.nbytes, work.kept) == sizes
+        # the prediction's, which keeps the parameters alone
+        params = M.param_count(kind, M.TOY_CONFIG) * np.dtype(dtype).itemsize
+        for batch, sizes in TOY_INFER_PLANS[kind, np.dtype(dtype).name].items():
+            work = M._work_plan(kind, M.TOY_CONFIG, batch, np.dtype(dtype), False)
+            assert (work.nbytes, work.kept) == sizes
+            assert [key for key, (_, _, span) in work.slots.items() if span is None] == ["params"]
+            assert work.kept == -(-params // M.ALIGN) * M.ALIGN
 
-    def test_arrays_whose_lives_overlap_never_share_memory(self, kind, dtype):
-        work = M._work_plan(kind, M.TOY_CONFIG, 32, np.dtype(dtype))
-        placed = [(offset, offset + buf.dtype.itemsize * int(np.prod(buf.shape)), span, key)
-                  for key, (offset, buf, span) in work.slots.items()]
-        assert all(lo % M.ALIGN == 0 and hi <= work.nbytes for lo, hi, _, _ in placed)
-        for (lo, hi, span, key), (lo2, hi2, span2, key2) in itertools.combinations(placed, 2):
-            # a kept array (zeroed or filled once, parameters, gradient) lives throughout
-            if span is None or span2 is None or (span[0] <= span2[1] and span2[0] <= span[1]):
-                assert hi <= lo2 or hi2 <= lo, (key, key2)
+    @pytest.mark.parametrize("cfg", sorted(SLOT_DIGEST_CFGS))
+    def test_every_training_slot_is_pinned(self, kind, dtype, cfg):
+        # where each array of a training step sits, at batches 1, 4 and 32:
+        # a refactor that moves one shows here
+        listing = "\n\n".join(
+            slot_listing(M._work_plan(kind, SLOT_DIGEST_CFGS[cfg], batch, np.dtype(dtype)))
+            for batch in (1, 4, 32))
+        digest = hashlib.sha256(listing.encode()).hexdigest()[:16]
+        assert digest == TRAIN_SLOT_DIGESTS[kind, cfg, np.dtype(dtype).name]
+
+    @pytest.mark.parametrize("train, batch", [(True, 32), (False, 256), (False, 144)],
+                             ids=["train32", "infer256", "infer144"])
+    def test_arrays_whose_lives_overlap_never_share_memory(self, kind, dtype, train, batch):
+        work = M._work_plan(kind, M.TOY_CONFIG, batch, np.dtype(dtype), train)
+        placed = assert_no_overlap(work)
         # the block is well under the arrays' total: lives that do not overlap share
         assert work.nbytes < 0.75 * sum(hi - lo for lo, hi, _, _ in placed)
 
@@ -422,7 +508,7 @@ class TestOddInputSize:
             # and a batch of two inference blocks and one sample
             for n in (1, 4, 32, 2 * stem_block(cfg, dtype) + 1):
                 inputs = toy_batch(n=n, seed=n, cfg=cfg).inputs
-                train_preds = M._forward(kind, cfg, theta, inputs, {})
+                train_preds = training_forward(kind, cfg, theta, inputs)
                 preds = M.predict(kind, cfg, theta, inputs)
                 assert preds.dtype == dtype
                 assert np.array_equal(preds, train_preds)

@@ -591,7 +591,8 @@ class TestWorkspace:
         class Tracked(M.Workspace):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
-                made.append(weakref.ref(self))
+                if self.key[-1]:  # a training workspace; predict makes its own
+                    made.append(weakref.ref(self))
 
         def evaluate(*args):
             alive.append(sum(ref() is not None for ref in made))

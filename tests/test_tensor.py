@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -71,7 +72,7 @@ def toy_training_forward():
     np.copyto(work.params, M.init_params("fadnet", M.TOY_CONFIG, 0))
     work.inputs[...] = np.random.default_rng(0).standard_normal(work.inputs.shape)
     caches = {}
-    M._forward("fadnet", M.TOY_CONFIG, work.params, work.inputs, caches, work)
+    M._forward("fadnet", M.TOY_CONFIG, work, caches)
     return work, caches
 
 
@@ -232,6 +233,23 @@ class TestShapeAlgebra:
         # checked before the call looks up its layout for that shape
         with pytest.raises(T.ShapeError, match="expects"):
             T.forward(spec, [np.zeros(s) for s in T.param_shapes(spec)], np.zeros(shape))
+
+    @pytest.mark.parametrize("train", [True, False], ids=["train", "infer"])
+    @pytest.mark.parametrize("layer", ["block1.relu", "block1.conv1", "tail.fc", "block1.add"])
+    def test_input_of_another_shape_than_the_layout_rejected(self, layer, train):
+        # through a toy workspace's layer dicts: an input one column (the fc:
+        # one sample) larger than its layout's, which numpy would otherwise
+        # broadcast into the buffers or refuse with a bare ValueError; either
+        # of a residual add's two inputs
+        work = M.Workspace("fadnet", M.TOY_CONFIG, 2, train=train)
+        spec, lay = M._plan("fadnet", M.TOY_CONFIG)["specs"][layer], work.layers[layer]
+        shape = lay["in_shape"]
+        right = np.zeros(shape, np.float32)
+        wrong = np.zeros((*shape[:-2], shape[-2] + 1, shape[-1]), np.float32)
+        said = re.escape(f"laid out for input shape {shape}, got {wrong.shape}")
+        for x in ([(wrong, right), (right, wrong)] if spec.kind == "residual_add" else [wrong]):
+            with pytest.raises(T.ShapeError, match=said):
+                T.forward(spec, work.param_views[layer], x, keep_cache=train, work=lay)
 
     def test_only_a_conv_feeds_a_pool_without_overlap(self):
         # overlapping (k3/s2) and padded (k2/s2/p1) windows, standalone and
