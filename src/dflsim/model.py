@@ -10,12 +10,13 @@ feature.  The "backbone_only" ablation keeps the stem and blocks but maps the
 flattened backbone output straight to the scalar prediction.
 
 Parameters live in one flat float64 vector; the model computes in its dtype,
-float32 or float64, and returns float64 gradients.  The layer plan is the one
-table that names them: each layer's weight, then its bias, in layer order,
-then the fadnet blend vector ``head.accum.w``.  ``param_views`` gives each its
-shaped view.  ``init_params`` goes by layer kind: He-scaled conv kernels, fc
-weights 0.3/sqrt(fan_in), zero biases and a uniform 1/n blend.  A checkpoint
-stores the names and shapes in its manifest and is loaded only if they match.
+float32 or float64, and returns its gradients at that dtype.  The layer plan
+is the one table that names them: each layer's weight, then its bias, in
+layer order, then the fadnet blend vector ``head.accum.w``.  ``param_views``
+gives each its shaped view.  ``init_params`` goes by layer kind: He-scaled
+conv kernels, fc weights 0.3/sqrt(fan_in), zero biases and a uniform 1/n
+blend.  A checkpoint stores the names and shapes in its manifest and is
+loaded only if they match.
 
 The plan also holds the step program, one ``Step`` per layer in forward
 order; each layer writes the activation named after it.  The forward pass is
@@ -28,9 +29,9 @@ right after their block, so a block output sums (next conv1 + next shortcut)
 + branch gap, and the last block's tail + branch gap.
 
 A training step (``loss_and_grad``) runs in a ``Workspace``: one block that
-holds every array the step writes, its parameters at the model dtype and
-its float64 gradient, with each layer's parameter and gradient views and
-its ``tensor.layout`` (kernel buffers and index data) bound once.  Each
+holds every array the step writes, its parameters and its gradient at the
+model dtype, with each layer's parameter and gradient views and its
+``tensor.layout`` (kernel buffers and index data) bound once.  Each
 buffer lives as its layout says, and an activation is its writer's "out"
 buffer (or the input), read by its readers.  ``_work_plan`` places the
 arrays by when the program first writes and last reads each, so arrays
@@ -457,7 +458,7 @@ def _work_plan(kind: str, cfg: FADNetConfig, batch: int, dtype: np.dtype,
     n = len(program)
     shape = (batch, cfg.input_height, cfg.input_width, cfg.input_channels)
     bufs = {"params": T.Buffer((plan["total"],), dtype, "zeros"),
-            "grads": T.Buffer((plan["total"],), np.dtype(np.float64), "zeros"),
+            "grads": T.Buffer((plan["total"],), dtype, "zeros"),
             "input": T.Buffer(shape, dtype, "fwd")}
     if not train:
         del bufs["grads"]
@@ -532,8 +533,8 @@ class Workspace:
     of a prediction), for one model kind, config, batch size and dtype, in
     one block planned by ``_work_plan``, with each layer's parameter (and
     gradient) views and index data bound once.  ``params`` (the model-dtype
-    parameters), ``inputs`` and a training workspace's ``grads`` (the float64
-    gradient vector) are its arrays that callers fill and read."""
+    parameters), ``inputs`` and a training workspace's ``grads`` (the
+    model-dtype gradient vector) are its arrays that callers fill and read."""
 
     def __init__(self, kind: str, cfg: FADNetConfig, batch: int, dtype=np.float32,
                  train: bool = True):

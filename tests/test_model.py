@@ -34,9 +34,9 @@ ODD_CFGS = {widths: M.FADNetConfig(input_height=9, input_width=11, widths=widths
 
 # (block bytes, bytes kept throughout) of the toy step's workspace by batch
 TOY_WORK_PLANS = {
-    ("fadnet", "float32"): {32: (6_992_384, 2_283_008), 4: (1_331_392, 678_208)},
+    ("fadnet", "float32"): {32: (6_867_456, 2_158_080), 4: (1_206_464, 553_280)},
     ("fadnet", "float64"): {32: (13_705_856, 4_315_776), 4: (2_408_896, 1_106_112)},
-    ("backbone_only", "float32"): {32: (6_848_768, 2_142_464), 4: (1_190_464, 537_664)},
+    ("backbone_only", "float32"): {32: (6_770_688, 2_064_384), 4: (1_112_384, 459_584)},
     ("backbone_only", "float64"): {32: (13_512_320, 4_128_384), 4: (2_220_736, 918_720)},
 }
 
@@ -53,13 +53,13 @@ TOY_INFER_PLANS = {
 # (see slot_listing) at batches 1, 4 and 32, by kind, config and dtype
 SLOT_DIGEST_CFGS = {"toy": M.TOY_CONFIG, "odd-2-3-4": ODD_CFGS[2, 3, 4]}
 TRAIN_SLOT_DIGESTS = {
-    ("fadnet", "toy", "float32"): "37c9a0ca5fb16543",
+    ("fadnet", "toy", "float32"): "5aaa10d743ad7ca7",
     ("fadnet", "toy", "float64"): "45a88efb986f2d00",
-    ("fadnet", "odd-2-3-4", "float32"): "ff1100ba911c0deb",
+    ("fadnet", "odd-2-3-4", "float32"): "0f88799d24b73d55",
     ("fadnet", "odd-2-3-4", "float64"): "1a9bf80595050758",
-    ("backbone_only", "toy", "float32"): "af417275e40ba1ef",
+    ("backbone_only", "toy", "float32"): "7919b98dbc40ad03",
     ("backbone_only", "toy", "float64"): "3f8ae550c22a5ebc",
-    ("backbone_only", "odd-2-3-4", "float32"): "54775905a9aa26ad",
+    ("backbone_only", "odd-2-3-4", "float32"): "5a4ed6bf5471a29c",
     ("backbone_only", "odd-2-3-4", "float64"): "2b81867b8bcd66e4",
 }
 

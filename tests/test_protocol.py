@@ -509,7 +509,7 @@ class TestPrecision:
                         shards, tiny_shard(count=12, seed=3), cfg)
 
         f32, f64 = np.dtype(np.float32), np.dtype(np.float64)
-        assert seen["model"] == {("loss_and_grad", f32, f64), ("predict", f32, f32)}
+        assert seen["model"] == {("loss_and_grad", f32, f32), ("predict", f32, f32)}
         assert seen["adam"] == {(f64, f64, f64, f64)}
         # the simulated transfer moves 8 bytes per parameter
         assert seen["model_size_bytes"] == [8 * n_params]
