@@ -21,9 +21,11 @@ and silo steps and cross-silo reductions run serially in fixed silo-id
 order.  The ``workers`` setting is accepted and validated but has no effect.
 Simulated round times are closed forms (``simnet.simulate_round``).
 
-Precision is mixed (Micikevicius et al., ICLR 2018): the parameters, Adam,
-the mix, the checkpoint and the transfer size are float64; every step and
-evaluation runs the model on a float32 copy of one silo's row.
+Precision is mixed (Micikevicius et al., ICLR 2018): the parameters, the
+mix, the checkpoint and the transfer size are float64; every step and
+evaluation runs the model on a float32 copy of one silo's row, and Adam
+keeps its moments at float32, as the step's gradient comes, updating the
+float64 row.
 """
 from __future__ import annotations
 
@@ -126,11 +128,11 @@ class TrainConfig:
 
 @dataclass
 class Silos:
-    """n silos stepping in lockstep.  Row i of ``theta`` and of the Adam
-    moments is silo i, which samples ``shards[i]`` with ``rngs[i]``; ``k`` is
-    the iteration counter and ``t`` the Adam step, shared by all silos.
-    ``adam_work`` is two rows of scratch for the Adam update, shared by the
-    silos, which step one after another.  So is ``work``, the float32 step
+    """n silos stepping in lockstep.  Row i of ``theta`` (float64) and of the
+    float32 Adam moments is silo i, which samples ``shards[i]`` with
+    ``rngs[i]``; ``k`` is the iteration counter and ``t`` the Adam step,
+    shared by all silos.  ``adam_work`` is two float32 rows of scratch for
+    the Adam update, shared by the silos, which step one after another.  So is ``work``, the float32 step
     workspace of ``model`` (kind and config; None for a stand-in loss), made
     by the first step after each evaluation, which drops it."""
 
@@ -155,9 +157,9 @@ class Silos:
                 for i in range(len(shards))]
         silos = cls(theta, list(shards), rngs, k=k, model=model)
         if cfg.optimizer == "adam":
-            silos.adam_m = np.zeros_like(theta)
-            silos.adam_v = np.zeros_like(theta)
-            silos.adam_work = np.empty((2, theta.shape[1]))
+            silos.adam_m = np.zeros(theta.shape, np.float32)
+            silos.adam_v = np.zeros(theta.shape, np.float32)
+            silos.adam_work = np.empty((2, theta.shape[1]), np.float32)
         return silos
 
 
@@ -268,8 +270,10 @@ def adam_update(theta: np.ndarray, m: np.ndarray, v: np.ndarray, grad: np.ndarra
         v = B2 * v + (1 - B2) * grad ** 2
         theta -= lr * (m / (1 - B1 ** t)) / (sqrt(v / (1 - B2 ** t)) + EPS)
 
-    evaluated in that order.  ``work`` is two rows of scratch as long as
-    ``theta``; ``grad`` is only read."""
+    evaluated in that order, ``theta`` at its own dtype and the rest at the
+    moments'.  ``work`` is two rows of scratch at that dtype, as long as
+    ``theta``; ``grad`` is only read.  At float32 a gradient entry above
+    about 1.8e19 in magnitude squares to inf, and ``v`` with it."""
     a, b = work
     np.multiply(m, ADAM_BETA1, out=m)
     np.multiply(grad, 1 - ADAM_BETA1, out=a)
@@ -289,7 +293,8 @@ def adam_update(theta: np.ndarray, m: np.ndarray, v: np.ndarray, grad: np.ndarra
 
 def _gradient_step(silos: Silos, i: int, cfg: TrainConfig, loss_grad_fn) -> float:
     """One float32 mini-batch step of silo i on its own float64 row, cast
-    and gathered into the silos' workspace when they train a model."""
+    and gathered into the silos' workspace when they train a model.  A
+    non-finite loss, row or Adam second moment aborts the run."""
     shard, theta = silos.shards[i], silos.theta[i]
     idx = silos.rngs[i].integers(0, shard.count, size=cfg.batch_size)
     if silos.model is None:  # a stand-in loss
@@ -301,16 +306,21 @@ def _gradient_step(silos: Silos, i: int, cfg: TrainConfig, loss_grad_fn) -> floa
         np.copyto(work.params, theta)
         loss, grad = loss_grad_fn(work.params, shard.subset(idx, out=work.inputs),
                                   workspace=work)
-    grad = np.asarray(grad, np.float64)  # the update runs in float64 whatever the grad's dtype
-    if cfg.optimizer == "sgd":
-        theta -= cfg.learning_rate * grad
-    else:
-        adam_update(theta, silos.adam_m[i], silos.adam_v[i], grad, silos.t,
+    if cfg.optimizer == "sgd":  # lr * grad rounded at float64, whatever the grad's dtype
+        theta -= cfg.learning_rate * np.asarray(grad, np.float64)
+    else:  # the model's gradient is at the moments' dtype; a stand-in's is cast to it
+        m = silos.adam_m[i]
+        adam_update(theta, m, silos.adam_v[i], np.asarray(grad, m.dtype), silos.t,
                     cfg.learning_rate, silos.adam_work)
     if not math.isfinite(loss) or not np.all(np.isfinite(theta)):
         raise NanGradientError(
             f"non-finite loss or parameters at silo {i}, iteration k={silos.k} "
             f"(loss={loss!r}); aborting run")
+    # an inf in v holds its coordinate still (an update of 0) at every later step
+    if cfg.optimizer == "adam" and not np.all(np.isfinite(silos.adam_v[i])):
+        raise NanGradientError(
+            f"Adam's second moment overflowed at silo {i}, iteration k={silos.k}: a "
+            f"gradient entry above about 1.8e19 squares past float32; aborting run")
     return loss
 
 

@@ -1,23 +1,25 @@
 """Golden bits: tiny dfl, sfl and cll runs (and one cll run of the
 ``backbone_only`` ablation) must write exactly the committed
-``metrics.csv`` and ``final_model.ckpt``.  Two more runs use the default
+``metrics.csv`` and ``final_model.ckpt``, and so must one dfl run with
+plain SGD in place of Adam.  Two more runs use the default
 32x32 model at the benchmark's batch sizes (dfl on nws22 at batch 32, sfl on
 gaia11 at batch 4), which the 8x8 runs never reach: the stem conv's
 transposed patch matrix (8 output channels) and the blocked inference
 convolution.
 
 Training and evaluation compute at float32 while the parameters stay
-float64.  The model's float64 path keeps its own digests: ``loss_and_grad``
-and ``predict`` on float64 parameters, for both model kinds at batch 32 and
-batch 4 (``FLOAT64_DIGESTS``).
+float64; the step's gradient and Adam's moments are float32, and SGD's step
+is rounded at float64.  The model's float64 path keeps its own digests:
+``loss_and_grad`` and ``predict`` on float64 parameters, for both model
+kinds at batch 32 and batch 4 (``FLOAT64_DIGESTS``).
 
-The last change of the bits on purpose computed each conv's input
-gradient as one transposed convolution (the output gradient convolved at
-stride 1 with the flipped, phase-stacked weight) in place of the col2im
-scatter, and each conv and fc bias gradient as one product with a ones
-vector: that moved the run digests and the gradient halves of
-``FLOAT64_DIGESTS`` once, while the predictions and every run's round-0
-``metrics.csv`` row kept their bits.
+The last change of the bits on purpose kept Adam's two moments (and its
+scratch) at float32, updated by the float32 gradient straight from the step
+workspace, where they had been float64 and the gradient cast up each step.
+That moved the six Adam run digests once; every run's round-0
+``metrics.csv`` row, ``FLOAT64_DIGESTS`` and the SGD run kept their bits.
+The float32 gradient vector alone moved none: it held only float32 values
+before.
 
 Each run is a ``dflsim run`` subprocess with BLAS at one thread.  The bits
 depend on the numpy/OpenBLAS build and the CPU, so a failure prints that
@@ -48,24 +50,27 @@ BENCH_GEOMETRY = {"sample_count": 300, "rounds": 2, "eval_interval": 1, "seed": 
 # config, then the md5 of metrics.csv and of final_model.ckpt
 GOLDEN = {
     "dfl": (dict(TINY, strategy="dfl", topology="nws22"),
-            "2c8554a58e551ea8a8a603c2d4650df8", "b60ed4659dd9076de0e2285696059cdf"),
+            "2a24be08e3b921b0243751664784a396", "497cbcea237fa9d42cbe9d1e2393489e"),
     "sfl": (dict(TINY, strategy="sfl", topology="gaia11", workers=2),
-            "939837caa3e6dcda89ff5f2681c52dd4", "825970b83e2b60fb5776802255ed9c9b"),
+            "5d7da937239a2e16d341266e74114311", "13dd88aefa3f104f5efa9398a9580afe"),
+    "dfl-sgd": (dict(TINY, strategy="dfl", topology="nws22", optimizer="sgd"),
+                "5a72dfe2091ed8df7b6928f4ebc27802", "608d46b4add150e5691384808938efea"),
     "cll": (dict(TINY, strategy="cll"),
-            "50a2358d3328e1e2dfc1df58329c71b3", "a4236e1eb4221d60a6ddb2fa69b76b8b"),
+            "8f14ba19fcbec87db7c8313d9208d7be", "64a909c03eb22ed33b3d2db4ac01f728"),
     "cll-backbone_only": (dict(TINY, strategy="cll", model_kind="backbone_only"),
-                          "4afc5c8f6e88b575d159fc4679794ba5", "e3a4768af7ad991fad7ed1b84c08030f"),
+                          "c7e13efc4b15d1333aab53f69f32e000", "dc3478b0d7aafcfac0f4e33b1829ac3f"),
     "dfl-nws22-b32": (dict(BENCH_GEOMETRY, strategy="dfl", topology="nws22", batch_size=32),
-                      "abe862e07fdce92eccb69a71184f9dfe", "a6a77b6d420d636d8eaf1385bcee36ae"),
+                      "ec9616c008703d1c36acd38976b3dd2a", "3064fcbe0126abc939f0adaabe3f49d0"),
     "sfl-gaia11-b4": (dict(BENCH_GEOMETRY, strategy="sfl", topology="gaia11", batch_size=4,
                            workers=2),
-                      "f6bdffa0d9e08612377b9ee89eeb79f2", "f51f85bdbb55076cf569482fb3a33914"),
+                      "f8cac1847d5f6b4803251880fb38b74e", "566007c16e70ed542c89663eeedc4ab8"),
 }
 
 # the round-0 row of each run's metrics.csv: the loss and test RMSE of the
 # initial parameters, which no gradient has touched yet
 ROUND0 = {
     "dfl": "0,0.0,0.3224190150803596,0.5884357291938845,dfl",
+    "dfl-sgd": "0,0.0,0.3224190150803596,0.5884357291938845,dfl",
     "sfl": "0,0.0,0.29362985350757914,0.5884357291938845,sfl",
     "cll": "0,0.0,0.24297341036222192,0.5884357291938845,cll",
     "cll-backbone_only": "0,0.0,0.1625423891189638,0.5981522948361385,cll",

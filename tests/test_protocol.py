@@ -122,18 +122,45 @@ class TestDpasgdUpdate:
         assert silos.theta[0, 0] == pytest.approx(-0.5, rel=1e-6)
         assert silos.t == 1
 
-    def test_in_place_adam_matches_textbook_bitwise(self):
-        # zeros, -0.0, subnormals, tiny and huge values among the gradients
+    def test_overflowed_second_moment_aborts_with_diagnostics(self):
+        # a float32 gradient entry of 1e20 squares to inf in v, after which
+        # that coordinate's update is 0 at every step: silo 1 aborts
+        cfg = P.TrainConfig(rounds=1, optimizer="adam", learning_rate=0.5)
+        silos = stub_silos([[0.0] * 3, [0.0] * 3], cfg, k=1)
+        grads = iter([[1.0, -1.0, 1.0], [1e20, -3e19, 1.0]])
+
+        def fn(theta, batch):
+            return 0.0, np.array(next(grads), np.float32)
+        with np.errstate(over="ignore"), \
+                pytest.raises(P.NanGradientError, match="silo 1, iteration k=1"):
+            P.dpasgd_update(silos, P.matrix_mix(TWO_RING), fn, cfg)
+
+    def test_large_float32_gradient_still_steps(self):
+        # 1e18 squares to 1e36, within float32: each step moves by about lr
+        cfg = P.TrainConfig(rounds=1, optimizer="adam", learning_rate=0.5, local_steps=2)
+        silos = stub_silos([[0.0, 0.0]], cfg, k=1)
+        for step in (1, 2):
+            P.dpasgd_update(silos, ONE_MIX, const_grad(1e18), cfg)
+            assert silos.theta[0].tolist() == [pytest.approx(-0.5 * step, rel=1e-6)] * 2
+        assert np.all(np.isfinite(silos.adam_v))
+
+    @pytest.mark.parametrize("dtype, special", [
+        (np.float64, [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e-300, 1e150, -1e150]),
+        (np.float32, [0.0, -0.0, 1e-45, -1e-45, 1e-38, -1e-38, 1e18, -1e18])],
+        ids=["float64", "float32"])
+    def test_in_place_adam_matches_textbook_bitwise(self, dtype, special):
+        # moments, scratch and gradient at ``dtype``, theta at float64; zeros,
+        # -0.0, subnormals, tiny and huge values among the gradients
         rng = np.random.default_rng(6)
         n = 4096
-        special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e-300, 1e150, -1e150])
+        special = np.array(special, dtype)
         theta = rng.standard_normal(n)
-        m, v = np.zeros(n), np.zeros(n)
+        m, v = np.zeros(n, dtype), np.zeros(n, dtype)
         want_theta, want_m, want_v = theta.copy(), m.copy(), v.copy()
-        work = np.empty((2, n))
+        work = np.empty((2, n), dtype)
         lr = 1e-3
         for t in range(1, 6):
-            grad = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 4, n)
+            grad = (rng.standard_normal(n) * 10.0 ** rng.integers(-8, 4, n)).astype(dtype)
             grad[rng.integers(0, n, 200)] = rng.choice(special, 200)
             held = grad.copy()
             P.adam_update(theta, m, v, grad, t, lr, work)
@@ -143,8 +170,9 @@ class TestDpasgdUpdate:
             m_hat = want_m / (1 - P.ADAM_BETA1 ** t)
             v_hat = want_v / (1 - P.ADAM_BETA2 ** t)
             want_theta = want_theta - lr * m_hat / (np.sqrt(v_hat) + P.ADAM_EPS)
+            assert want_theta.dtype == np.float64 and want_m.dtype == want_v.dtype == dtype
             for got, want in ((theta, want_theta), (m, want_m), (v, want_v)):
-                assert got.tobytes() == want.tobytes(), t
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), t
 
     @pytest.mark.parametrize("fixture_name", ["gaia11", "nws22"])
     def test_ring_mix_matches_per_silo_loop_bitwise(self, fixture_name, request):
@@ -469,9 +497,10 @@ class TestMetricsLog:
 
 
 class TestPrecision:
-    """The model computes at float32; the silo parameters, the Adam moments
-    and update, the evaluated model, the checkpoint and the transferred model
-    size stay float64."""
+    """The model computes at float32 and returns a float32 gradient, which
+    the float32 Adam moments take as it is; the silo parameters, the
+    evaluated model, the checkpoint and the transferred model size stay
+    float64."""
 
     def test_model_at_float32_state_at_float64(self, gaia11, monkeypatch, tmp_path):
         seen = {"model": set(), "adam": set(), "model_size_bytes": []}
@@ -510,7 +539,7 @@ class TestPrecision:
 
         f32, f64 = np.dtype(np.float32), np.dtype(np.float64)
         assert seen["model"] == {("loss_and_grad", f32, f32), ("predict", f32, f32)}
-        assert seen["adam"] == {(f64, f64, f64, f64)}
+        assert seen["adam"] == {(f64, f32, f32, f32)}
         # the simulated transfer moves 8 bytes per parameter
         assert seen["model_size_bytes"] == [8 * n_params]
         assert log.final_params.dtype == f64
