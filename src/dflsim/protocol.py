@@ -316,8 +316,9 @@ def _gradient_step(silos: Silos, i: int, cfg: TrainConfig, loss_grad_fn) -> floa
         raise NanGradientError(
             f"non-finite loss or parameters at silo {i}, iteration k={silos.k} "
             f"(loss={loss!r}); aborting run")
-    # an inf in v holds its coordinate still (an update of 0) at every later step
-    if cfg.optimizer == "adam" and not np.all(np.isfinite(silos.adam_v[i])):
+    # an inf in v holds its coordinate still (an update of 0) at every later
+    # step; v >= 0, so its max is finite only if every entry is (and not NaN)
+    if cfg.optimizer == "adam" and not math.isfinite(silos.adam_v[i].max()):
         raise NanGradientError(
             f"Adam's second moment overflowed at silo {i}, iteration k={silos.k}: a "
             f"gradient entry above about 1.8e19 squares past float32; aborting run")
