@@ -132,9 +132,10 @@ class Silos:
     float32 Adam moments is silo i, which samples ``shards[i]`` with
     ``rngs[i]``; ``k`` is the iteration counter and ``t`` the Adam step,
     shared by all silos.  ``adam_work`` is two float32 rows of scratch for
-    the Adam update, shared by the silos, which step one after another.  So is ``work``, the float32 step
-    workspace of ``model`` (kind and config; None for a stand-in loss), made
-    by the first step after each evaluation, which drops it."""
+    the Adam update, shared by the silos, which step one after another.  So
+    is ``work``, the float32 step workspace of ``model`` (kind and config;
+    None for a stand-in loss), made by the first step after each evaluation,
+    which drops it."""
 
     theta: np.ndarray
     shards: list[Dataset]
