@@ -21,7 +21,7 @@ loaded only if they match.
 The plan also holds the step program, one ``Step`` per layer in forward
 order; each layer writes the activation named after it.  The forward pass is
 one loop over the program plus the product head.  The backward pass is the
-head's gradient plus one loop over it in reverse, in which each layer adds
+head's gradient plus one loop over it in reverse, in which each layer writes
 its parameter gradients into their views and passes its input gradients back
 to the activations it read.  An activation's gradients sum in the order that
 walk meets its readers: shortcuts are listed before their conv1 and branches
@@ -30,8 +30,9 @@ right after their block, so a block output sums (next conv1 + next shortcut)
 
 A training step (``loss_and_grad``) runs in a ``Workspace``: one block that
 holds every array the step writes, its parameters and its gradient at the
-model dtype, with each layer's parameter and gradient views and its
-``tensor.layout`` (kernel buffers and index data) bound once.  Each
+model dtype, with each layer's spec, parameter views and ``tensor.layout``
+(kernel buffers, index data and, by ``tensor.bind``, the views the kernels
+read, its gradient slots among them) bound once in ``program``.  Each
 buffer lives as its layout says, and an activation is its writer's "out"
 buffer (or the input), read by its readers.  ``_work_plan`` places the
 arrays by when the program first writes and last reads each, so arrays
@@ -311,19 +312,18 @@ def _forward(kind: str, cfg: FADNetConfig, work: Workspace,
              caches: dict | None = None) -> np.ndarray:
     """Run the whole network on ``work``'s parameters and inputs, through its
     views and buffers, and return its predictions, in the parameters' dtype.
-    Given a ``caches`` dict (and a training workspace), each layer that
-    backward reaches stores its cache there under its name, and the product
-    head its inputs under "head"; with None (inference) none is kept."""
+    Through a training workspace, each layer that backward reaches stores
+    its cache in ``caches`` under its name, and the product head its inputs
+    under "head"; through an inference workspace none is kept."""
     plan = _plan(kind, cfg)
     acts = {"input": work.inputs}
-    for step in plan["program"]:
+    for step, spec, params, layer_work, keep_cache in work.program:
         x = [acts[a] for a in step.reads]
         x = x[0] if len(x) == 1 else x  # a residual add reads two
         if step.flattens:
             x = x.reshape(len(x), -1)
-        acts[step.layer], cache = T.forward(
-            plan["specs"][step.layer], work.param_views[step.layer], x,
-            keep_cache=caches is not None and step.backward, work=work.layers[step.layer])
+        acts[step.layer], cache = T.forward(spec, params, x, keep_cache=keep_cache,
+                                            work=layer_work)
         if cache is not None:
             caches[step.layer] = cache
 
@@ -340,35 +340,30 @@ def _forward(kind: str, cfg: FADNetConfig, work: Workspace,
 
 def _backward_full(kind: str, cfg: FADNetConfig, caches: dict, gpred: np.ndarray,
                    work: Workspace) -> np.ndarray:
-    """The flat parameter gradient, ``work``'s zeroed vector filled layer by
-    layer in one reverse walk of the program (see the module docstring)."""
+    """The flat parameter gradient, ``work``'s vector, each entry written
+    once in one reverse walk of the program (see the module docstring)."""
     plan = _plan(kind, cfg)
-    grads = work.grads
-    grads.fill(0.0)
     if kind == "fadnet":
         tail, f_c, branch_feats, w = caches["head"]
         gfc = gpred[:, None] * tail / cfg.feature_dim
-        work.grad_views["head.accum"][0][:] = [
+        _layer_views(plan, "head.accum", work.grads)[0][:] = [
             float(np.add.reduce(gfc * f, axis=None)) for f in branch_feats]
         ghead = [gpred[:, None] * f_c / cfg.feature_dim, *(gfc * wh for wh in w)]
     else:
         ghead = [gpred[:, None]]
     gacts = dict(zip(plan["head"], ghead))  # each activation's gradient so far
 
-    for step in reversed(plan["program"]):
-        if not step.backward:
+    for step, spec, _, layer_work, keeps_cache in reversed(work.program):
+        if not keeps_cache:  # backward does not reach it
             continue
-        gx, gparams = T.backward(plan["specs"][step.layer], caches[step.layer],
-                                 gacts.pop(step.layer), input_grad=step.input_grad,
-                                 work=work.layers[step.layer])
-        for view, g in zip(work.grad_views[step.layer], gparams):
-            view += g
+        gx, _ = T.backward(spec, caches[step.layer], gacts.pop(step.layer),
+                           input_grad=step.input_grad, work=layer_work)
         if step.input_grad:
             if step.flattens:
                 gx = gx.reshape(len(gx), *step.flattens)
             for a, g in zip(step.reads, gx if len(step.reads) > 1 else (gx,)):
                 gacts[a] = np.add(gacts[a], g, out=work.sums[step.layer, a]) if a in gacts else g
-    return grads
+    return work.grads
 
 
 def _loaded(kind: str, cfg: FADNetConfig, params, inputs: np.ndarray,
@@ -379,6 +374,8 @@ def _loaded(kind: str, cfg: FADNetConfig, params, inputs: np.ndarray,
     want = (cfg.input_height, cfg.input_width, cfg.input_channels)
     if inputs.shape[1:] != want:
         raise T.ShapeError(f"batch shape {inputs.shape[1:]} != config input {want}")
+    if not len(inputs):
+        raise ValueError(f"inputs must be a nonempty batch, got shape {inputs.shape}")
     key = (kind, cfg, len(inputs), flat.dtype, train)
     work = workspace if workspace is not None else Workspace(*key)
     if work.key != key:
@@ -559,8 +556,14 @@ class Workspace:
         self.param_views = {layer: _layer_views(plan, layer, self.params) for layer in plan["slots"]}
         if train:
             self.grads = views["grads"]
-            self.grad_views = {layer: _layer_views(plan, layer, self.grads)
-                               for layer in plan["slots"]}
+            for layer, layer_work in self.layers.items():
+                layer_work["grads"] = _layer_views(plan, layer, self.grads)
+        # per layer in forward order: step, spec, parameters, bound work, keeps a cache
+        specs = plan["specs"]
+        self.program = tuple(
+            (step, specs[step.layer], self.param_views[step.layer],
+             T.bind(specs[step.layer], self.layers[step.layer]), train and step.backward)
+            for step in plan["program"])
 
 
 def rmse(predictions, targets) -> float:

@@ -292,21 +292,25 @@ def adam_update(theta: np.ndarray, m: np.ndarray, v: np.ndarray, grad: np.ndarra
     theta -= a
 
 
+def _loss_grad(silos: Silos, i: int, idx, cfg: TrainConfig, loss_grad_fn):
+    """``loss_grad_fn`` at silo i's row cast to float32, on the samples
+    ``idx`` of its shard, gathered into the silos' workspace (made if an
+    evaluation dropped it) when they train a model at ``cfg.batch_size``."""
+    theta, shard, work = silos.theta[i], silos.shards[i], silos.work
+    if silos.model is None or len(idx) != cfg.batch_size:  # a stand-in loss or a short probe
+        return loss_grad_fn(theta.astype(np.float32), shard.subset(idx))
+    if work is None:
+        work = silos.work = M.Workspace(*silos.model, cfg.batch_size)
+    np.copyto(work.params, theta)
+    return loss_grad_fn(work.params, shard.subset(idx, out=work.inputs), workspace=work)
+
+
 def _gradient_step(silos: Silos, i: int, cfg: TrainConfig, loss_grad_fn) -> float:
-    """One float32 mini-batch step of silo i on its own float64 row, cast
-    and gathered into the silos' workspace when they train a model.  A
-    non-finite loss, row or Adam second moment aborts the run."""
-    shard, theta = silos.shards[i], silos.theta[i]
-    idx = silos.rngs[i].integers(0, shard.count, size=cfg.batch_size)
-    if silos.model is None:  # a stand-in loss
-        loss, grad = loss_grad_fn(theta.astype(np.float32), shard.subset(idx))
-    else:
-        if silos.work is None:
-            silos.work = M.Workspace(*silos.model, cfg.batch_size)
-        work = silos.work
-        np.copyto(work.params, theta)
-        loss, grad = loss_grad_fn(work.params, shard.subset(idx, out=work.inputs),
-                                  workspace=work)
+    """One float32 mini-batch step of silo i on its own float64 row (see
+    _loss_grad); a non-finite loss, row or Adam second moment aborts the run."""
+    theta = silos.theta[i]
+    idx = silos.rngs[i].integers(0, silos.shards[i].count, size=cfg.batch_size)
+    loss, grad = _loss_grad(silos, i, idx, cfg, loss_grad_fn)
     if cfg.optimizer == "sgd":  # lr * grad rounded at float64, whatever the grad's dtype
         theta -= cfg.learning_rate * np.asarray(grad, np.float64)
     else:  # the model's gradient is at the moments' dtype; a stand-in's is cast to it
@@ -356,13 +360,10 @@ def _loss_grad_fn(model_kind: str, model_cfg: M.FADNetConfig):
 
 def _probe_loss(silos: Silos, cfg: TrainConfig, loss_grad_fn) -> float:
     """Mean initial-model loss over per-silo probe batches (first samples of
-    each shard) at float32; used for the round-0 metrics row."""
-    losses = []
-    for shard, theta in zip(silos.shards, silos.theta):
-        n = min(cfg.batch_size, shard.count)
-        loss, _ = loss_grad_fn(theta.astype(np.float32), shard.subset(range(n)))
-        losses.append(loss)
-    return float(np.mean(losses))
+    each shard) at float32, each a step like a training step's (see
+    ``_loss_grad``); used for the round-0 metrics row."""
+    return float(np.mean([_loss_grad(silos, i, range(min(cfg.batch_size, shard.count)), cfg,
+                                     loss_grad_fn)[0] for i, shard in enumerate(silos.shards)]))
 
 
 def is_eval_round(rnd: int, cfg: TrainConfig) -> bool:

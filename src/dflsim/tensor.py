@@ -39,11 +39,16 @@ shape and life (``Buffer``), and the call's index data: its input and
 output shapes (``forward`` checks the input against the one and
 ``backward`` the output gradient against the other, for every kind) and a
 conv's index arithmetic (``_geometry``, ``_grad_conv``), none of which
-grows with the batch.  A kernel takes both from its ``work`` argument.  A
-caller that runs the same shapes again (``model.Workspace``, for a training
-step or a prediction) binds them once, so a call allocates nothing that
-grows with the batch.  Called without ``work``, a kernel allocates the
-layout's buffers for that call alone (``_fresh``).
+grows with the batch.  ``bind`` adds every view the kernels take of those
+buffers: a padded buffer's interior and windows, the 2-D patch and output
+matrices, each block's rows, the input gradient's interleave and more.  A
+kernel takes all of it and the parameter gradients ("grads") from its
+``work`` argument, and builds per call only views of its own input (an
+unpadded conv's window, a pool's grouping of NHWC input).  A caller that
+runs the same shapes again (``model.Workspace``) binds them once, with the
+gradients as views of its gradient vector, so a call allocates nothing
+that grows with the batch.  Called without ``work``, a kernel allocates and
+binds them for that call alone (``_fresh``).
 
 A max pool reads each input element at most once and pads nothing
 (``LayerSpec`` rejects kernel > stride and any padding), so every pool
@@ -267,49 +272,43 @@ def _strided(a: np.ndarray, shape: tuple, strides: tuple) -> np.ndarray:
     return np.ndarray(shape, a.dtype, a, 0, strides)
 
 
-def _im2col(x: np.ndarray, geo: _Geometry, transposed: bool, work: dict,
-            prefix: str = "") -> np.ndarray:
-    """The (N, k*k*c) patch matrix of x, columns in (a, bb, channel) order
-    and rows in the order of ``geo.patches``: one copy of a window view of x
-    into ``work[prefix + "cols"]``, read through the zero-bordered
-    ``work[prefix + "padded"]`` if the layer pads and first copied by row and
-    column offset into ``work[prefix + "offsets"]`` if ``geo.by_offset`` says
-    so.  With ``transposed`` it is the transpose of a C-ordered (K, N)
-    buffer."""
-    if geo.padded == x.shape:
-        src = np.ascontiguousarray(x)
-    else:
-        src = work[prefix + "padded"]
-        src[geo.interior] = x
-    if geo.by_offset is not None:
-        view, src = _strided(src, *geo.by_offset), work[prefix + "offsets"]
-        np.copyto(src, view)
-    win = _strided(src, *geo.patches)
-    *_, k, _, c = win.shape
-    kk = k * k * c
-    cols = work[prefix + "cols"]
+def _windows(src: np.ndarray, geo: _Geometry, transposed: bool, offsets) -> tuple:
+    """The by-offset view of ``src`` (None without ``offsets``) and the
+    im2col window view of ``offsets`` or else ``src``, patch element dims
+    first with ``transposed``."""
+    by_offset = None if offsets is None else _strided(src, *geo.by_offset)
+    win = _strided(src if offsets is None else offsets, *geo.patches)
     if transposed:
         d = win.ndim - 3
-        np.copyto(cols, win.transpose(d, d + 1, d + 2, *range(d)))
-        return cols.reshape(kk, -1).T
-    np.copyto(cols, win)
-    return cols.reshape(-1, kk)
+        win = win.transpose(d, d + 1, d + 2, *range(d))
+    return by_offset, win
 
 
-def _group(x: np.ndarray, grouping: tuple, out: np.ndarray) -> np.ndarray:
-    """NHWC ``x`` copied once into ``out``, contiguous (k*k, b, oh, ow, c)
-    slabs, one per window position of the pool whose ``grouping`` it is."""
-    _, shape, strides = grouping
-    np.copyto(out.reshape(shape), _strided(np.ascontiguousarray(x), shape, strides))
-    return out
+def _bind_im2col(work: dict, geo: _Geometry, transposed: bool, prefix: str = "") -> tuple:
+    """_im2col's views of ``work[prefix + name]``, bound once: the interior
+    of "padded" (None for an unpadded conv), the _windows over it, "offsets"
+    and the 2-D patch matrix of "cols"."""
+    padded, offsets, cols = (work.get(prefix + name) for name in ("padded", "offsets", "cols"))
+    windows = (None, None) if padded is None else _windows(padded, geo, transposed, offsets)
+    kk = math.prod(geo.patches[0][-3:])
+    return (geo, transposed, None if padded is None else padded[geo.interior], *windows,
+            offsets, cols, cols.reshape(kk, -1).T if transposed else cols.reshape(-1, kk))
 
 
-def _ungroup(slabs: np.ndarray, grouping: tuple, out: np.ndarray) -> np.ndarray:
-    """Adjoint of _group: the slabs written into ``out``, a zero NHWC array,
-    in one copy; elements that no window covers stay +0.0."""
-    _, shape, strides = grouping
-    _strided(out, shape, strides)[...] = slabs.reshape(shape)
-    return out
+def _im2col(x: np.ndarray, bound: tuple) -> np.ndarray:
+    """The (N, k*k*c) patch matrix of x, columns in (a, bb, channel) order,
+    rows in the order of ``geo.patches``: one copy of a window of x through
+    the views ``bound`` by _bind_im2col.  With ``transposed`` it is the
+    transpose of a C-ordered (K, N) buffer."""
+    geo, transposed, interior, by_offset, window, offsets, cols, mat = bound
+    if interior is None:  # an unpadded conv reads the window of its input itself
+        by_offset, window = _windows(np.ascontiguousarray(x), geo, transposed, offsets)
+    else:
+        np.copyto(interior, x)
+    if offsets is not None:
+        np.copyto(offsets, by_offset)
+    np.copyto(cols, window)
+    return mat
 
 
 class _GradConv(NamedTuple):
@@ -438,6 +437,8 @@ def layout(spec: LayerSpec, shape: tuple, dtype: np.dtype, input_grad: bool = Tr
     samples and their geometry) sizes its padded input, offsets and patches."""
     dtype = np.dtype(dtype)
     b = shape[0]
+    if not b:
+        raise ShapeError(f"{spec.kind} needs a nonempty batch, got shape {shape}")
     buffers, consts, keeps_input = {}, {"in_shape": shape}, False
 
     def add(name, buf_shape, life, buf_dtype=dtype):
@@ -469,6 +470,8 @@ def layout(spec: LayerSpec, shape: tuple, dtype: np.dtype, input_grad: bool = Tr
         d = len(win) - 3
         add("cols", win[d:] + win[:d] if transposed else win, "cache")
         add("out", geo.out_shape, "fwd")
+        if m < b and geo.grouping is not None:  # a block's product, copied into every slab
+            add("prod", block.out_shape, "fwd")
         add("gw", (co, k * k * c), "bwd")
         if spec.bias:
             add("ones", (rows,), "ones")
@@ -521,7 +524,6 @@ def layout(spec: LayerSpec, shape: tuple, dtype: np.dtype, input_grad: bool = Tr
     elif spec.kind == "fc":
         keeps_input = True
         add("out", (b, spec.out_features), "fwd")
-        add("gw", (spec.in_features, spec.out_features), "bwd")
         if spec.bias:
             add("ones", (b,), "ones")
         add("gx", shape, "bwd")
@@ -534,14 +536,63 @@ def layout(spec: LayerSpec, shape: tuple, dtype: np.dtype, input_grad: bool = Tr
     return Layout(buffers, consts, keeps_input)
 
 
-def _fresh(lay: Layout) -> dict:
+def bind(spec: LayerSpec, work: dict) -> dict:
+    """``work``, the index data and buffers of ``spec``'s layout, with the
+    views that its kernels read bound beside them (see the module docstring)."""
+    if spec.kind == "conv2d":
+        b, co = work["in_shape"][0], spec.out_channels
+        geo, (m, bgeo) = work["geo"], work["block"]
+        work["im2col"] = _bind_im2col(work, bgeo, work["transposed"])
+        work["out2d"] = work["out"].reshape(-1, co)
+        # the output's rows: one slab, or one per window position of the pool, each
+        # r rows per sample; per block of m samples, its product's rows and slab copy
+        slab_rows = work["out2d"].reshape(geo.out_shape[0] if spec.pool else 1, -1, co)
+        r, blocks = slab_rows.shape[1] // b, []
+        for s0 in (min(s0, b - m) for s0 in range(0, b, m)):  # the last overlaps the one before
+            block = slab_rows[:, s0 * r:(s0 + m) * r]
+            prod = work.get("prod", block)  # a pooled block spans every slab
+            blocks.append((slice(s0, s0 + m), prod.reshape(-1, co),
+                           None if prod is block else (block, prod.reshape(block.shape))))
+        work["blocks"] = blocks
+        if "gw" in work:
+            work["gw_copy"] = work["grads"][0].reshape(-1, co), work["gw"].T
+        if geo.grouping is not None and "gx" in work:
+            work["ungroup"] = _strided(work["ungrouped"], *geo.grouping[1:])
+        if "gc" in work:
+            gc, gx, s = work["gc"], work["gx"], spec.stride
+            work["gim2col"] = _bind_im2col(work, gc.geo, False, "g")
+            work["wz_head"] = work["wz"][:-1]
+            b, mh, mw, _, _, c = gc.split
+            work["input_grad"] = (gx.reshape(-1, c), None, gx) if s == 1 else (
+                work["gprod"], (gx[:, :, gc.covered, :, gc.covered],
+                                work["gprod"].reshape(gc.split).transpose(0, 1, 3, 2, 4, 5)),
+                gx.reshape(b, mh * s, mw * s, c)[gc.interior])
+        elif "gx" in work:  # an unpadded 1x1 conv: every s-th row and column of gx
+            view = work["gx"][:, ::spec.stride, ::spec.stride]
+            work["input_grad"] = (work["gprod"], (view, work["gprod"].reshape(view.shape)),
+                                  work["gx"])
+    elif spec.kind == "maxpool2d":
+        if "grouping" in work:  # an NHWC input, which one copy groups into slabs
+            work["grouped"] = work["slabs"].reshape(work["grouping"][1])
+        if "g" in work:
+            gslabs = work["gslabs" if "grouping" in work else "gx"]
+            bits = np.dtype(f"u{gslabs.itemsize}")
+            work["g_bits"], work["slab_bits"] = work["g"].view(bits), [g.view(bits) for g in gslabs]
+            if "grouping" in work:
+                work["ungroup"] = _strided(work["gx"], *work["grouping"][1:])
+    return work
+
+
+def _fresh(spec: LayerSpec, lay: Layout) -> dict:
     """The work of a kernel call made without one: ``lay``'s index data and
-    buffers, allocated (and filled, as each life says) for this call alone;
-    a buffer the call does not write costs no page."""
+    buffers and the parameter gradients ("grads"), allocated (and filled, as
+    each life says) for this call alone, and bound; a buffer the call does
+    not write costs no page."""
     work = dict(lay.consts)
     for name, (shape, dtype, life) in lay.buffers.items():
         work[name] = {"zeros": np.zeros, "ones": np.ones}.get(life, np.empty)(shape, dtype)
-    return work
+    work["grads"] = [np.empty(shape, lay.buffers["out"].dtype) for shape in param_shapes(spec)]
+    return bind(spec, work)
 
 
 def forward(spec: LayerSpec, params: list[np.ndarray], x, keep_cache: bool = True,
@@ -565,7 +616,7 @@ def forward(spec: LayerSpec, params: list[np.ndarray], x, keep_cache: bool = Tru
         raise ShapeError(f"fc expects (batch, {spec.in_features}), got {x.shape}")
     inputs = x if kind == "residual_add" else (x,)
     if work is None:
-        work = _fresh(layout(spec, inputs[0].shape, inputs[0].dtype, False, keep_cache))
+        work = _fresh(spec, layout(spec, inputs[0].shape, inputs[0].dtype, False, keep_cache))
     for t in inputs:
         if t.shape != work["in_shape"]:
             raise ShapeError(f"{kind} laid out for input shape {work['in_shape']}, got {t.shape}")
@@ -584,46 +635,34 @@ def forward(spec: LayerSpec, params: list[np.ndarray], x, keep_cache: bool = Tru
         cache = (spec, x.shape, centered, sigma)
 
     elif kind == "conv2d":
-        wgt = params[0]
-        geo = work["geo"]
-        b, co = len(x), spec.out_channels
-        # the output's rows: one slab, or one per window position of the
-        # pool, each holding `rows` rows per sample
-        slabs = geo.out_shape[0] if spec.pool is not None else 1
-        rows = geo.out_shape[-3] * geo.out_shape[-2]
-        wmat = wgt.reshape(-1, co)
-        y = work["out"]
-        out = y.reshape(slabs, b * rows, co)
+        wmat = params[0].reshape(-1, spec.out_channels)
         if not keep_cache and "padded" in work:
             work["padded"].fill(0)  # the block's border, which each block keeps
         # backward needs the whole patch matrix; without a cache it is built
-        # in blocks of m whole samples, the last one overlapping the one before
-        m, bgeo = work["block"]
-        for s0 in range(0, b, m):
-            s0 = min(s0, b - m)
-            cols = _im2col(x[s0:s0 + m], bgeo, work["transposed"], work)
-            block = out[:, s0 * rows:(s0 + m) * rows]
-            if block.flags.c_contiguous:
-                np.matmul(cols, wmat, out=block.reshape(-1, co))
-            else:  # a pooled conv's block spans every slab
-                block[...] = (cols @ wmat).reshape(block.shape)
+        # in blocks of whole samples (see bind)
+        for samples, prod, copy in work["blocks"]:
+            cols = _im2col(x[samples], work["im2col"])
+            np.matmul(cols, wmat, out=prod)
+            if copy is not None:
+                np.copyto(*copy)
         if spec.bias:
-            _add_bias(out.reshape(-1, co), params[1])
-        cache = (spec, x.shape, cols, geo, wmat)
+            _add_bias(work["out2d"], params[1])
+        y = work["out"]
+        cache = (spec, x.shape, cols, wmat)
 
     elif kind == "maxpool2d":
-        if x.ndim == 5:
-            grouping, slabs = None, x  # a pooled conv's output, already in slabs
-        else:
-            grouping = work["grouping"]
-            slabs = _group(x, grouping, work["slabs"])
+        slabs = x  # a pooled conv's output, already in slabs
+        if x.ndim == 4:  # NHWC, copied once into slabs
+            _, shape, strides = work["grouping"]
+            np.copyto(work["grouped"], _strided(np.ascontiguousarray(x), shape, strides))
+            slabs = work["slabs"]
         y = work["out"]
         np.copyto(y, slabs[0])
         for slab in slabs[1:]:
             # np.maximum returns its second operand when the two compare
             # equal, so the earlier window position keeps the signed zero
             np.maximum(slab, y, out=y)
-        cache = (spec, x.shape, slabs, y, grouping)
+        cache = (spec, x.shape, slabs, y)
 
     elif kind == "relu":
         y = np.maximum(x, 0.0, out=work["out"])
@@ -662,7 +701,7 @@ def backward(spec: LayerSpec, cache, grad_out, input_grad: bool = True,
         raise ShapeError("stale or mismatched cache for backward")
     kind = spec.kind
     if work is None:
-        work = _fresh(layout(spec, cache[1], grad_out.dtype, input_grad))
+        work = _fresh(spec, layout(spec, cache[1], grad_out.dtype, input_grad))
     if grad_out.shape != work["out_shape"]:
         raise ShapeError(f"grad shape {grad_out.shape} != output shape {work['out_shape']}")
 
@@ -682,60 +721,56 @@ def backward(spec: LayerSpec, cache, grad_out, input_grad: bool = True,
         return gx, []
 
     if kind == "conv2d":
-        _, _, cols, geo, wmat = cache
-        k, s, c, co = spec.kernel, spec.stride, spec.in_channels, spec.out_channels
+        _, _, cols, wmat = cache
         # with a pool, rows (of grad_out and cols alike) come in slabs
-        gmat = grad_out.reshape(-1, co)
-        # this order, unlike cols.T @ gmat, gives both patch layouts equal sgemm bits
-        gw = np.matmul(gmat.T, cols, out=work["gw"]).T.reshape(k, k, -1, co)
-        grads = [gw]
+        gmat = grad_out.reshape(-1, spec.out_channels)
+        # this order, unlike cols.T @ gmat, gives both patch layouts equal
+        # sgemm bits; the weight gradient takes the product transposed
+        np.matmul(gmat.T, cols, out=work["gw"])
+        np.copyto(*work["gw_copy"])
+        grads = work["grads"]
         if spec.bias:
-            grads.append(work["ones"] @ gmat)
+            np.matmul(work["ones"], gmat, out=grads[1])
         if not input_grad:
             return None, grads
-        if geo.grouping is not None:
-            grad_out = _ungroup(grad_out, geo.grouping, work["ungrouped"])
-        gx = work["gx"]
-        if k == 1 and spec.padding == 0:
-            # one product, written at the input positions the windows read;
-            # the others keep the buffer's +0.0
-            wt = work["wt"]
-            np.copyto(wt, wmat.T)
-            view = gx[:, ::s, ::s]
-            view[...] = np.matmul(grad_out.reshape(-1, co), wt,
-                                  out=work["gprod"]).reshape(view.shape)
-            return gx, grads
-        gc = work["gc"]
-        cols = _im2col(grad_out[gc.crop], gc.geo, False, work, "g")
-        # the flipped taps gathered from the flat weight and one zero after it
-        wz = work["wz"]
-        wz[:-1] = wmat.ravel()
-        taps = wz.take(gc.taps, out=work["taps"], mode="clip")  # "raise" would buffer out
-        if s == 1:
-            np.matmul(cols, taps, out=gx.reshape(len(cols), -1))
-            return gx, grads
-        b, mh, mw, _, _, _ = gc.split
-        prod = np.matmul(cols, taps, out=work["gprod"])
-        gx[:, :, gc.covered, :, gc.covered] = prod.reshape(gc.split).transpose(0, 1, 3, 2, 4, 5)
-        return gx.reshape(b, mh * s, mw * s, c)[gc.interior], grads
+        if "ungroup" in work:  # back to NHWC, where no window covers it +0.0
+            np.copyto(work["ungroup"], grad_out.reshape(work["ungroup"].shape))
+            grad_out = work["ungrouped"]
+        # one product: its target, its interleave into gx (or None) and gx
+        prod, scatter, gx = work["input_grad"]
+        if "gc" in work:
+            gc = work["gc"]
+            cols = _im2col(grad_out[gc.crop], work["gim2col"])
+            # the flipped taps gathered from the flat weight and one zero after it
+            np.copyto(work["wz_head"], wmat.reshape(-1))
+            wgt = work["wz"].take(gc.taps, out=work["taps"], mode="clip")  # "raise" buffers out
+        else:
+            # an unpadded 1x1 conv: one product, written at the input
+            # positions the windows read; the others keep the buffer's +0.0
+            cols, wgt = grad_out.reshape(-1, spec.out_channels), work["wt"]
+            np.copyto(wgt, wmat.T)
+        np.matmul(cols, wgt, out=prod)
+        if scatter is not None:
+            np.copyto(*scatter)
+        return gx, grads
 
     if kind == "maxpool2d":
-        _, _, slabs, y, grouping = cache
+        _, _, slabs, y = cache
         # each window's gradient goes to the first slab holding its max, with
         # + 0.0 as in a sum from +0.0.  Its bits are multiplied by the 0/1
         # hit mask, so every other element is +0.0 even where the gradient
         # is not finite
-        bits = np.dtype(f"u{grad_out.itemsize}")
-        g = np.add(grad_out, 0.0, out=work["g"]).view(bits)
-        gx = work["gx"] if grouping is None else work["gslabs"]
-        unrouted, hit = work["unrouted"], work["hit"]
+        np.add(grad_out, 0.0, out=work["g"])
+        g, unrouted, hit = work["g_bits"], work["unrouted"], work["hit"]
         unrouted.fill(True)
-        for slab, gslab in zip(slabs, gx):
+        for slab, gslab in zip(slabs, work["slab_bits"]):
             np.equal(slab, y, out=hit)
             hit &= unrouted
             unrouted ^= hit
-            np.multiply(g, hit, out=gslab.view(bits))
-        return (gx if grouping is None else _ungroup(gx, grouping, work["gx"])), []
+            np.multiply(g, hit, out=gslab)
+        if "ungroup" in work:  # back to NHWC, where no window covers it +0.0
+            np.copyto(work["ungroup"], work["gslabs"].reshape(work["ungroup"].shape))
+        return work["gx"], []
 
     if kind == "relu":
         _, _, mask = cache
@@ -743,9 +778,10 @@ def backward(spec: LayerSpec, cache, grad_out, input_grad: bool = True,
 
     if kind == "fc":
         _, _, x, wgt = cache
-        grads = [np.matmul(x.T, grad_out, out=work["gw"])]
+        grads = work["grads"]
+        np.matmul(x.T, grad_out, out=grads[0])
         if spec.bias:
-            grads.append(work["ones"] @ grad_out)
+            np.matmul(work["ones"], grad_out, out=grads[1])
         return np.matmul(grad_out, wgt.T, out=work["gx"]), grads
 
     if kind == "gap":

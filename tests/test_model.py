@@ -43,24 +43,24 @@ TOY_WORK_PLANS = {
 # the same of the toy prediction's workspace, at evaluation's batch of 256
 # and a last batch of 144: only the parameters are kept
 TOY_INFER_PLANS = {
-    ("fadnet", "float32"): {256: (10_610_688, 124_928), 144: (6_301_440, 124_928)},
-    ("fadnet", "float64"): {256: (21_221_376, 249_856), 144: (12_602_880, 249_856)},
-    ("backbone_only", "float32"): {256: (10_563_840, 78_080), 144: (6_254_592, 78_080)},
-    ("backbone_only", "float64"): {256: (21_127_680, 156_160), 144: (12_509_184, 156_160)},
+    ("fadnet", "float32"): {256: (10_921_728, 124_928), 144: (6_792_960, 124_928)},
+    ("fadnet", "float64"): {256: (21_843_456, 249_856), 144: (13_585_920, 249_856)},
+    ("backbone_only", "float32"): {256: (10_874_880, 78_080), 144: (6_746_112, 78_080)},
+    ("backbone_only", "float64"): {256: (21_749_760, 156_160), 144: (13_492_224, 156_160)},
 }
 
 # sha256 (first 16 hex digits) of the listing of every training-plan slot
 # (see slot_listing) at batches 1, 4 and 32, by kind, config and dtype
 SLOT_DIGEST_CFGS = {"toy": M.TOY_CONFIG, "odd-2-3-4": ODD_CFGS[2, 3, 4]}
 TRAIN_SLOT_DIGESTS = {
-    ("fadnet", "toy", "float32"): "5aaa10d743ad7ca7",
-    ("fadnet", "toy", "float64"): "45a88efb986f2d00",
-    ("fadnet", "odd-2-3-4", "float32"): "0f88799d24b73d55",
-    ("fadnet", "odd-2-3-4", "float64"): "1a9bf80595050758",
-    ("backbone_only", "toy", "float32"): "7919b98dbc40ad03",
-    ("backbone_only", "toy", "float64"): "3f8ae550c22a5ebc",
-    ("backbone_only", "odd-2-3-4", "float32"): "5a4ed6bf5471a29c",
-    ("backbone_only", "odd-2-3-4", "float64"): "2b81867b8bcd66e4",
+    ("fadnet", "toy", "float32"): "2946d27c88e5073f",
+    ("fadnet", "toy", "float64"): "afef358b307acbe7",
+    ("fadnet", "odd-2-3-4", "float32"): "0e61ef4d83d73495",
+    ("fadnet", "odd-2-3-4", "float64"): "e9db55be9ad3afc9",
+    ("backbone_only", "toy", "float32"): "6fd9f22a0bbe9aa4",
+    ("backbone_only", "toy", "float64"): "d21e47515f04ab60",
+    ("backbone_only", "odd-2-3-4", "float32"): "90e75985c7af8213",
+    ("backbone_only", "odd-2-3-4", "float64"): "dff3378e454bc445",
 }
 
 
@@ -252,6 +252,26 @@ class TestForward:
             tracemalloc.stop()
         assert peak < 30e6
 
+    def test_stem_inference_stays_in_the_workspace(self):
+        # a warm toy batch-256 float32 prediction's stem conv, through its
+        # inference workspace, writes each pooled block's product into the
+        # block (a product allocated per block was 480 KiB); what remains is
+        # numpy's own scratch
+        inputs = toy_batch(n=256, seed=8).inputs
+        theta = M.init_params("fadnet", M.TOY_CONFIG, 1).astype(np.float32)
+        work = M._loaded("fadnet", M.TOY_CONFIG, theta, inputs, None, False)
+        M._forward("fadnet", M.TOY_CONFIG, work)
+        spec = M._plan("fadnet", M.TOY_CONFIG)["specs"]["stem.conv"]
+        x = work.layers["norm"]["out"]
+        tracemalloc.start()
+        try:
+            T.forward(spec, work.param_views["stem.conv"], x, keep_cache=False,
+                      work=work.layers["stem.conv"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 << 10
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_stem_inference_peak_memory(self, dtype):
         # besides its output, the stem conv without a cache holds one block
@@ -372,6 +392,10 @@ class TestLossAndGrad:
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
             Dataset(inputs=np.zeros((0, 8, 8, 1)), targets=np.zeros(0))
+        # a prediction takes bare inputs, which no Dataset checked
+        theta = M.init_params("fadnet", M.TOY_CONFIG, 0)
+        with pytest.raises(ValueError, match="nonempty batch, got shape \\(0, 32, 32, 1\\)"):
+            M.predict("fadnet", M.TOY_CONFIG, theta, np.empty((0, 32, 32, 1)))
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("kind", M.MODEL_KINDS)
@@ -408,7 +432,8 @@ class TestWorkspace:
         # leaves there may reach another's loss or gradient: other batches,
         # two silos' parameters in turn, a predict in between, and a short
         # probe batch through a workspace of its own.  Nor may the bytes a
-        # new block starts with (NaN or 0.0, true or false)
+        # new block starts with (NaN or 0.0, true or false), or the gradient
+        # vector's before a step
         thetas = [M.init_params(kind, M.TOY_CONFIG, seed).astype(dtype) for seed in (1, 2)]
         batches = [toy_batch(n=4, seed=seed) for seed in (11, 12, 13)]
         work = M.Workspace(kind, M.TOY_CONFIG, 4, dtype)
@@ -423,6 +448,7 @@ class TestWorkspace:
                 continue
             ws, i, batch = call
             batch = batch.subset(range(ws.key[2]))
+            ws.grads.fill(np.nan)  # the step writes every entry: none is zeroed first
             loss, grads = M.loss_and_grad(kind, M.TOY_CONFIG, thetas[i], batch, workspace=ws)
             assert grads is ws.grads
             ref_loss, ref_grads = M.loss_and_grad(kind, M.TOY_CONFIG, thetas[i], batch)

@@ -66,6 +66,7 @@ def test_plans_agree(hw, channels, widths, feature_dim, kind, dtype, blocks, ste
     held = M.Workspace(kind, cfg, step_batch, dtype)
     assert_no_overlap(M._work_plan(*held.key))
     held.block[M._work_plan(*held.key).kept:] = garbage
+    held.grads.view(np.uint8)[:] = garbage  # a step writes every entry of its gradient
     steps = [batch_of(cfg, step_batch, seed + 1), batch_of(cfg, step_batch + 1, seed + 2),
              "predict", batch_of(cfg, step_batch, seed + 3)]
     for step in steps:

@@ -210,6 +210,14 @@ class TestShapeAlgebra:
         out, _ = T.forward(spec, params, x)
         assert out.shape == (1, (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1, cout)
 
+    def test_empty_batch_rejected(self):
+        # its layout has no blocks of whole samples to size, with or without a cache
+        spec = make_conv(cin=1, cout=8, pool=make_pool(2, 2))
+        params = [np.zeros(s) for s in T.param_shapes(spec)]
+        for keep_cache in (True, False):
+            with pytest.raises(T.ShapeError, match="nonempty batch"):
+                T.forward(spec, params, np.zeros((0, 6, 6, 1)), keep_cache=keep_cache)
+
     def test_too_small_input_rejected(self):
         spec = make_conv(kernel=5, stride=1, padding=0, cin=1, cout=1)
         with pytest.raises(T.ShapeError):
@@ -483,7 +491,7 @@ def transposed_conv_input_grad(spec, grad, weight, in_shape):
     geo = T._geometry(spec, in_shape, dtype.itemsize)
     gc = T._grad_conv(spec, geo.padded, dtype.itemsize)
     work = {"padded": np.zeros(gc.geo.padded, dtype), "cols": np.empty(gc.geo.patches[0], dtype)}
-    cols = T._im2col(grad[gc.crop], gc.geo, False, work)
+    cols = T._im2col(grad[gc.crop], T._bind_im2col(work, gc.geo, False))
     gx = cols @ np.concatenate([weight.ravel(), np.zeros(1, dtype)])[gc.taps]
     b, mh, mw, _, _, c = gc.split
     s = spec.stride
